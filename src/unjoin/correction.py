@@ -12,6 +12,13 @@ A candidate is eligible when the distance is at most
 max(2, ceil(0.4 * len(candidate))). Ties prefer a candidate from a
 table the query already references, then the lexicographically smallest
 name.
+
+The search is bounded: a candidate only matters if its distance is within
+both its own threshold and the best distance found so far, so candidates
+whose length differs by more than that are skipped outright, and the rest
+get a banded edit distance that gives up once a row exceeds the bound.
+The chosen candidate and its distance are identical to an exhaustive
+search, since ties with the best so far are still computed exactly.
 """
 
 from __future__ import annotations
@@ -41,21 +48,47 @@ class CorrectionReport:
         return bool(self.substitutions)
 
 
-def levenshtein(a: str, b: str) -> int:
+def levenshtein(a: str, b: str, bound: int | None = None) -> int:
+    """Edit distance between ``a`` and ``b``, exact when ``bound`` is None.
+
+    With a ``bound``, the result is exact when it is at most ``bound``
+    and ``bound + 1`` otherwise; only the diagonal band ``|i - j| <=
+    bound`` is filled, and the fill stops once a whole row exceeds it.
+    """
     if a == b:
         return 0
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        cur = [i]
-        for j, cb in enumerate(b, start=1):
-            cost = 0 if ca == cb else 1
-            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + cost))
+    la, lb = len(a), len(b)
+    if bound is None:
+        bound = max(la, lb)  # no distance exceeds this: the band is the table
+    over = bound + 1
+    if abs(la - lb) > bound:
+        return over
+    if not a or not b:
+        return la + lb
+    # Cells outside the band stay at ``over``: their true distance is at
+    # least |i - j| > bound, and every value is capped at ``over``.
+    prev = [j if j <= bound else over for j in range(lb + 1)]
+    for i in range(1, la + 1):
+        ca = a[i - 1]
+        cur = [over] * (lb + 1)
+        if i <= bound:
+            cur[0] = i
+        row_min = cur[0]
+        for j in range(max(1, i - bound), min(lb, i + bound) + 1):
+            v = prev[j - 1] if ca == b[j - 1] else prev[j - 1] + 1
+            if prev[j] + 1 < v:
+                v = prev[j] + 1
+            if cur[j - 1] + 1 < v:
+                v = cur[j - 1] + 1
+            if v > over:
+                v = over
+            cur[j] = v
+            if v < row_min:
+                row_min = v
+        if row_min > bound:
+            return over
         prev = cur
-    return prev[-1]
+    return prev[lb]
 
 
 def _threshold(candidate: str) -> int:
@@ -71,9 +104,17 @@ def _best(
     Returns (canonical, distance) or None when nothing is close enough.
     """
     best = None
+    n = len(token_lower)
     for lower, canonical, referenced in candidates:
-        dist = levenshtein(token_lower, lower)
-        if dist > _threshold(lower):
+        # A candidate farther than the best so far cannot win; one at the
+        # same distance still can, on the tie-break.
+        limit = _threshold(lower)
+        if best is not None and best[0][0] < limit:
+            limit = best[0][0]
+        if abs(n - len(lower)) > limit:
+            continue
+        dist = levenshtein(token_lower, lower, limit)
+        if dist > limit:
             continue
         key = (dist, not referenced, lower)
         if best is None or key < best[0]:
@@ -241,6 +282,7 @@ def _correct_tokens(sql: str, db: DatabaseSchema) -> tuple[str, CorrectionReport
     toks = tokenize(sql)
     roles = _Roles(toks)
     table_canon = {t.name.lower(): t.name for t in db.tables}
+    table_cands = [(tl, canon, False) for tl, canon in sorted(table_canon.items())]
     cols_by_table = {
         t.name.lower(): {c.name.lower(): c.name for c in t.columns} for t in db.tables
     }
@@ -266,8 +308,7 @@ def _correct_tokens(sql: str, db: DatabaseSchema) -> tuple[str, CorrectionReport
             # Double quotes are ambiguous with string literals here;
             # leave them alone rather than rewrite a value.
             continue
-        cands = [(tl, canon, False) for tl, canon in sorted(table_canon.items())]
-        pick = _best(low, cands)
+        pick = _best(low, table_cands)
         if pick is None:
             unresolved.append(tok.value)
             continue
@@ -301,8 +342,7 @@ def _correct_tokens(sql: str, db: DatabaseSchema) -> tuple[str, CorrectionReport
         if tok.quote == '"':
             qualifier_table[idx] = None
             continue
-        cands = [(tl, canon, False) for tl, canon in sorted(table_canon.items())]
-        pick = _best(low, cands)
+        pick = _best(low, table_cands)
         if pick is None:
             unresolved.append(tok.value)
             qualifier_table[idx] = None
@@ -402,9 +442,7 @@ def correct_identifiers_simplified(
     toks = tokenize(sql)
     n = len(toks)
     virtual_low = simplified.name.lower()
-    entries = sorted(
-        ((e.rendered.lower(), e.rendered) for e in simplified.entries)
-    )
+    entry_cands: list[tuple[str, str, bool]] | None = None  # built on first need
     subs: list[tuple[int, int, str, str, int]] = []  # (start, end, orig, repl, dist)
     unresolved: list[str] = []
 
@@ -437,7 +475,11 @@ def correct_identifiers_simplified(
             chain = ".".join(toks[k].value for k in range(i, j + 1, 2))
             tail = toks[j - 2].value + "." + toks[j].value
             if simplified.lookup(tail) is None:
-                pick = _best(chain.lower(), [(el, er, False) for el, er in entries])
+                if entry_cands is None:
+                    entry_cands = sorted(
+                        (e.rendered.lower(), e.rendered, False) for e in simplified.entries
+                    )
+                pick = _best(chain.lower(), entry_cands)
                 if pick is None:
                     unresolved.append(chain)
                 else:
@@ -447,8 +489,9 @@ def correct_identifiers_simplified(
             continue
         if expect_table:
             if tok.lower != virtual_low and tok.quote != '"':
-                dist = levenshtein(tok.lower, virtual_low)
-                if dist <= _threshold(virtual_low):
+                limit = _threshold(virtual_low)
+                dist = levenshtein(tok.lower, virtual_low, limit)
+                if dist <= limit:
                     subs.append((tok.start, tok.end, tok.value, simplified.name, dist))
                 else:
                     unresolved.append(tok.value)

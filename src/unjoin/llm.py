@@ -19,6 +19,8 @@ from pathlib import Path
 
 import requests
 
+from .tokens import OP, TokenizeError, tokenize
+
 CACHE_MODES = ("record", "replay", "live")
 
 API_KEY_ENV = "UNJOIN_API_KEY"
@@ -36,6 +38,14 @@ class ReplayMissError(LlmError):
     def __init__(self, key: str):
         super().__init__(f"replay cache has no entry for key {key}")
         self.key = key
+
+
+class CorruptCacheError(LlmError, ValueError):
+    """A cache file that cannot be read as an exchange. Fails one item."""
+
+    def __init__(self, path: Path, reason: str):
+        super().__init__(f"corrupt cache file {path}: {reason}")
+        self.path = path
 
 
 class ExtractionError(ValueError):
@@ -86,16 +96,19 @@ class ExchangeCache:
         path = self.path_for(key)
         if not path.exists():
             return None
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        return LlmExchange(
-            key=raw["key"],
-            prompt=raw["prompt"],
-            completion=raw["completion"],
-            latency_s=raw.get("latency_s", 0.0),
-            prompt_tokens=raw.get("prompt_tokens"),
-            completion_tokens=raw.get("completion_tokens"),
-        )
+        try:
+            with open(path, encoding="utf-8") as fh:
+                raw = json.load(fh)
+            return LlmExchange(
+                key=raw["key"],
+                prompt=raw["prompt"],
+                completion=raw["completion"],
+                latency_s=raw.get("latency_s", 0.0),
+                prompt_tokens=raw.get("prompt_tokens"),
+                completion_tokens=raw.get("completion_tokens"),
+            )
+        except (ValueError, KeyError, TypeError) as exc:
+            raise CorruptCacheError(path, f"{type(exc).__name__}: {exc}") from exc
 
     def put(self, exchange: LlmExchange) -> None:
         path = self.path_for(exchange.key)
@@ -199,6 +212,7 @@ class LlmClient:
 # ----- completion post-processing -----
 
 _FENCE_OPEN = "```"
+_QUOTES = ("'", '"', "`", "[")
 
 
 def extract_sql_blocks(completion: str) -> list[str]:
@@ -253,9 +267,23 @@ def _first_keyword_suffix(text: str) -> str | None:
 
 def _strip_trailing_prose(sql: str) -> str:
     semi = sql.find(";")
-    if semi >= 0:
-        return sql[: semi + 1]
-    return sql.strip()
+    if semi < 0:
+        return sql.strip()
+    head = sql[:semi]
+    if any(q in head for q in _QUOTES):
+        # The ';' may sit inside a literal or quoted name: cut at the
+        # first one the tokenizer reads as an operator. Tokens stop where
+        # the text turns unreadable (say, an apostrophe in trailing prose).
+        try:
+            toks, readable = tokenize(sql), True
+        except TokenizeError as exc:
+            toks, readable = tokenize(sql[: exc.offset]), False
+        for tok in toks:
+            if tok.kind == OP and tok.value == ";":
+                return sql[: tok.end]
+        # Every readable ';' is quoted. Unreadable text keeps the raw cut.
+        return sql.strip() if readable else sql[: semi + 1]
+    return sql[: semi + 1]
 
 
 def trim_sql(text: str) -> str:

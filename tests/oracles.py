@@ -84,3 +84,25 @@ def slow_levenshtein(a: str, b: str) -> int:
         return min(d(i - 1, j) + 1, d(i, j - 1) + 1, d(i - 1, j - 1) + cost)
 
     return d(len(a), len(b))
+
+
+def slow_best(token: str, candidates) -> tuple[str, int] | None:
+    """Exhaustive closest-candidate search over (lower, canonical, referenced).
+
+    Every candidate gets the full recursive edit distance; the eligible
+    one with the smallest (distance, not referenced, lower) key wins,
+    and the first of equal keys is kept.
+    """
+    scored = []
+    for lower, canonical, referenced in candidates:
+        dist = slow_levenshtein(token, lower)
+        threshold = max(2, -(-2 * len(lower) // 5))  # ceil(0.4 * len)
+        if dist <= threshold:
+            scored.append(((dist, not referenced, lower), canonical))
+    if not scored:
+        return None
+    winner = scored[0]
+    for entry in scored[1:]:
+        if entry[0] < winner[0]:
+            winner = entry
+    return winner[1], winner[0][0]

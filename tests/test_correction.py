@@ -15,15 +15,16 @@ from hypothesis import given, strategies as st
 from unjoin.correction import (
     CorrectionReport,
     Substitution,
+    _best,
     correct_identifiers,
     correct_identifiers_simplified,
     levenshtein,
 )
 from unjoin.schema import ColumnDef, DatabaseSchema, TableDef, simplify_schema
-from unjoin.tokens import IDENT, KEYWORDS, tokenize
+from unjoin.tokens import IDENT, KEYWORDS, QIDENT, tokenize
 
 from conftest import SPIDER_CASES, academic_schema, retail_schema
-from oracles import slow_levenshtein
+from oracles import slow_best, slow_levenshtein
 
 SEED = 20240814
 LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -287,6 +288,107 @@ def test_levenshtein_known_values():
 @given(
     st.text(alphabet="abcde", max_size=8),
     st.text(alphabet="abcde", max_size=8),
+    st.none() | st.integers(min_value=0, max_value=6),
 )
-def test_levenshtein_matches_recursive_oracle(a, b):
-    assert levenshtein(a, b) == slow_levenshtein(a, b)
+def test_levenshtein_matches_recursive_oracle(a, b, bound):
+    exact = slow_levenshtein(a, b)
+    if bound is None or exact <= bound:
+        assert levenshtein(a, b, bound) == exact
+    else:
+        assert levenshtein(a, b, bound) == bound + 1
+
+
+# ----- bounded candidate search against an exhaustive one -----
+
+# Names come from a small pool, so lists often hold several candidates
+# with the same lower-case name; canonical names are unique per entry, so
+# the test sees which of them was chosen.
+candidate_lists = st.lists(
+    st.text(alphabet="abc_", min_size=1, max_size=7), min_size=1, max_size=5
+).flatmap(
+    lambda pool: st.lists(st.tuples(st.sampled_from(pool), st.booleans()), max_size=12)
+).map(
+    lambda entries: [
+        (lower, f"{lower.upper()}#{i}", referenced)
+        for i, (lower, referenced) in enumerate(entries)
+    ]
+)
+
+
+@given(st.text(alphabet="abc_", max_size=7), candidate_lists)
+def test_best_matches_exhaustive_search(token, candidates):
+    assert _best(token, candidates) == slow_best(token, candidates)
+
+
+# ----- repair rewrites identifier spans only, and is a fixed point -----
+
+RETAIL = retail_schema()
+RETAIL_TABLES = sorted(t.name for t in RETAIL.tables)
+RETAIL_COLUMNS = sorted({c.name for t in RETAIL.tables for c in t.columns})
+
+
+@st.composite
+def near_miss(draw, names):
+    """A schema name with up to two random edits, in a random quoting."""
+    word = draw(st.sampled_from(names))
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        pos = draw(st.integers(min_value=1, max_value=len(word) - 1))
+        ch = draw(st.sampled_from(LETTERS))
+        op = draw(st.sampled_from(("sub", "ins", "del")))
+        if op == "sub":
+            word = word[:pos] + ch + word[pos + 1:]
+        elif op == "ins":
+            word = word[:pos] + ch + word[pos:]
+        elif len(word) > 3:
+            word = word[:pos] + word[pos + 1:]
+    if word.lower() in KEYWORDS:
+        word = names[0]
+    opener = draw(st.sampled_from(("", "", "", "`", "[", '"')))
+    closer = {"": "", "`": "`", "[": "]", '"': '"'}[opener]
+    return f"{opener}{word}{closer}"
+
+
+@st.composite
+def noisy_queries(draw):
+    table = near_miss(RETAIL_TABLES)
+    column = near_miss(RETAIL_COLUMNS)
+    t1, t2 = draw(table), draw(table)
+    alias = draw(st.booleans())
+    q1, q2 = ("T1", "T2") if alias else (t1, t2)
+
+    def col_ref():
+        qualifier = draw(st.sampled_from((None, q1, q2)))
+        name = draw(column)
+        return name if qualifier is None else f"{qualifier}.{name}"
+
+    sql = f"SELECT {col_ref()}, count(*) FROM {t1}"
+    if alias:
+        sql += " AS T1"
+    if draw(st.booleans()):
+        sql += f" JOIN {t2}" + (" AS T2" if alias else "")
+        sql += f" ON {q1}.{draw(column)} = {q2}.{draw(column)}"
+    if draw(st.booleans()):
+        literal = draw(st.sampled_from(RETAIL_COLUMNS + RETAIL_TABLES))
+        sql += f" WHERE {col_ref()} = '{literal}'"
+    if draw(st.booleans()):
+        sql += f" GROUP BY {col_ref()} ORDER BY {col_ref()} DESC"
+    return sql
+
+
+@given(noisy_queries())
+def test_repair_rewrites_only_identifier_spans_and_is_idempotent(sql):
+    fixed, _ = correct_identifiers(sql, RETAIL)
+    before, after = tokenize(sql), tokenize(fixed)
+    assert len(before) == len(after)
+    prev_b = prev_a = 0
+    for b, a in zip(before, after):
+        assert (b.kind, b.quote) == (a.kind, a.quote)
+        # Text between tokens (whitespace) is untouched.
+        assert sql[prev_b:b.start] == fixed[prev_a:a.start]
+        if b.value != a.value:
+            assert b.kind in (IDENT, QIDENT) and b.quote != '"'
+        prev_b, prev_a = b.end, a.end
+    assert sql[prev_b:] == fixed[prev_a:]
+    again, report = correct_identifiers(fixed, RETAIL)
+    assert again == fixed
+    assert not report.changed

@@ -5,6 +5,7 @@ import time
 import pytest
 
 from unjoin.llm import (
+    CorruptCacheError,
     ExchangeCache,
     ExtractionError,
     LlmClient,
@@ -66,6 +67,19 @@ def test_corrupt_cache_file_fails_loudly(tmp_path):
     cache.path_for(key).write_text("{broken", encoding="utf-8")
     with pytest.raises(ValueError):
         cache.get(key)
+
+
+@pytest.mark.parametrize("body", ["{broken", "[1, 2]", '{"key": "k"}', "\udcff"])
+def test_corrupt_cache_file_is_an_llm_error_naming_the_file(tmp_path, body):
+    cache = ExchangeCache(tmp_path)
+    key = exchange_key("a", CFG)
+    path = cache.path_for(key)
+    path.parent.mkdir(parents=True)
+    path.write_bytes(body.encode("utf-8", "surrogateescape"))
+    with pytest.raises(CorruptCacheError) as info:
+        LlmClient(CFG, cache).complete("a", "replay")
+    assert isinstance(info.value, LlmError)
+    assert str(path) in str(info.value)
 
 
 # ----- cache modes -----
@@ -266,9 +280,9 @@ EXTRACTION_CASES = [
     ("word-with-inside-identifier",
      "The withholding table is irrelevant. SELECT c FROM v",
      "SELECT c FROM v"),
-    ("semicolon-inside-string-still-cuts",
+    ("semicolon-inside-string-is-kept",
      "SELECT 'a;b' FROM t",
-     "SELECT 'a;"),
+     "SELECT 'a;b' FROM t"),
     ("leading-whitespace-block", "```sql\n\n  SELECT 9\n```", "SELECT 9"),
     ("crlf-free-suffix", "answer:\nSELECT z\nFROM w", "SELECT z\nFROM w"),
 ]
@@ -306,3 +320,16 @@ def test_no_sql_content_raises():
 def test_trim_sql_cuts_after_first_semicolon():
     assert trim_sql("SELECT 1; junk") == "SELECT 1;"
     assert trim_sql("  SELECT 1  ") == "SELECT 1"
+
+
+def test_semicolon_inside_literal_does_not_cut():
+    fenced = "```sql\nSELECT * FROM t WHERE name = 'a;b';\n```"
+    assert extract_sql(fenced) == "SELECT * FROM t WHERE name = 'a;b';"
+    assert trim_sql("SELECT [x;y] FROM t; junk") == "SELECT [x;y] FROM t;"
+    # An apostrophe in the prose after the statement does not hide its end.
+    assert (
+        extract_sql("SELECT a FROM t WHERE b = 'x;y'; that's all")
+        == "SELECT a FROM t WHERE b = 'x;y';"
+    )
+    # Unreadable text before any unquoted ';' keeps the plain cut.
+    assert trim_sql("SELECT 'a;b FROM t") == "SELECT 'a;"

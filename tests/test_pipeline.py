@@ -1,3 +1,4 @@
+import shutil
 import threading
 import time
 
@@ -361,6 +362,37 @@ def test_run_evaluation_replay_oracle_subset(mini_spider_root, oracle_cache_dir)
         assert rec.qe and rec.em, rec.item_id
         assert rec.prediction["final_sql"] == plan[rec.item_id][1]
         assert rec.prediction["intermediate_sql"] == plan[rec.item_id][2]
+
+
+def test_corrupt_cache_file_fails_only_its_item(mini_spider_root, oracle_cache_dir, tmp_path):
+    bundle = load_dataset(mini_spider_root, "spider")
+    kept, _ = filter_items(bundle.items, bundle.catalogue)
+    items = kept[:6]
+    cache_dir = tmp_path / "cache"
+    shutil.copytree(oracle_cache_dir, cache_dir)
+    config = RunConfig(dataset="spider", root=str(mini_spider_root), method="unjoin-mp",
+                       model=ORACLE_MODEL, cache_mode="replay",
+                       cache_dir=str(cache_dir), workers=2)
+    cache = ExchangeCache(cache_dir)
+    client = LlmClient(config.llm_config(), cache)
+    clean, _ = run_evaluation(bundle, items, config, client)
+    assert all(r.qe and r.em for r in clean)
+
+    victim = items[3]
+    simp = simplify_schema(bundle.catalogue[victim.db_id])
+    prompt = build_mp_step1_prompt(simp, victim.prompt_question)
+    path = cache.path_for(exchange_key(prompt, config.llm_config()))
+    path.write_text("{not json", encoding="utf-8")
+    records, _ = run_evaluation(bundle, items, config, client)
+
+    assert [r.item_id for r in records] == [i.item_id for i in items]
+    for before, after in zip(clean, records):
+        if after.item_id == victim.item_id:
+            assert after.prediction["failed"]
+            assert after.prediction["failure_stage"] == "step1-complete"
+            assert str(path) in after.prediction["failure_reason"]
+        else:
+            assert after.to_dict() == before.to_dict()
 
 
 def test_run_evaluation_open_book_uses_pool(mini_spider_root, tmp_path):
