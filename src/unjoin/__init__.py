@@ -24,7 +24,7 @@ from .schema import (
     render_simplified,
     simplify_schema,
 )
-from .sqlref import RefSet, extract_refs, extract_refs_simplified, is_multi_table
+from .sqlref import RefSet, extract_refs, extract_refs_simplified
 from .correction import (
     CorrectionReport,
     Substitution,

@@ -27,7 +27,8 @@ import math
 from dataclasses import dataclass
 
 from .schema import DatabaseSchema, SimplifiedSchema
-from .tokens import IDENT, KEYWORDS, NUMBER, OP, QIDENT, STRING, Token, tokenize
+from .sqlast import _Roles
+from .tokens import tokenize
 
 
 @dataclass(frozen=True)
@@ -124,161 +125,16 @@ def _best(
     return best[1], best[0][0]
 
 
-# ----- role classification -----
-
-_CLAUSE_RESET = frozenset(
-    "on where select group having order limit offset union intersect except using values set".split()
-)
+# ----- repair -----
 
 
-class _Roles:
-    """Classifies identifier tokens in a statement by syntactic role.
+def correct_identifiers(sql: str, db: DatabaseSchema) -> tuple[str, CorrectionReport]:
+    """Repair table and column tokens in ``sql`` against ``db``.
 
-    Works on the raw token stream with a small amount of state: which
-    paren depths belong to a FROM clause, which belong to CAST, whether
-    the next name is a table, a CTE, or an alias definition.
+    Returns the rewritten SQL and a report of substitutions (original,
+    replacement, distance, offset) plus names that stayed unresolved.
+    Applying the function to its own output is a fixed point.
     """
-
-    def __init__(self, toks: list[Token]):
-        self.toks = toks
-        self.tables: list[int] = []
-        self.qualifiers: list[int] = []  # indices; column follows 2 later
-        self.columns: list[tuple[int, int | None]] = []  # (index, qualifier index)
-        self.alias_defs: dict[str, int | None] = {}  # alias lower -> table token idx
-        self.cte_names: set[str] = set()
-        self.select_aliases: set[str] = set()
-        self._classify()
-
-    def _classify(self):
-        toks = self.toks
-        n = len(toks)
-        depth = 0
-        from_depths: set[int] = set()
-        cast_depths: set[int] = set()
-        expect_table = False
-        expect_alias = False
-        with_mode = False
-        expect_cte = False
-        last_table_idx: int | None = None
-        prev: Token | None = None
-        i = 0
-        while i < n:
-            tok = toks[i]
-            if tok.kind == OP:
-                expect_alias = False
-                if tok.value == "(":
-                    depth += 1
-                    if prev is not None and prev.is_keyword("cast"):
-                        cast_depths.add(depth)
-                    # "FROM (" keeps the table context on the new level.
-                    if expect_table:
-                        from_depths.add(depth)
-                elif tok.value == ")":
-                    from_depths.discard(depth)
-                    cast_depths.discard(depth)
-                    depth = max(0, depth - 1)
-                    expect_table = False
-                    last_table_idx = None
-                elif tok.value == ",":
-                    if depth in from_depths:
-                        expect_table = True
-                    if with_mode and depth == 0:
-                        expect_cte = True
-                prev = tok
-                i += 1
-                continue
-            if tok.kind in (STRING, NUMBER):
-                expect_alias = False
-                expect_table = False
-                prev = tok
-                i += 1
-                continue
-            low = tok.lower
-            if tok.kind == IDENT and low in KEYWORDS:
-                if low == "as":
-                    if depth not in cast_depths:
-                        expect_alias = True
-                    prev = tok
-                    i += 1
-                    continue
-                expect_alias = False
-                last_table_idx = None
-                if low in ("from", "join"):
-                    expect_table = True
-                    from_depths.add(depth)
-                elif low == "with" and depth == 0:
-                    with_mode = True
-                    expect_cte = True
-                elif low in _CLAUSE_RESET:
-                    expect_table = False
-                    from_depths.discard(depth)
-                    if low == "select" and depth == 0:
-                        with_mode = False
-                prev = tok
-                i += 1
-                continue
-            # Identifier. Gather a dotted chain first; only the last two
-            # parts carry the (qualifier, column) pair.
-            j = i
-            while (
-                j + 2 < n
-                and toks[j + 1].kind == OP
-                and toks[j + 1].value == "."
-                and toks[j + 2].kind in (IDENT, QIDENT)
-            ):
-                j += 2
-            if j > i:
-                self.qualifiers.append(j - 2)
-                self.columns.append((j, j - 2))
-                expect_table = False
-                expect_alias = False
-                prev = toks[j]
-                i = j + 1
-                continue
-            nxt = toks[i + 1] if i + 1 < n else None
-            if expect_cte and with_mode:
-                self.cte_names.add(low)
-                expect_cte = False
-            elif expect_alias:
-                self.alias_defs[low] = last_table_idx
-                if last_table_idx is None:
-                    self.select_aliases.add(low)
-                expect_alias = False
-                last_table_idx = None
-            elif expect_table:
-                self.tables.append(i)
-                last_table_idx = i
-                expect_table = False
-            elif nxt is not None and nxt.kind == OP and nxt.value == ".":
-                # "name.*" or a dangling dot.
-                if i + 2 < n and toks[i + 2].kind == OP and toks[i + 2].value == "*":
-                    self.qualifiers.append(i)
-                    prev = toks[i + 2]
-                    i += 3
-                    continue
-            elif nxt is not None and nxt.kind == OP and nxt.value == "(":
-                pass  # function name
-            elif prev is not None and (
-                (prev.kind == OP and prev.value in (")", "*"))
-                or prev.kind in (STRING, NUMBER)
-                or (prev.kind in (IDENT, QIDENT) and not (prev.kind == IDENT and prev.lower in KEYWORDS))
-                or prev.is_keyword("end")
-            ):
-                # Implicit alias: "expr name", "table name", "CASE..END name".
-                self.alias_defs[low] = last_table_idx
-                if last_table_idx is None:
-                    self.select_aliases.add(low)
-                last_table_idx = None
-            else:
-                self.columns.append((i, None))
-            prev = tok
-            i += 1
-
-
-# ----- shared correction engine -----
-
-
-def _correct_tokens(sql: str, db: DatabaseSchema) -> tuple[str, CorrectionReport]:
     toks = tokenize(sql)
     roles = _Roles(toks)
     table_canon = {t.name.lower(): t.name for t in db.tables}
@@ -287,12 +143,22 @@ def _correct_tokens(sql: str, db: DatabaseSchema) -> tuple[str, CorrectionReport
         t.name.lower(): {c.name.lower(): c.name for c in t.columns} for t in db.tables
     }
 
-    subs: list[tuple[Token, str, int]] = []
+    subs: list[tuple[Substitution, int, str]] = []
     unresolved: list[str] = []
     corrected_value: dict[int, str] = {}
 
     def token_value(idx: int) -> str:
         return corrected_value.get(idx, toks[idx].value)
+
+    def substitute(idx: int, pick: tuple[str, int]):
+        tok, (name, dist) = toks[idx], pick
+        text = name
+        if tok.quote == "`":
+            text = f"`{name}`"
+        elif tok.quote == "[":
+            text = f"[{name}]"
+        subs.append((Substitution(tok.value, name, dist, tok.start), tok.end, text))
+        corrected_value[idx] = name
 
     referenced: set[str] = set()
     # Pass 1: table positions.
@@ -312,8 +178,7 @@ def _correct_tokens(sql: str, db: DatabaseSchema) -> tuple[str, CorrectionReport
         if pick is None:
             unresolved.append(tok.value)
             continue
-        subs.append((tok, pick[0], pick[1]))
-        corrected_value[idx] = pick[0]
+        substitute(idx, pick)
         referenced.add(pick[0].lower())
 
     alias_map: dict[str, str | None] = {}
@@ -347,8 +212,7 @@ def _correct_tokens(sql: str, db: DatabaseSchema) -> tuple[str, CorrectionReport
             unresolved.append(tok.value)
             qualifier_table[idx] = None
             continue
-        subs.append((tok, pick[0], pick[1]))
-        corrected_value[idx] = pick[0]
+        substitute(idx, pick)
         qualifier_table[idx] = pick[0].lower()
         referenced.add(pick[0].lower())
 
@@ -398,36 +262,9 @@ def _correct_tokens(sql: str, db: DatabaseSchema) -> tuple[str, CorrectionReport
         if pick is None:
             unresolved.append(tok.value)
             continue
-        subs.append((tok, pick[0], pick[1]))
-        corrected_value[idx] = pick[0]
+        substitute(idx, pick)
 
     return _apply(sql, subs, unresolved)
-
-
-def _apply(sql: str, subs: list, unresolved: list[str]) -> tuple[str, CorrectionReport]:
-    out = sql
-    records = []
-    for tok, replacement, dist in sorted(subs, key=lambda s: -s[0].start):
-        text = replacement
-        if tok.quote == "`":
-            text = f"`{replacement}`"
-        elif tok.quote == "[":
-            text = f"[{replacement}]"
-        out = out[: tok.start] + text + out[tok.end :]
-        records.append(Substitution(tok.value, replacement, dist, tok.start))
-    records.sort(key=lambda r: r.position)
-    report = CorrectionReport(tuple(records), tuple(unresolved))
-    return out, report
-
-
-def correct_identifiers(sql: str, db: DatabaseSchema) -> tuple[str, CorrectionReport]:
-    """Repair table and column tokens in ``sql`` against ``db``.
-
-    Returns the rewritten SQL and a report of substitutions (original,
-    replacement, distance, offset) plus names that stayed unresolved.
-    Applying the function to its own output is a fixed point.
-    """
-    return _correct_tokens(sql, db)
 
 
 def correct_identifiers_simplified(
@@ -436,72 +273,48 @@ def correct_identifiers_simplified(
     """Repair references in a query against the flattened virtual table.
 
     Maximal dotted chains are matched whole against the rendered
-    "table.column" entries; the FROM table is matched against the
-    virtual table name. Bare names are left alone.
+    "table.column" entries; FROM tables other than CTE names are matched
+    against the virtual table name. Bare names are left alone.
+    Unresolved names are reported in text order.
     """
     toks = tokenize(sql)
-    n = len(toks)
+    roles = _Roles(toks)
     virtual_low = simplified.name.lower()
+    subs: list[tuple[Substitution, int, str]] = []
+    unresolved: list[tuple[int, str]] = []  # (offset, name)
+    for idx in roles.tables:
+        tok = toks[idx]
+        if tok.lower == virtual_low or tok.lower in roles.cte_names or tok.quote == '"':
+            continue
+        pick = _best(tok.lower, [(virtual_low, simplified.name, False)])
+        if pick is None:
+            unresolved.append((tok.start, tok.value))
+        else:
+            subs.append((Substitution(tok.value, pick[0], pick[1], tok.start), tok.end, pick[0]))
     entry_cands: list[tuple[str, str, bool]] | None = None  # built on first need
-    subs: list[tuple[int, int, str, str, int]] = []  # (start, end, orig, repl, dist)
-    unresolved: list[str] = []
+    for first, last in roles.chains:
+        if simplified.lookup(toks[last - 2].value + "." + toks[last].value) is not None:
+            continue
+        if entry_cands is None:
+            entry_cands = sorted(
+                (e.rendered.lower(), e.rendered, False) for e in simplified.entries
+            )
+        chain = ".".join(toks[k].value for k in range(first, last + 1, 2))
+        pick = _best(chain.lower(), entry_cands)
+        start = toks[first].start
+        if pick is None:
+            unresolved.append((start, chain))
+        else:
+            subs.append((Substitution(chain, pick[0], pick[1], start), toks[last].end, pick[0]))
+    return _apply(sql, subs, [name for _, name in sorted(unresolved)])
 
-    expect_table = False
-    i = 0
-    while i < n:
-        tok = toks[i]
-        if tok.kind == OP:
-            i += 1
-            continue
-        if tok.kind == IDENT and tok.lower in KEYWORDS:
-            if tok.lower in ("from", "join"):
-                expect_table = True
-            elif tok.lower in _CLAUSE_RESET:
-                expect_table = False
-            i += 1
-            continue
-        if tok.kind in (STRING, NUMBER):
-            i += 1
-            continue
-        j = i
-        while (
-            j + 2 < n
-            and toks[j + 1].kind == OP
-            and toks[j + 1].value == "."
-            and toks[j + 2].kind in (IDENT, QIDENT)
-        ):
-            j += 2
-        if j > i:
-            chain = ".".join(toks[k].value for k in range(i, j + 1, 2))
-            tail = toks[j - 2].value + "." + toks[j].value
-            if simplified.lookup(tail) is None:
-                if entry_cands is None:
-                    entry_cands = sorted(
-                        (e.rendered.lower(), e.rendered, False) for e in simplified.entries
-                    )
-                pick = _best(chain.lower(), entry_cands)
-                if pick is None:
-                    unresolved.append(chain)
-                else:
-                    subs.append((toks[i].start, toks[j].end, chain, pick[0], pick[1]))
-            expect_table = False
-            i = j + 1
-            continue
-        if expect_table:
-            if tok.lower != virtual_low and tok.quote != '"':
-                limit = _threshold(virtual_low)
-                dist = levenshtein(tok.lower, virtual_low, limit)
-                if dist <= limit:
-                    subs.append((tok.start, tok.end, tok.value, simplified.name, dist))
-                else:
-                    unresolved.append(tok.value)
-            expect_table = False
-        i += 1
 
+def _apply(
+    sql: str, subs: list[tuple[Substitution, int, str]], unresolved: list[str]
+) -> tuple[str, CorrectionReport]:
+    """Write each (substitution, end offset, text) into ``sql``."""
+    subs = sorted(subs, key=lambda s: s[0].position)
     out = sql
-    records = []
-    for start, end, orig, repl, dist in sorted(subs, key=lambda s: -s[0]):
-        out = out[:start] + repl + out[end:]
-        records.append(Substitution(orig, repl, dist, start))
-    records.sort(key=lambda r: r.position)
-    return out, CorrectionReport(tuple(records), tuple(unresolved))
+    for sub, end, text in reversed(subs):
+        out = out[: sub.position] + text + out[end:]
+    return out, CorrectionReport(tuple(s[0] for s in subs), tuple(unresolved))

@@ -1,17 +1,24 @@
-"""Recursive-descent parser for the SELECT dialect used by the benchmarks.
+"""The SQL front end: a parser for scoped extraction, a role scan for positions.
 
-The goal is structural, not semantic: enough shape (FROM sources,
-aliases, subqueries, set operations, clause boundaries) to resolve which
-tables and columns a query touches. Expressions are kept as flat token
-runs with nested statements spliced in where a parenthesized SELECT
-appears.
+``parse`` is a recursive-descent parser for the SELECT dialect used by
+the benchmarks. Its goal is structural, not semantic: enough shape (FROM
+sources, aliases, subqueries, set operations, clause boundaries) to
+resolve which tables and columns a query touches, scope by scope.
+Expressions are kept as flat token runs with nested statements spliced
+in where a parenthesized SELECT appears. Reference extraction uses it.
+
+``_Roles`` reads the token stream once and says which token index plays
+which part: FROM table, qualifier, column, alias, CTE name, dotted
+chain. Identifier repair and the flattened-view reads work on token
+positions, and keep working on model output the parser rejects, so they
+use the scan. Both share ``chain_end`` and ``implicit_alias_after``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .tokens import IDENT, NUMBER, OP, QIDENT, STRING, Token, tokenize
+from .tokens import IDENT, KEYWORDS, NUMBER, OP, QIDENT, STRING, Token, tokenize
 
 
 class SqlParseError(ValueError):
@@ -319,12 +326,11 @@ class _Parser:
             self.expect_op(")")
             self._parse_alias()
             return
-        tok = self.expect_ident("table name")
-        name = tok.value
+        self.expect_ident("table name")
         # db.table qualification: keep the table part.
-        while self.at_op(".") and self.peek(1) is not None and self.peek(1).kind in (IDENT, QIDENT):
-            self.advance()
-            name = self.advance().value
+        last = chain_end(self.tokens, self.i - 1)
+        name = self.tokens[last].value
+        self.i = last + 1
         alias = self._parse_alias()
         block.sources.append(TableSource(name, alias))
 
@@ -390,23 +396,18 @@ class _Parser:
         return out
 
     def _consume_cast(self) -> list:
-        """CAST(x AS type): the AS here must not look like an alias marker."""
+        """CAST(x AS type) keeps CAST(x): the AS is no alias, the type no name."""
         out = [self.advance()]
         if not self.at_op("("):
             return out
-        depth = 0
-        while True:
-            tok = self.peek()
-            if tok is None:
+        out.append(self.advance())
+        inner = self._parse_expr()
+        for k in range(len(inner) - 1, -1, -1):
+            if isinstance(inner[k], Token) and inner[k].is_keyword("as"):
+                del inner[k:]
                 break
-            if tok.kind == OP and tok.value == "(":
-                depth += 1
-            elif tok.kind == OP and tok.value == ")":
-                depth -= 1
-                out.append(self.advance())
-                if depth == 0:
-                    break
-                continue
+        out.extend(inner)
+        if self.at_op(")"):
             out.append(self.advance())
         return out
 
@@ -420,26 +421,201 @@ _ALIAS_STOPS = frozenset(
 )
 
 
-# Keywords that, seen immediately before a bare word, mean the word is an
-# operand rather than an implicit alias. END is the exception: "CASE ... END x"
-# really is an alias.
-_PREFIX_WORDS = _ALIAS_STOPS - {"end"}
-
-
 def _implicit_alias_ok(expr: list) -> bool:
     """Heuristic for ``SELECT expr name`` aliases without AS."""
     if len(expr) < 2:
         return False
-    last, prev = expr[-1], expr[-2]
+    last = expr[-1]
     if not isinstance(last, Token) or last.kind not in (IDENT, QIDENT):
         return False
     if last.kind == IDENT and last.lower in _ALIAS_STOPS | {"asc", "desc", "null"}:
         return False
+    return implicit_alias_after(expr[-2])
+
+
+def implicit_alias_after(prev) -> bool:
+    """Whether a bare name right after ``prev`` defines an alias.
+
+    ``prev`` is a token or a nested statement. A name after ``)``, a
+    literal, another name, ``END`` or a nested statement closes an
+    expression or a table (``count(*) n``, ``customer c``, ``CASE ...
+    END flag``, ``(SELECT ...) d``); after an operator or any other
+    keyword it is an operand (``price * quantity``, ``WHERE status``).
+    """
     if not isinstance(prev, Token):
-        # Preceding item is a nested statement, i.e. "(SELECT ...) x".
         return True
     if prev.kind == OP:
-        return prev.value in (")", "*")
-    if prev.kind == IDENT and prev.lower in _PREFIX_WORDS:
-        return False
-    return prev.kind in (IDENT, QIDENT, STRING, NUMBER)
+        return prev.value == ")"
+    if prev.kind == IDENT and prev.lower in KEYWORDS:
+        return prev.lower == "end"
+    return True
+
+
+def chain_end(items: list, i: int) -> int:
+    """Index of the last name of the dotted chain ``a.b[.c]`` starting at ``i``.
+
+    ``items`` holds tokens, possibly with nested statements between
+    them. Returns ``i`` itself when no ``.name`` follows.
+    """
+    while i + 2 < len(items):
+        dot, name = items[i + 1], items[i + 2]
+        if not (
+            isinstance(dot, Token)
+            and dot.kind == OP
+            and dot.value == "."
+            and isinstance(name, Token)
+            and name.kind in (IDENT, QIDENT)
+        ):
+            break
+        i += 2
+    return i
+
+
+# ----- role scan -----
+
+_CLAUSE_RESET = frozenset(
+    "on where select group having order limit offset union intersect except using values set".split()
+)
+
+
+class _Roles:
+    """Classifies identifier tokens in a statement by syntactic role.
+
+    Works on the raw token stream with a small amount of state: which
+    paren depths belong to a FROM clause, which belong to CAST, whether
+    the next name is a table, a CTE, or an alias definition. Every list
+    holds token indices in text order.
+    """
+
+    def __init__(self, toks: list[Token]):
+        self.toks = toks
+        self.tables: list[int] = []
+        self.chains: list[tuple[int, int]] = []  # (first, last) name of each a.b[.c]
+        self.qualifiers: list[int] = []  # indices; column follows 2 later
+        self.columns: list[tuple[int, int | None]] = []  # (index, qualifier index)
+        self.alias_defs: dict[str, int | None] = {}  # alias lower -> table token idx
+        self.cte_names: set[str] = set()
+        self.select_aliases: set[str] = set()
+        self._classify()
+
+    def _classify(self):
+        toks = self.toks
+        n = len(toks)
+        depth = 0
+        from_depths: set[int] = set()
+        # Depth of each open CAST( -> whether its AS, so its type, was reached.
+        cast_depths: dict[int, bool] = {}
+        expect_table = False
+        expect_alias = False
+        with_mode = False
+        expect_cte = False
+        last_table_idx: int | None = None
+        prev: Token | None = None
+        i = 0
+        while i < n:
+            tok = toks[i]
+            if tok.kind == OP:
+                expect_alias = False
+                if tok.value == "(":
+                    depth += 1
+                    if prev is not None and prev.is_keyword("cast"):
+                        cast_depths[depth] = False
+                    # "FROM (" keeps the table context on the new level.
+                    if expect_table:
+                        from_depths.add(depth)
+                elif tok.value == ")":
+                    from_depths.discard(depth)
+                    cast_depths.pop(depth, None)
+                    depth = max(0, depth - 1)
+                    expect_table = False
+                    last_table_idx = None
+                elif tok.value == ",":
+                    if depth in from_depths:
+                        expect_table = True
+                    if with_mode and depth == 0:
+                        expect_cte = True
+                prev = tok
+                i += 1
+                continue
+            if tok.kind in (STRING, NUMBER):
+                expect_alias = False
+                expect_table = False
+                prev = tok
+                i += 1
+                continue
+            low = tok.lower
+            if tok.kind == IDENT and low in KEYWORDS:
+                if low == "as":
+                    if depth in cast_depths:
+                        cast_depths[depth] = True
+                    else:
+                        expect_alias = True
+                    prev = tok
+                    i += 1
+                    continue
+                expect_alias = False
+                last_table_idx = None
+                if low in ("from", "join"):
+                    expect_table = True
+                    from_depths.add(depth)
+                elif low == "with" and depth == 0:
+                    with_mode = True
+                    expect_cte = True
+                elif low in _CLAUSE_RESET:
+                    expect_table = False
+                    from_depths.discard(depth)
+                    if low == "select" and depth == 0:
+                        with_mode = False
+                prev = tok
+                i += 1
+                continue
+            if cast_depths.get(depth):
+                # A type name such as TEXT in CAST(x AS TEXT).
+                prev = tok
+                i += 1
+                continue
+            # Identifier. Gather a dotted chain first; only the last two
+            # parts carry the (qualifier, column) pair.
+            j = chain_end(toks, i)
+            if j > i:
+                self.chains.append((i, j))
+                self.qualifiers.append(j - 2)
+                self.columns.append((j, j - 2))
+                expect_table = False
+                expect_alias = False
+                prev = toks[j]
+                i = j + 1
+                continue
+            nxt = toks[i + 1] if i + 1 < n else None
+            if expect_cte and with_mode:
+                self.cte_names.add(low)
+                expect_cte = False
+            elif expect_alias:
+                self.alias_defs[low] = last_table_idx
+                if last_table_idx is None:
+                    self.select_aliases.add(low)
+                expect_alias = False
+                last_table_idx = None
+            elif expect_table:
+                self.tables.append(i)
+                last_table_idx = i
+                expect_table = False
+            elif nxt is not None and nxt.kind == OP and nxt.value == ".":
+                # "name.*" or a dangling dot.
+                if i + 2 < n and toks[i + 2].kind == OP and toks[i + 2].value == "*":
+                    self.qualifiers.append(i)
+                    prev = toks[i + 2]
+                    i += 3
+                    continue
+            elif nxt is not None and nxt.kind == OP and nxt.value == "(":
+                pass  # function name
+            elif prev is not None and implicit_alias_after(prev):
+                # Implicit alias: "expr name", "table name", "CASE..END name".
+                self.alias_defs[low] = last_table_idx
+                if last_table_idx is None:
+                    self.select_aliases.add(low)
+                last_table_idx = None
+            else:
+                self.columns.append((i, None))
+            prev = tok
+            i += 1

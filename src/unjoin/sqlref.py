@@ -20,6 +20,8 @@ from .sqlast import (
     SelectStatement,
     SqlParseError,
     TableSource,
+    _Roles,
+    chain_end,
     parse,
 )
 from .tokens import IDENT, KEYWORDS, OP, QIDENT, Token, tokenize
@@ -29,7 +31,6 @@ __all__ = [
     "SqlParseError",
     "extract_refs",
     "extract_refs_simplified",
-    "is_multi_table",
 ]
 
 
@@ -56,10 +57,6 @@ def extract_refs(sql: str, db: DatabaseSchema) -> RefSet:
     an = _Analyzer(db)
     an.statement(stmt, None, {})
     return RefSet(frozenset(an.tables), frozenset(an.columns), frozenset(an.ambiguous))
-
-
-def is_multi_table(sql: str, db: DatabaseSchema) -> bool:
-    return len(extract_refs(sql, db).tables) >= 2
 
 
 @dataclass
@@ -271,69 +268,31 @@ class _Analyzer:
         i = 0
         n = len(items)
         while i < n:
-            it = items[i]
-            if isinstance(it, SelectStatement):
-                self.statement(it, scope, env)
+            tok = items[i]
+            if isinstance(tok, SelectStatement):
+                self.statement(tok, scope, env)
                 i += 1
                 continue
-            tok = it
-            if tok.kind in (IDENT, QIDENT):
-                if tok.kind == IDENT and tok.lower in KEYWORDS:
-                    i += 1
-                    continue
-                if _is_dot(items, i + 1) and _is_name(items, i + 2):
-                    j = i
-                    while _is_dot(items, j + 1) and _is_name(items, j + 2):
-                        j += 2
-                    self.resolve_qualified(items[j - 2].value, items[j].value, scope)
-                    i = j + 1
-                    continue
-                if _is_dot(items, i + 1) and _is_star(items, i + 2):
-                    self.qualified_star(tok.value, scope)
-                    i += 3
-                    continue
-                if _is_open(items, i + 1):
-                    i += 1  # function name
-                    continue
-                self.resolve_bare(tok.value, scope)
+            if tok.kind not in (IDENT, QIDENT) or (tok.kind == IDENT and tok.lower in KEYWORDS):
                 i += 1
                 continue
+            j = chain_end(items, i)
+            if j > i:
+                self.resolve_qualified(items[j - 2].value, items[j].value, scope)
+                i = j + 1
+                continue
+            nxt = items[i + 1] if i + 1 < n else None
+            op = nxt.value if isinstance(nxt, Token) and nxt.kind == OP else None
+            if op == "(":
+                i += 1  # function name
+                continue
+            star = items[i + 2] if i + 2 < n else None
+            if op == "." and isinstance(star, Token) and star.kind == OP and star.value == "*":
+                self.qualified_star(tok.value, scope)
+                i += 3
+                continue
+            self.resolve_bare(tok.value, scope)
             i += 1
-
-
-def _is_dot(items, i) -> bool:
-    return (
-        i < len(items)
-        and isinstance(items[i], Token)
-        and items[i].kind == OP
-        and items[i].value == "."
-    )
-
-
-def _is_name(items, i) -> bool:
-    return (
-        i < len(items)
-        and isinstance(items[i], Token)
-        and items[i].kind in (IDENT, QIDENT)
-    )
-
-
-def _is_star(items, i) -> bool:
-    return (
-        i < len(items)
-        and isinstance(items[i], Token)
-        and items[i].kind == OP
-        and items[i].value == "*"
-    )
-
-
-def _is_open(items, i) -> bool:
-    return (
-        i < len(items)
-        and isinstance(items[i], Token)
-        and items[i].kind == OP
-        and items[i].value == "("
-    )
 
 
 def _plain_ref(expr: list) -> tuple[str | None, str] | None:
@@ -366,72 +325,29 @@ def extract_refs_simplified(
 
     Dotted chains are matched against the simplification's rendered
     entries; the trailing two parts carry the table.column pair. Names
-    that match no entry are reported verbatim in the unresolved list,
-    never guessed at. ``*`` contributes nothing.
+    that match no entry are reported verbatim in the unresolved list, in
+    text order, never guessed at: unknown chains, and bare columns or
+    FROM tables other than the virtual table, an alias or a CTE name.
+    ``*`` contributes nothing.
     """
     toks = tokenize(sql)
-    n = len(toks)
-    virtual = simplified.name.lower()
-    aliases = set()
-    for k, tok in enumerate(toks):
-        if tok.is_keyword("as") and k + 1 < n and toks[k + 1].kind in (IDENT, QIDENT):
-            aliases.add(toks[k + 1].lower)
+    roles = _Roles(toks)
     pairs: set[tuple[str, str]] = set()
-    unresolved: list[str] = []
-    i = 0
-    prev = None
-    while i < n:
-        tok = toks[i]
-        if tok.kind not in (IDENT, QIDENT):
-            prev = tok
-            i += 1
-            continue
-        if tok.kind == IDENT and tok.lower in KEYWORDS:
-            prev = tok
-            i += 1
-            continue
-        j = i
-        while _tok_is(toks, j + 1, OP, ".") and j + 2 < n and toks[j + 2].kind in (IDENT, QIDENT):
-            j += 2
-        if j > i:
-            rendered = toks[j - 2].value + "." + toks[j].value
-            entry = simplified.lookup(rendered)
-            if entry is not None:
-                pairs.add((entry.table.lower(), entry.column.lower()))
-            else:
-                unresolved.append(".".join(toks[k].value for k in range(i, j + 1, 2)))
-            prev = toks[j]
-            i = j + 1
-            continue
-        if _tok_is(toks, i + 1, OP, "."):
-            # "name.*" or a dangling dot; the star case references nothing.
-            prev = tok
-            i += 1
-            continue
-        low = tok.lower
-        if low == virtual or low in aliases:
-            prev = tok
-            i += 1
-            continue
-        if _tok_is(toks, i + 1, OP, "("):
-            prev = tok
-            i += 1
-            continue
-        if prev is not None and prev.kind in (IDENT, QIDENT) and prev.lower == virtual:
-            # Implicit alias right after the virtual table in FROM.
-            aliases.add(low)
-            prev = tok
-            i += 1
-            continue
-        unresolved.append(tok.value)
-        prev = tok
-        i += 1
+    unresolved: list[tuple[int, str]] = []  # (offset, name)
+    for first, last in roles.chains:
+        entry = simplified.lookup(toks[last - 2].value + "." + toks[last].value)
+        if entry is not None:
+            pairs.add((entry.table.lower(), entry.column.lower()))
+        else:
+            chain = ".".join(toks[k].value for k in range(first, last + 1, 2))
+            unresolved.append((toks[first].start, chain))
+    known = {simplified.name.lower(), *roles.alias_defs, *roles.cte_names}
+    bare = [idx for idx, qualifier in roles.columns if qualifier is None]
+    for idx in roles.tables + bare:
+        if toks[idx].lower not in known:
+            unresolved.append((toks[idx].start, toks[idx].value))
     refset = RefSet(
         frozenset(t for t, _ in pairs),
         frozenset(f"{t}.{c}" for t, c in pairs),
     )
-    return refset, tuple(unresolved)
-
-
-def _tok_is(toks, i, kind, value) -> bool:
-    return i < len(toks) and toks[i].kind == kind and toks[i].value == value
+    return refset, tuple(name for _, name in sorted(unresolved))

@@ -392,3 +392,23 @@ def test_repair_rewrites_only_identifier_spans_and_is_idempotent(sql):
     again, report = correct_identifiers(fixed, RETAIL)
     assert again == fixed
     assert not report.changed
+
+
+# ----- CAST types and arithmetic operands -----
+
+
+def test_cast_target_type_is_never_repaired():
+    db = DatabaseSchema(
+        "shop", (TableDef("orders", (ColumnDef("price"), ColumnDef("tax"))),), ()
+    )
+    sql = "SELECT CAST(price AS TEXT), CAST(price AS REAL) FROM orders WHERE CAST(tax AS INTEGER) > 1"
+    fixed, report = correct_identifiers(sql, db)
+    assert fixed == sql
+    assert report.unresolved == ()
+
+
+def test_operand_after_multiplication_is_repaired(retail_db):
+    fixed, _ = correct_identifiers(
+        "SELECT product.name FROM product, item WHERE price * quantty > 3", retail_db
+    )
+    assert fixed == "SELECT product.name FROM product, item WHERE price * quantity > 3"

@@ -9,13 +9,14 @@ price, category).
 
 import pytest
 
-from unjoin.schema import simplify_schema
+from unjoin.schema import ColumnDef, DatabaseSchema, TableDef, simplify_schema
 from unjoin.sqlref import (
     RefSet,
     extract_refs,
     extract_refs_simplified,
-    is_multi_table,
 )
+
+from conftest import SPIDER_CASES, academic_schema, retail_schema
 
 # (id, sql, tables, columns, ambiguous)
 CASES = [
@@ -227,17 +228,29 @@ def test_refset_rejects_column_without_table():
         RefSet(frozenset({"a"}), frozenset({"b.x"}), frozenset())
 
 
-def test_is_multi_table(retail_db):
-    assert is_multi_table(
-        "SELECT 1 FROM customer JOIN orders ON customer.customer_id = orders.customer_id",
-        retail_db,
-    )
-    assert not is_multi_table("SELECT name FROM customer", retail_db)
-    # self-join touches one table only
-    assert not is_multi_table(
+def test_self_join_touches_one_table(retail_db):
+    refs = extract_refs(
         "SELECT 1 FROM customer a JOIN customer b ON a.city_id = b.city_id",
         retail_db,
     )
+    assert refs.tables == frozenset({"customer"})
+
+
+def test_cast_target_type_is_not_a_column():
+    db = DatabaseSchema(
+        "shop", (TableDef("review", (ColumnDef("score"), ColumnDef("text"))),), ()
+    )
+    refs = extract_refs("SELECT CAST(score AS TEXT) FROM review", db)
+    assert refs.columns == frozenset({"review.score"})
+    refs = extract_refs(
+        "SELECT CAST(CAST(score AS INTEGER) AS TEXT) FROM review", db
+    )
+    assert refs.columns == frozenset({"review.score"})
+
+
+def test_multiplication_operand_is_not_an_alias(retail_db):
+    refs = extract_refs("SELECT price * quantity FROM product, item", retail_db)
+    assert refs.columns == frozenset({"product.price", "item.quantity"})
 
 
 # ----- simplified-side extraction -----
@@ -277,3 +290,33 @@ def test_simplified_star_contributes_nothing(retail_db):
     assert refs.tables == frozenset()
     assert refs.columns == frozenset()
     assert unresolved == ()
+
+
+def test_simplified_gold_queries_resolve_within_their_gold_refs():
+    schemas = {"retail": retail_schema(), "academic": academic_schema()}
+    golds = [(db_id, gold, simp) for db_id, _, gold, simp in SPIDER_CASES if simp]
+    assert len(golds) == 25
+    for db_id, gold, simplified in golds:
+        db = schemas[db_id]
+        refs, unresolved = extract_refs_simplified(simplified, simplify_schema(db))
+        assert unresolved == (), simplified
+        assert refs.columns <= extract_refs(gold, db).columns, simplified
+
+
+@pytest.mark.parametrize("sql", [
+    "SELECT customer.name, COUNT(*) AS cnt FROM retail GROUP BY customer.name ORDER BY cnt",
+    "SELECT customer.name FROM retail r WHERE orders.status = 'Pending'",
+    "WITH pending AS (SELECT orders.order_id FROM retail WHERE orders.status = 'Pending') "
+    "SELECT COUNT(*) FROM pending",
+])
+def test_simplified_aliases_and_cte_names_not_reported(retail_db, sql):
+    _, unresolved = extract_refs_simplified(sql, simplify_schema(retail_db))
+    assert unresolved == ()
+
+
+def test_simplified_unresolved_in_text_order(retail_db):
+    _, unresolved = extract_refs_simplified(
+        "SELECT custmer.gender, garbage FROM retial WHERE ordrs.status = 'x'",
+        simplify_schema(retail_db),
+    )
+    assert unresolved == ("custmer.gender", "garbage", "retial", "ordrs.status")
