@@ -20,6 +20,8 @@ import sys
 from pathlib import Path
 
 from .dataset import (
+    FLAVORS,
+    METHODS,
     DatasetError,
     RunConfig,
     filter_items,
@@ -33,25 +35,16 @@ from .evaluation import (
     write_records,
     write_summary,
 )
-from .llm import ExchangeCache, LlmClient, LlmError
+from .llm import CACHE_MODES, ExchangeCache, LlmClient, LlmError
 from .pipeline import run_evaluation
-from .prompting import TemplateError
-from .schema import SchemaError, render_simplified, simplify_schema
-from .tokens import TokenizeError
+from .schema import render_simplified, simplify_schema
 
-_ERRORS = (
-    DatasetError,
-    SchemaError,
-    TemplateError,
-    LlmError,
-    TokenizeError,
-    ValueError,
-    OSError,
-)
+# Schema, template and tokenizer errors are ValueErrors.
+_ERRORS = (DatasetError, LlmError, ValueError, OSError)
 
 
 def _add_dataset_args(p: argparse.ArgumentParser):
-    p.add_argument("--dataset", choices=("spider", "bird"), help="benchmark flavor")
+    p.add_argument("--dataset", choices=FLAVORS, help="benchmark flavor")
     p.add_argument("--root", help="benchmark root directory")
 
 
@@ -80,8 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run a method over the filtered items")
     _add_dataset_args(p)
     p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--method", choices=("unjoin-sp", "unjoin-mp", "cot", "cot-ss"))
-    p.add_argument("--cache", dest="cache_mode", choices=("record", "replay", "live"))
+    p.add_argument("--method", choices=METHODS)
+    p.add_argument("--cache", dest="cache_mode", choices=CACHE_MODES)
     p.add_argument("--cache-dir", dest="cache_dir")
     p.add_argument("--model")
     p.add_argument("--endpoint")

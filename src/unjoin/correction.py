@@ -132,7 +132,8 @@ def correct_identifiers(sql: str, db: DatabaseSchema) -> tuple[str, CorrectionRe
     """Repair table and column tokens in ``sql`` against ``db``.
 
     Returns the rewritten SQL and a report of substitutions (original,
-    replacement, distance, offset) plus names that stayed unresolved.
+    replacement, distance, offset) plus names that stayed unresolved,
+    both in text order.
     Applying the function to its own output is a fixed point.
     """
     toks = tokenize(sql)
@@ -144,7 +145,7 @@ def correct_identifiers(sql: str, db: DatabaseSchema) -> tuple[str, CorrectionRe
     }
 
     subs: list[tuple[Substitution, int, str]] = []
-    unresolved: list[str] = []
+    unresolved: list[tuple[int, str]] = []  # (offset, name)
     corrected_value: dict[int, str] = {}
 
     def token_value(idx: int) -> str:
@@ -176,7 +177,7 @@ def correct_identifiers(sql: str, db: DatabaseSchema) -> tuple[str, CorrectionRe
             continue
         pick = _best(low, table_cands)
         if pick is None:
-            unresolved.append(tok.value)
+            unresolved.append((tok.start, tok.value))
             continue
         substitute(idx, pick)
         referenced.add(pick[0].lower())
@@ -209,7 +210,7 @@ def correct_identifiers(sql: str, db: DatabaseSchema) -> tuple[str, CorrectionRe
             continue
         pick = _best(low, table_cands)
         if pick is None:
-            unresolved.append(tok.value)
+            unresolved.append((tok.start, tok.value))
             qualifier_table[idx] = None
             continue
         substitute(idx, pick)
@@ -260,7 +261,7 @@ def correct_identifiers(sql: str, db: DatabaseSchema) -> tuple[str, CorrectionRe
             cands = referenced_cols if referenced else all_cols
         pick = _best(low, cands)
         if pick is None:
-            unresolved.append(tok.value)
+            unresolved.append((tok.start, tok.value))
             continue
         substitute(idx, pick)
 
@@ -306,15 +307,22 @@ def correct_identifiers_simplified(
             unresolved.append((start, chain))
         else:
             subs.append((Substitution(chain, pick[0], pick[1], start), toks[last].end, pick[0]))
-    return _apply(sql, subs, [name for _, name in sorted(unresolved)])
+    return _apply(sql, subs, unresolved)
 
 
 def _apply(
-    sql: str, subs: list[tuple[Substitution, int, str]], unresolved: list[str]
+    sql: str,
+    subs: list[tuple[Substitution, int, str]],
+    unresolved: list[tuple[int, str]],
 ) -> tuple[str, CorrectionReport]:
-    """Write each (substitution, end offset, text) into ``sql``."""
+    """Write each (substitution, end offset, text) into ``sql``.
+
+    Substitutions and unresolved (offset, name) pairs are reported in
+    text order.
+    """
     subs = sorted(subs, key=lambda s: s[0].position)
     out = sql
     for sub, end, text in reversed(subs):
         out = out[: sub.position] + text + out[end:]
-    return out, CorrectionReport(tuple(s[0] for s in subs), tuple(unresolved))
+    names = tuple(name for _, name in sorted(unresolved))
+    return out, CorrectionReport(tuple(s[0] for s in subs), names)

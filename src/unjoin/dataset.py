@@ -14,7 +14,7 @@ import logging
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
-from .llm import LlmConfig
+from .llm import CACHE_MODES, LlmConfig
 from .schema import DatabaseSchema, load_catalogue, load_descriptions
 from .sqlref import extract_refs
 from .tokens import TokenizeError
@@ -201,11 +201,13 @@ class RunConfig:
             raise DatasetError(f"unknown dataset {self.dataset!r}")
         if self.method not in METHODS:
             raise DatasetError(f"unknown method {self.method!r}; expected one of {METHODS}")
-        if self.cache_mode not in ("record", "replay", "live"):
+        if self.cache_mode not in CACHE_MODES:
             raise DatasetError(f"unknown cache mode {self.cache_mode!r}")
         if self.cache_mode == "replay":
             if not self.cache_dir or not Path(self.cache_dir).is_dir():
                 raise DatasetError("replay mode requires an existing --cache-dir")
+        if self.cache_mode == "record" and not self.cache_dir:
+            raise DatasetError("record mode requires --cache-dir")
         if self.workers < 1:
             raise DatasetError("workers must be >= 1")
         if self.topk < 1:

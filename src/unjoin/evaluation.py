@@ -21,7 +21,7 @@ import json
 import sqlite3
 import time
 import urllib.parse
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 OK = "ok"
@@ -195,6 +195,10 @@ def precision_recall(pred: frozenset, gold: frozenset) -> tuple[float, float]:
     return precision, recall
 
 
+# EvalRecord fields held as tuples and written as JSON lists.
+_TUPLE_FIELDS = ("gold_tables", "gold_columns", "pred_tables", "pred_columns")
+
+
 @dataclass(frozen=True)
 class EvalRecord:
     item_id: str
@@ -222,51 +226,25 @@ class EvalRecord:
             raise ValueError("em implies qe")
 
     def to_dict(self) -> dict:
-        return {
-            "item_id": self.item_id,
-            "method": self.method,
-            "db_id": self.db_id,
-            "question": self.question,
-            "gold_sql": self.gold_sql,
-            "prediction": self.prediction,
-            "gold_exec": self.gold_exec.to_dict(),
-            "pred_exec": self.pred_exec.to_dict() if self.pred_exec else None,
-            "qe": self.qe,
-            "em": self.em,
-            "gold_tables": list(self.gold_tables),
-            "gold_columns": list(self.gold_columns),
-            "pred_tables": list(self.pred_tables),
-            "pred_columns": list(self.pred_columns),
-            "table_precision": self.table_precision,
-            "table_recall": self.table_recall,
-            "column_precision": self.column_precision,
-            "column_recall": self.column_recall,
-            "gold_table_count": self.gold_table_count,
-        }
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, ExecOutcome):
+                value = value.to_dict()
+            elif f.name in _TUPLE_FIELDS:
+                value = list(value)
+            out[f.name] = value
+        return out
 
     @classmethod
     def from_dict(cls, raw: dict) -> "EvalRecord":
-        return cls(
-            item_id=raw["item_id"],
-            method=raw["method"],
-            db_id=raw["db_id"],
-            question=raw["question"],
-            gold_sql=raw["gold_sql"],
-            prediction=raw["prediction"],
-            gold_exec=ExecOutcome.from_dict(raw["gold_exec"]),
-            pred_exec=ExecOutcome.from_dict(raw["pred_exec"]) if raw.get("pred_exec") else None,
-            qe=raw["qe"],
-            em=raw["em"],
-            gold_tables=tuple(raw["gold_tables"]),
-            gold_columns=tuple(raw["gold_columns"]),
-            pred_tables=tuple(raw["pred_tables"]),
-            pred_columns=tuple(raw["pred_columns"]),
-            table_precision=raw["table_precision"],
-            table_recall=raw["table_recall"],
-            column_precision=raw["column_precision"],
-            column_recall=raw["column_recall"],
-            gold_table_count=raw["gold_table_count"],
-        )
+        values = {f.name: raw[f.name] for f in fields(cls) if f.name != "pred_exec"}
+        values["gold_exec"] = ExecOutcome.from_dict(values["gold_exec"])
+        pred_exec = raw.get("pred_exec")
+        values["pred_exec"] = ExecOutcome.from_dict(pred_exec) if pred_exec else None
+        for name in _TUPLE_FIELDS:
+            values[name] = tuple(values[name])
+        return cls(**values)
 
 
 def score_run(records: list[EvalRecord]) -> dict:

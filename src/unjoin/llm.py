@@ -169,22 +169,21 @@ class LlmClient:
     def complete(self, prompt: str, cache_mode: str = "replay") -> str:
         if cache_mode not in CACHE_MODES:
             raise ValueError(f"unknown cache mode {cache_mode!r}")
+        if cache_mode == "record" and self.cache is None:
+            # Checked before the call: a paid completion must not be lost.
+            raise ValueError("record mode requires a cache directory")
         key = exchange_key(prompt, self.cfg)
         if cache_mode == "replay":
-            if self.cache is None:
-                raise ReplayMissError(key)
-            hit = self.cache.get(key)
+            hit = self.cache.get(key) if self.cache is not None else None
             if hit is None:
                 raise ReplayMissError(key)
             return hit.completion
-        if cache_mode == "record" and self.cache is not None:
+        if cache_mode == "record":
             hit = self.cache.get(key)
             if hit is not None:
                 return hit.completion
         exchange = self._call(prompt, key)
         if cache_mode == "record":
-            if self.cache is None:
-                raise ValueError("record mode requires a cache directory")
             self.cache.put(exchange)
         return exchange.completion
 
@@ -300,8 +299,8 @@ def extract_sql(completion: str) -> str:
     """
     blocks = extract_sql_blocks(completion)
     if blocks:
-        return _strip_trailing_prose(blocks[0]).strip()
+        return trim_sql(blocks[0])
     suffix = _first_keyword_suffix(completion)
     if suffix is None:
         raise ExtractionError("no SQL content found in completion")
-    return _strip_trailing_prose(suffix).strip()
+    return trim_sql(suffix)

@@ -1,10 +1,20 @@
 """Per-item method orchestration and whole-run evaluation.
 
 Each method is a short, strictly ordered stage sequence: build prompt,
-complete, extract SQL, repair identifiers. A failure marks the item
-with the first failing stage and counts against QE; later stages do not
-run. The multi-prompt variant records the intermediate simplified SQL
-even when translation later fails.
+complete, extract SQL, repair identifiers; the multi-prompt variant
+runs it twice (flat-view query, then translation back). The four
+methods are small runners in one table, driven by ``run_method``
+through a per-run stage runner that owns the client and cache mode.
+
+The failure rule lives in that runner, once: a completion error or an
+extraction error fails the item at the stage the runner was told, and
+the prediction keeps everything obtained before it (the completions so
+far and, from the multi-prompt variant's step 2 on, the repaired
+intermediate query). Later stages do not run; a failed item counts
+against QE. Stage names: ``step1-complete``, ``step1-extract``,
+``step2-complete``, ``step2-extract`` for unjoin-mp; ``complete`` and
+``extract`` for the others; ``retrieval`` when an open-book item has
+no usable table pool.
 
 Open-book runs swap the item's home schema for a TablePool assembled
 from an external retrieval list; everything downstream is unchanged.
@@ -102,151 +112,105 @@ class PredictedQuery:
         }
 
 
-def _failure(method: str, stage: str, reason: str, **kw) -> PredictedQuery:
-    return PredictedQuery(
-        method=method,
-        failed=True,
-        failure_stage=stage,
-        failure_reason=reason,
-        **kw,
-    )
+class _StageFailure(Exception):
+    def __init__(self, stage: str, reason: str):
+        super().__init__(reason)
+        self.stage = stage
 
 
-_STAGE_ERRORS = (LlmError,)
+class _Run:
+    """One method run on one item: the client, and what each stage obtained.
+
+    Runners call ``complete`` and ``extract`` with the stage name to
+    charge a failure to, and store the intermediate query and warnings
+    here as soon as they have them, so a failed run keeps everything
+    obtained before its failing stage.
+    """
+
+    def __init__(self, method: str, client: LlmClient, cache_mode: str):
+        self.method = method
+        self.client = client
+        self.cache_mode = cache_mode
+        self.completions: list[str] = []
+        self.intermediate_sql: str | None = None
+        self.intermediate_report: CorrectionReport | None = None
+        self.warnings: list[str] = []
+
+    def complete(self, prompt: str, stage: str) -> str:
+        try:
+            completion = self.client.complete(prompt, self.cache_mode)
+        except LlmError as exc:
+            raise _StageFailure(stage, str(exc)) from exc
+        self.completions.append(completion)
+        return completion
+
+    def extract(self, completion: str, stage: str) -> str:
+        try:
+            return extract_sql(completion)
+        except ExtractionError as exc:
+            raise _StageFailure(stage, str(exc)) from exc
+
+    def predicted(self, **outcome) -> PredictedQuery:
+        return PredictedQuery(
+            method=self.method,
+            intermediate_sql=self.intermediate_sql,
+            intermediate_report=self.intermediate_report,
+            completions=tuple(self.completions),
+            warnings=tuple(self.warnings),
+            **outcome,
+        )
 
 
-def run_unjoin_mp(
-    item: EvalItem,
-    db: DatabaseSchema,
-    client: LlmClient,
-    cache_mode: str,
-    template_dir: str | Path | None = None,
-    descriptions: dict[str, str] | None = None,
-) -> PredictedQuery:
-    method = "unjoin-mp"
+def _unjoin_mp(run: _Run, item: EvalItem, db: DatabaseSchema, template_dir, descriptions):
     simplified = simplify_schema(db, descriptions)
     question = item.prompt_question
     prompt1 = build_mp_step1_prompt(simplified, question, template_dir)
-    try:
-        completion1 = client.complete(prompt1, cache_mode)
-    except _STAGE_ERRORS as exc:
-        return _failure(method, "step1-complete", str(exc))
-    try:
-        raw1 = extract_sql(completion1)
-    except ExtractionError as exc:
-        return _failure(method, "step1-extract", str(exc), completions=(completion1,))
-    sql1, report1 = correct_identifiers_simplified(raw1, simplified)
-
-    prompt2 = build_mp_step2_prompt(simplified, sql1, question, db, template_dir)
-    try:
-        completion2 = client.complete(prompt2, cache_mode)
-    except _STAGE_ERRORS as exc:
-        return _failure(
-            method,
-            "step2-complete",
-            str(exc),
-            intermediate_sql=sql1,
-            intermediate_report=report1,
-            completions=(completion1,),
-        )
-    try:
-        raw2 = extract_sql(completion2)
-    except ExtractionError as exc:
-        return _failure(
-            method,
-            "step2-extract",
-            str(exc),
-            intermediate_sql=sql1,
-            intermediate_report=report1,
-            completions=(completion1, completion2),
-        )
-    final, report2 = correct_identifiers(raw2, db)
-    return PredictedQuery(
-        method=method,
-        intermediate_sql=sql1,
-        final_sql=final,
-        intermediate_report=report1,
-        final_report=report2,
-        completions=(completion1, completion2),
+    raw1 = run.extract(run.complete(prompt1, "step1-complete"), "step1-extract")
+    run.intermediate_sql, run.intermediate_report = correct_identifiers_simplified(
+        raw1, simplified
     )
+    prompt2 = build_mp_step2_prompt(
+        simplified, run.intermediate_sql, question, db, template_dir
+    )
+    raw2 = run.extract(run.complete(prompt2, "step2-complete"), "step2-extract")
+    return correct_identifiers(raw2, db)
 
 
-def run_unjoin_sp(
-    item: EvalItem,
-    db: DatabaseSchema,
-    client: LlmClient,
-    cache_mode: str,
-    template_dir: str | Path | None = None,
-    descriptions: dict[str, str] | None = None,
-) -> PredictedQuery:
-    method = "unjoin-sp"
+def _unjoin_sp(run: _Run, item: EvalItem, db: DatabaseSchema, template_dir, descriptions):
     simplified = simplify_schema(db, descriptions)
     prompt = build_sp_prompt(simplified, item.prompt_question, db, template_dir)
-    try:
-        completion = client.complete(prompt, cache_mode)
-    except _STAGE_ERRORS as exc:
-        return _failure(method, "complete", str(exc))
+    completion = run.complete(prompt, "complete")
     blocks = extract_sql_blocks(completion)
-    warnings: list[str] = []
-    intermediate_raw: str | None = None
     if len(blocks) >= 2:
         # The template orders step 1 before step 2, so the last block is
         # the translated query and the first is the simplified one.
-        intermediate_raw = trim_sql(blocks[0])
+        run.intermediate_sql, run.intermediate_report = correct_identifiers_simplified(
+            trim_sql(blocks[0]), simplified
+        )
         final_raw = trim_sql(blocks[-1])
     elif len(blocks) == 1:
         final_raw = trim_sql(blocks[0])
-        warnings.append("single fenced block in completion; intermediate query missing")
-        log.warning("%s: %s", item.item_id, warnings[-1])
+        run.warnings.append("single fenced block in completion; intermediate query missing")
+        log.warning("%s: %s", item.item_id, run.warnings[-1])
     else:
-        try:
-            final_raw = extract_sql(completion)
-        except ExtractionError as exc:
-            return _failure(method, "extract", str(exc), completions=(completion,))
-        warnings.append("no fenced blocks in completion; used keyword fallback")
-    intermediate = None
-    intermediate_report = None
-    if intermediate_raw:
-        intermediate, intermediate_report = correct_identifiers_simplified(
-            intermediate_raw, simplified
-        )
-    final, final_report = correct_identifiers(final_raw, db)
-    return PredictedQuery(
-        method=method,
-        intermediate_sql=intermediate,
-        final_sql=final,
-        intermediate_report=intermediate_report,
-        final_report=final_report,
-        completions=(completion,),
-        warnings=tuple(warnings),
-    )
+        final_raw = run.extract(completion, "extract")
+        run.warnings.append("no fenced blocks in completion; used keyword fallback")
+    return correct_identifiers(final_raw, db)
 
 
-def run_baseline(
-    item: EvalItem,
-    db: DatabaseSchema,
-    client: LlmClient,
-    cache_mode: str,
-    kind: str,
-    template_dir: str | Path | None = None,
-) -> PredictedQuery:
-    schema_block = baseline_schema_block(kind, db)
-    prompt = build_baseline_prompt(kind, schema_block, item.prompt_question, template_dir)
-    try:
-        completion = client.complete(prompt, cache_mode)
-    except _STAGE_ERRORS as exc:
-        return _failure(kind, "complete", str(exc))
-    try:
-        raw = extract_sql(completion)
-    except ExtractionError as exc:
-        return _failure(kind, "extract", str(exc), completions=(completion,))
-    final, report = correct_identifiers(raw, db)
-    return PredictedQuery(
-        method=kind,
-        final_sql=final,
-        final_report=report,
-        completions=(completion,),
-    )
+def _baseline(run: _Run, item: EvalItem, db: DatabaseSchema, template_dir, descriptions):
+    schema_block = baseline_schema_block(run.method, db)
+    prompt = build_baseline_prompt(run.method, schema_block, item.prompt_question, template_dir)
+    raw = run.extract(run.complete(prompt, "complete"), "extract")
+    return correct_identifiers(raw, db)
+
+
+_RUNNERS = {
+    "unjoin-sp": _unjoin_sp,
+    "unjoin-mp": _unjoin_mp,
+    "cot": _baseline,
+    "cot-ss": _baseline,
+}
 
 
 def run_method(
@@ -258,13 +222,16 @@ def run_method(
     template_dir: str | Path | None = None,
     descriptions: dict[str, str] | None = None,
 ) -> PredictedQuery:
-    if method == "unjoin-sp":
-        return run_unjoin_sp(item, db, client, cache_mode, template_dir, descriptions)
-    if method == "unjoin-mp":
-        return run_unjoin_mp(item, db, client, cache_mode, template_dir, descriptions)
-    if method in ("cot", "cot-ss"):
-        return run_baseline(item, db, client, cache_mode, method, template_dir)
-    raise DatasetError(f"unknown method {method!r}")
+    """Run one method on one item; a failed stage fails the item, not the run."""
+    runner = _RUNNERS.get(method)
+    if runner is None:
+        raise DatasetError(f"unknown method {method!r}")
+    run = _Run(method, client, cache_mode)
+    try:
+        final_sql, final_report = runner(run, item, db, template_dir, descriptions)
+    except _StageFailure as exc:
+        return run.predicted(failed=True, failure_stage=exc.stage, failure_reason=str(exc))
+    return run.predicted(final_sql=final_sql, final_report=final_report)
 
 
 # ----- open-book table pools -----
@@ -414,50 +381,39 @@ def run_evaluation(
     """Run one method over items; returns records in item order plus meta."""
     template_dir = config.template_dir or None
 
-    def one(index_item: tuple[int, EvalItem]):
-        index, item = index_item
-        home_db = bundle.catalogue[item.db_id]
+    def one(item: EvalItem) -> EvalRecord:
+        home_db = pred_db = bundle.catalogue[item.db_id]
         descriptions = bundle.descriptions.get(item.db_id)
-        if retrieval is not None:
-            listed = retrieval.get(item.item_id)
-            if not listed:
-                prediction = _failure(
-                    config.method, "retrieval", f"no retrieval list for {item.item_id}"
-                )
-                return index, evaluate_item(
-                    item, prediction, home_db, home_db,
-                    bundle.db_paths.get(item.db_id), config.exec_timeout_s,
-                )
-            try:
-                pool = assemble_pool(listed, bundle.catalogue, config.topk)
-            except PoolError as exc:
-                prediction = _failure(config.method, "retrieval", str(exc))
-                return index, evaluate_item(
-                    item, prediction, home_db, home_db,
-                    bundle.db_paths.get(item.db_id), config.exec_timeout_s,
-                )
-            pred_db = pool.schema
-            descriptions = None
+        try:
+            if retrieval is not None:
+                listed = retrieval.get(item.item_id)
+                if not listed:
+                    raise PoolError(f"no retrieval list for {item.item_id}")
+                pred_db = assemble_pool(listed, bundle.catalogue, config.topk).schema
+                descriptions = None
+        except PoolError as exc:
+            prediction = PredictedQuery(
+                method=config.method,
+                failed=True,
+                failure_stage="retrieval",
+                failure_reason=str(exc),
+            )
         else:
-            pred_db = home_db
-        prediction = run_method(
-            config.method, item, pred_db, client, config.cache_mode,
-            template_dir, descriptions,
-        )
-        record = evaluate_item(
+            prediction = run_method(
+                config.method, item, pred_db, client, config.cache_mode,
+                template_dir, descriptions,
+            )
+        return evaluate_item(
             item, prediction, home_db, pred_db,
             bundle.db_paths.get(item.db_id), config.exec_timeout_s,
         )
-        return index, record
 
     workers = max(1, config.workers)
     if workers == 1:
-        results = [one(pair) for pair in enumerate(items)]
+        records = [one(item) for item in items]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, enumerate(items)))
-    results.sort(key=lambda pair: pair[0])
-    records = [record for _, record in results]
+            records = list(pool.map(one, items))
     meta = {
         "config": config.to_dict(),
         "template_hashes": template_hashes(template_dir),

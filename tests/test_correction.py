@@ -167,6 +167,13 @@ def test_bare_column_candidates_limited_to_referenced_tables(retail_db):
     assert "statas" in report.unresolved
 
 
+def test_unresolved_names_in_text_order(retail_db):
+    _, report = correct_identifiers("SELECT zzzzzz FROM qqqqqq", retail_db)
+    assert report.unresolved == ("zzzzzz", "qqqqqq")
+    _, report = correct_identifiers("SELECT wwwwww.zzzzzz FROM qqqqqq", retail_db)
+    assert report.unresolved == ("wwwwww", "zzzzzz", "qqqqqq")
+
+
 def test_distance_beyond_threshold_left_alone(retail_db):
     # "name" has threshold 2; three edits away stays put
     fixed, report = correct_identifiers("SELECT nxxx FROM customer", retail_db)

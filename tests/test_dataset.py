@@ -151,6 +151,16 @@ def test_replay_requires_existing_cache_dir(tmp_path):
     ok_cfg.validate()
 
 
+def test_record_requires_cache_dir(tmp_path):
+    cfg = RunConfig(dataset="spider", root=".", method="cot", model="m",
+                    cache_mode="record")
+    with pytest.raises(DatasetError, match="record mode"):
+        cfg.validate()
+    # the directory is created on the first write, so it need not exist yet
+    RunConfig(dataset="spider", root=".", method="cot", model="m",
+              cache_mode="record", cache_dir=str(tmp_path / "new")).validate()
+
+
 def test_validate_rejects_bad_enum_values(tmp_path):
     with pytest.raises(DatasetError):
         RunConfig(dataset="spider", root=".", method="gpt-magic", model="m",

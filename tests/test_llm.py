@@ -138,6 +138,19 @@ def test_record_without_cache_rejected():
         client.complete("p", "record")
 
 
+def test_record_without_cache_makes_no_call():
+    calls = []
+
+    def transport(prompt, cfg):
+        calls.append(prompt)
+        return "paid for", 1, 1
+
+    client = LlmClient(CFG, cache=None, transport=transport)
+    with pytest.raises(ValueError, match="cache directory"):
+        client.complete("p", "record")
+    assert calls == []
+
+
 def test_live_bypasses_cache(tmp_path):
     calls = []
 

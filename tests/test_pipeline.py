@@ -4,18 +4,30 @@ import time
 
 import pytest
 
-from unjoin.dataset import DatasetError, EvalItem, RunConfig, load_dataset, filter_items
-from unjoin.llm import ExchangeCache, LlmClient, LlmConfig, LlmExchange, exchange_key
+from unjoin.dataset import (
+    METHODS,
+    DatasetError,
+    EvalItem,
+    RunConfig,
+    filter_items,
+    load_dataset,
+)
+from unjoin.llm import (
+    ExchangeCache,
+    LlmClient,
+    LlmConfig,
+    LlmError,
+    LlmExchange,
+    exchange_key,
+)
+from unjoin import pipeline
 from unjoin.pipeline import (
     PoolError,
     PredictedQuery,
     assemble_pool,
     evaluate_item,
-    run_baseline,
     run_evaluation,
     run_method,
-    run_unjoin_mp,
-    run_unjoin_sp,
 )
 from unjoin.prompting import build_mp_step1_prompt
 from unjoin.schema import ColumnDef, DatabaseSchema, TableDef, simplify_schema
@@ -45,11 +57,13 @@ def scripted(step1, step2):
 
 
 def mp_transport(step1, step2):
-    # step 2 prompts carry the translation instructions header
+    # step 2 prompts carry the translation instructions header; a reply
+    # that is an exception is raised instead of returned
     def transport(prompt, cfg):
-        if "### Steps for Translation:" in prompt:
-            return step2, 1, 1
-        return step1, 1, 1
+        reply = step2 if "### Steps for Translation:" in prompt else step1
+        if isinstance(reply, Exception):
+            raise reply
+        return reply, 1, 1
     return transport
 
 
@@ -62,7 +76,7 @@ def test_mp_happy_path_corrects_both_stages(retail_db):
         "```sql\nSELECT count(*) FROM orders JOIN custmer ON orders.customer_id = "
         "custmer.customer_id\n```",
     ))
-    pred = run_unjoin_mp(ITEM, retail_db, client, "live")
+    pred = run_method("unjoin-mp", ITEM, retail_db, client, "live")
     assert not pred.failed
     assert pred.intermediate_sql == "SELECT count(*) FROM retail WHERE city.name = 'Springfield'"
     assert "JOIN customer" in pred.final_sql
@@ -74,7 +88,7 @@ def test_mp_happy_path_corrects_both_stages(retail_db):
 
 def test_mp_step1_failure_recorded(retail_db, tmp_path):
     client = LlmClient(LlmConfig(model="m"), ExchangeCache(tmp_path))
-    pred = run_unjoin_mp(ITEM, retail_db, client, "replay")
+    pred = run_method("unjoin-mp", ITEM, retail_db, client, "replay")
     assert pred.failed
     assert pred.failure_stage == "step1-complete"
     assert pred.final_sql is None
@@ -83,7 +97,7 @@ def test_mp_step1_failure_recorded(retail_db, tmp_path):
 
 def test_mp_step1_extraction_failure(retail_db):
     client = live_client(mp_transport("no sql here at all", "unused"))
-    pred = run_unjoin_mp(ITEM, retail_db, client, "live")
+    pred = run_method("unjoin-mp", ITEM, retail_db, client, "live")
     assert pred.failed
     assert pred.failure_stage == "step1-extract"
     assert pred.completions == ("no sql here at all",)
@@ -98,7 +112,7 @@ def test_mp_step2_failure_keeps_intermediate(retail_db, tmp_path):
     cache.put(LlmExchange(key=exchange_key(p1, cfg), prompt=p1,
                           completion=f"```sql\n{step1}\n```"))
     client = LlmClient(cfg, cache)
-    pred = run_unjoin_mp(ITEM, retail_db, client, "replay")
+    pred = run_method("unjoin-mp", ITEM, retail_db, client, "replay")
     assert pred.failed
     assert pred.failure_stage == "step2-complete"
     assert pred.intermediate_sql == step1
@@ -116,7 +130,7 @@ def test_sp_two_blocks(retail_db):
         "city.city_id WHERE city.name = 'Springfield'\n```"
     )
     client = live_client(lambda p, c: (completion, 1, 1))
-    pred = run_unjoin_sp(ITEM, retail_db, client, "live")
+    pred = run_method("unjoin-sp", ITEM, retail_db, client, "live")
     assert not pred.failed
     assert pred.intermediate_sql.startswith("SELECT count(*) FROM retail")
     assert pred.final_sql == ITEM.gold_sql
@@ -126,7 +140,7 @@ def test_sp_two_blocks(retail_db):
 
 def test_sp_single_block_warns_and_uses_it_as_final(retail_db):
     client = live_client(lambda p, c: ("```sql\nSELECT count(*) FROM orders\n```", 1, 1))
-    pred = run_unjoin_sp(ITEM, retail_db, client, "live")
+    pred = run_method("unjoin-sp", ITEM, retail_db, client, "live")
     assert not pred.failed
     assert pred.intermediate_sql is None
     assert pred.final_sql == "SELECT count(*) FROM orders"
@@ -135,7 +149,7 @@ def test_sp_single_block_warns_and_uses_it_as_final(retail_db):
 
 def test_sp_no_blocks_falls_back_to_keyword(retail_db):
     client = live_client(lambda p, c: ("The answer is SELECT count(*) FROM orders", 1, 1))
-    pred = run_unjoin_sp(ITEM, retail_db, client, "live")
+    pred = run_method("unjoin-sp", ITEM, retail_db, client, "live")
     assert not pred.failed
     assert pred.final_sql == "SELECT count(*) FROM orders"
     assert any("keyword fallback" in w for w in pred.warnings)
@@ -144,7 +158,7 @@ def test_sp_no_blocks_falls_back_to_keyword(retail_db):
 def test_sp_no_sql_at_all_fails(retail_db):
     # refusal text must not contain SELECT or WITH, or the fallback fires
     client = live_client(lambda p, c: ("I cannot answer that.", 1, 1))
-    pred = run_unjoin_sp(ITEM, retail_db, client, "live")
+    pred = run_method("unjoin-sp", ITEM, retail_db, client, "live")
     assert pred.failed
     assert pred.failure_stage == "extract"
 
@@ -156,7 +170,7 @@ def test_sp_more_than_two_blocks_uses_first_and_last(retail_db):
         "```sql\nSELECT count(*) FROM orders\n```"
     )
     client = live_client(lambda p, c: (completion, 1, 1))
-    pred = run_unjoin_sp(ITEM, retail_db, client, "live")
+    pred = run_method("unjoin-sp", ITEM, retail_db, client, "live")
     assert pred.intermediate_sql == "SELECT count(*) FROM retail"
     assert pred.final_sql == "SELECT count(*) FROM orders"
 
@@ -166,7 +180,7 @@ def test_sp_more_than_two_blocks_uses_first_and_last(retail_db):
 
 def test_baseline_runs_and_corrects(retail_db):
     client = live_client(lambda p, c: ("```sql\nSELECT nmae FROM custmer\n```", 1, 1))
-    pred = run_baseline(ITEM, retail_db, client, "live", "cot")
+    pred = run_method("cot", ITEM, retail_db, client, "live")
     assert not pred.failed
     assert pred.method == "cot"
     assert pred.final_sql == "SELECT name FROM customer"
@@ -185,6 +199,79 @@ def test_run_method_dispatch(retail_db):
         run_method("few-shot", ITEM, retail_db, client, "live")
 
 
+def test_every_method_has_a_runner():
+    assert tuple(pipeline._RUNNERS) == METHODS
+
+
+# ----- the failure rule: first failing stage, everything obtained before it -----
+
+REFUSED = LlmError("request rejected: 400")
+NO_SQL = "I cannot answer that."
+STEP1_SQL = "```sql\nSELECT count(*) FROM retail\n```"
+
+
+FAILURE_RULE = [
+    # (method, step-1 reply, step-2 reply, stage, completions kept, intermediate kept)
+    ("unjoin-mp", REFUSED, "unused", "step1-complete", 0, False),
+    ("unjoin-mp", NO_SQL, "unused", "step1-extract", 1, False),
+    ("unjoin-mp", STEP1_SQL, REFUSED, "step2-complete", 1, True),
+    ("unjoin-mp", STEP1_SQL, NO_SQL, "step2-extract", 2, True),
+    *[(m, REFUSED, REFUSED, "complete", 0, False) for m in ("unjoin-sp", "cot", "cot-ss")],
+    *[(m, NO_SQL, NO_SQL, "extract", 1, False) for m in ("unjoin-sp", "cot", "cot-ss")],
+]
+
+
+@pytest.mark.parametrize(
+    "method,step1,step2,stage,n_completions,has_intermediate",
+    FAILURE_RULE,
+    ids=[f"{case[0]}-{case[3]}" for case in FAILURE_RULE],
+)
+def test_failure_keeps_what_came_before_the_stage(
+    retail_db, method, step1, step2, stage, n_completions, has_intermediate
+):
+    client = live_client(mp_transport(step1, step2))
+    pred = run_method(method, ITEM, retail_db, client, "live")
+    assert pred.method == method
+    assert pred.failed
+    assert pred.failure_stage == stage
+    assert pred.failure_reason
+    assert pred.final_sql is None and pred.final_report is None
+    assert len(pred.completions) == n_completions
+    assert (pred.intermediate_sql is not None) == has_intermediate
+    assert (pred.intermediate_report is not None) == has_intermediate
+    if has_intermediate:
+        assert pred.intermediate_sql == "SELECT count(*) FROM retail"
+        assert pred.completions[0] == STEP1_SQL
+    assert pred.warnings == ()
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("listed", [None, [("ghost", "t", 1.0)]], ids=["missing", "unknown-db"])
+def test_retrieval_failure_is_the_items_first_stage(mini_spider_root, tmp_path, method, listed):
+    bundle = load_dataset(mini_spider_root, "spider")
+    kept, _ = filter_items(bundle.items, bundle.catalogue)
+    item = kept[0]
+    calls = []
+
+    def transport(prompt, cfg):
+        calls.append(prompt)
+        return "```sql\nSELECT 1\n```", 1, 1
+
+    config = RunConfig(dataset="spider", root=str(mini_spider_root), method=method,
+                       model="m", cache_mode="live", workers=1, out_dir=str(tmp_path))
+    client = LlmClient(config.llm_config(), cache=None, transport=transport)
+    retrieval = {item.item_id: listed} if listed else {}
+    records, _ = run_evaluation(bundle, [item], config, client, retrieval=retrieval)
+    pred = records[0].prediction
+    assert calls == []
+    assert pred["method"] == method
+    assert pred["failed"] and pred["failure_stage"] == "retrieval"
+    assert pred["failure_reason"]
+    assert pred["completions"] == [] and pred["intermediate_sql"] is None
+    assert records[0].pred_exec is None and not records[0].qe
+    assert records[0].gold_tables  # gold is still scored against the home schema
+
+
 def test_predicted_query_invariant():
     with pytest.raises(ValueError):
         PredictedQuery(method="cot")  # not failed, but no final sql
@@ -198,7 +285,7 @@ def test_predicted_query_serialization(retail_db):
         "```sql\nSELECT count(*) FROM retail WHERE city.nmae = 'Springfield'\n```",
         "```sql\nSELECT count(*) FROM orders\n```",
     ))
-    pred = run_unjoin_mp(ITEM, retail_db, client, "live")
+    pred = run_method("unjoin-mp", ITEM, retail_db, client, "live")
     raw = pred.to_dict()
     assert raw["method"] == "unjoin-mp"
     # simplified-stage repair rewrites the whole dotted chain
