@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import sqlite3
+import threading
 import time
 import urllib.parse
 from dataclasses import dataclass, fields
@@ -70,16 +71,61 @@ class ExecOutcome:
         )
 
 
+# Authorizer actions a plain query needs. Anything else (a TEMP table,
+# a PRAGMA, BEGIN, ATTACH, ...) may leave state on the connection.
+_READ_ACTIONS = frozenset(
+    (sqlite3.SQLITE_SELECT, sqlite3.SQLITE_READ, sqlite3.SQLITE_FUNCTION, sqlite3.SQLITE_RECURSIVE)
+)
+
+# Each thread holds one connection: (key, connection, flagged actions).
+_held = threading.local()
+
+
+def _drop_held() -> None:
+    held = getattr(_held, "entry", None)
+    _held.entry = None
+    if held is not None:
+        held[1].close()
+
+
+def _held_connection(path: Path) -> tuple[sqlite3.Connection, list]:
+    try:
+        st = path.stat()
+    except FileNotFoundError:
+        raise FileNotFoundError(f"database file not found: {path}") from None
+    key = (str(path), st.st_dev, st.st_ino, st.st_mtime_ns, st.st_size)
+    held = getattr(_held, "entry", None)
+    if held is not None and held[0] == key:
+        return held[1], held[2]
+    _drop_held()
+    uri = "file:" + urllib.parse.quote(str(path.resolve()), safe="/") + "?mode=ro"
+    con = sqlite3.connect(uri, uri=True)
+    flagged: list = []
+
+    def _authorize(action, *_):
+        if action not in _READ_ACTIONS:
+            flagged.append(action)
+        return sqlite3.SQLITE_OK
+
+    con.set_authorizer(_authorize)
+    _held.entry = (key, con, flagged)
+    return con, flagged
+
+
 def execute(sql: str, db_file: str | Path, timeout_s: float = 30.0) -> ExecOutcome:
     """Run one statement read-only and materialize all rows.
 
     A query still running at the deadline is interrupted and reported
     with status timeout, which counts against QE.
+
+    Each thread holds one ``mode=ro`` connection, keyed by the path and
+    the file's device, inode, mtime and size, so a replaced or rewritten
+    file is opened afresh. A statement that does anything but read
+    (creates a TEMP table, sets a PRAGMA, opens a transaction, attaches
+    a database) still runs as on a fresh connection, but the connection
+    is closed afterwards, so no query sees state another one left.
     """
-    path = Path(db_file)
-    if not path.exists():
-        raise FileNotFoundError(f"database file not found: {path}")
-    uri = "file:" + urllib.parse.quote(str(path.resolve()), safe="/") + "?mode=ro"
+    con, flagged = _held_connection(Path(db_file))
     started = time.monotonic()
     deadline = started + timeout_s
     timed_out = []
@@ -90,30 +136,26 @@ def execute(sql: str, db_file: str | Path, timeout_s: float = 30.0) -> ExecOutco
             return 1
         return 0
 
-    con = sqlite3.connect(uri, uri=True)
+    con.set_progress_handler(_tick, 10_000)
     try:
-        con.set_progress_handler(_tick, 10_000)
-        try:
-            cur = con.execute(sql)
-            rows = cur.fetchall()
-        except sqlite3.Error as exc:
-            status = TIMEOUT if timed_out else RUNTIME_ERROR
-            return ExecOutcome(
-                status=status,
-                error=str(exc),
-                wall_time_s=time.monotonic() - started,
-            )
-        return ExecOutcome(
-            status=OK,
-            rows=tuple(tuple(r) for r in rows),
-            wall_time_s=time.monotonic() - started,
-        )
+        rows = con.execute(sql).fetchall()
+    except sqlite3.Error as exc:
+        status = TIMEOUT if timed_out else RUNTIME_ERROR
+        return ExecOutcome(status=status, error=str(exc), wall_time_s=time.monotonic() - started)
     finally:
-        con.close()
+        if flagged or con.in_transaction:
+            _drop_held()
+    return ExecOutcome(status=OK, rows=tuple(rows), wall_time_s=time.monotonic() - started)
 
 
 def has_top_level_order_by(sql: str) -> bool:
-    """ORDER BY outside any parenthesized subquery."""
+    """ORDER BY outside any parenthesized subquery.
+
+    Without the substring "order" there is no ORDER token, so such a
+    string returns False untokenized (even one the tokenizer rejects).
+    """
+    if "order" not in sql.lower():
+        return False
     from .tokens import IDENT, OP, tokenize
 
     depth = 0

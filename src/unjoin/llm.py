@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import threading
 import time
 from dataclasses import dataclass, replace
@@ -19,7 +20,8 @@ from pathlib import Path
 
 import requests
 
-from .tokens import OP, TokenizeError, tokenize
+from .sqlast import parse
+from .tokens import KEYWORDS, OP, TokenizeError, tokenize
 
 CACHE_MODES = ("record", "replay", "live")
 
@@ -212,6 +214,7 @@ class LlmClient:
 
 _FENCE_OPEN = "```"
 _QUOTES = ("'", '"', "`", "[")
+_LEADING_WORD = re.compile(r"\s*([A-Za-z_]\w*)")
 
 
 def extract_sql_blocks(completion: str) -> list[str]:
@@ -285,6 +288,31 @@ def _strip_trailing_prose(sql: str) -> str:
     return sql[: semi + 1]
 
 
+def _starts_with_prose(line: str) -> bool:
+    word = _LEADING_WORD.match(line)
+    return word is not None and word.group(1).lower() not in KEYWORDS
+
+
+def _parsing_prefix(sql: str) -> str:
+    """The longest whole-line prefix of ``sql`` that parses.
+
+    A cut is made only before a line that starts with a word that is not
+    a SQL keyword, so a query the parser rejects is never shortened into
+    a different query. With no such prefix ``sql`` comes back unchanged.
+    """
+    lines = sql.split("\n")
+    for end in range(len(lines), 0, -1):
+        if end < len(lines) and not _starts_with_prose(lines[end]):
+            continue
+        head = "\n".join(lines[:end])
+        try:
+            parse(head)
+        except ValueError:
+            continue
+        return head.strip()
+    return sql
+
+
 def trim_sql(text: str) -> str:
     """Cut anything after the first statement-terminating semicolon."""
     return _strip_trailing_prose(text).strip()
@@ -295,7 +323,9 @@ def extract_sql(completion: str) -> str:
 
     First fenced code block wins when fences exist; otherwise the suffix
     starting at the first SELECT or WITH keyword, with prose after the
-    terminating semicolon dropped.
+    terminating semicolon dropped. With no terminating semicolon either,
+    lines of prose after the query are dropped: the suffix is cut to its
+    longest whole-line prefix that parses.
     """
     blocks = extract_sql_blocks(completion)
     if blocks:
@@ -303,4 +333,5 @@ def extract_sql(completion: str) -> str:
     suffix = _first_keyword_suffix(completion)
     if suffix is None:
         raise ExtractionError("no SQL content found in completion")
-    return trim_sql(suffix)
+    sql = trim_sql(suffix)
+    return sql if sql.endswith(";") else _parsing_prefix(sql)

@@ -1,4 +1,5 @@
 import json
+import os
 import random
 import sqlite3
 
@@ -25,7 +26,12 @@ from unjoin.evaluation import (
     write_records,
     write_summary,
 )
+from unjoin.dataset import METHODS, RunConfig, filter_items, load_dataset
+from unjoin.llm import ExchangeCache, LlmClient
+from unjoin.pipeline import run_evaluation
+from unjoin.tokens import IDENT, OP, TokenizeError, tokenize
 
+from conftest import ORACLE_MODEL, RETAIL_ROWS, create_sqlite, retail_schema
 from oracles import naive_buckets, naive_precision_recall, naive_score
 
 
@@ -106,6 +112,89 @@ def test_rows_are_fully_materialized_tuples(retail_sqlite):
     assert out.rows[0] == ("Alice", "F")
 
 
+def _fresh(sql, db_file):
+    """What a new read-only connection returns: (status, rows, error)."""
+    con = sqlite3.connect(f"file:{db_file}?mode=ro", uri=True)
+    try:
+        return OK, tuple(con.execute(sql).fetchall()), None
+    except sqlite3.Error as exc:
+        return RUNTIME_ERROR, None, str(exc)
+    finally:
+        con.close()
+
+
+def _seen(out):
+    return out.status, out.rows, out.error
+
+
+# (statement that leaves state on a connection, query that shows it)
+_STATEFUL = [
+    ("CREATE TEMP TABLE customer AS SELECT 2, 'Bob'", "SELECT count(*) FROM customer"),
+    ("PRAGMA case_sensitive_like=1", "SELECT count(*) FROM customer WHERE name LIKE 'alice'"),
+    ("BEGIN", "BEGIN"),
+    ("ATTACH ':memory:' AS m", "ATTACH ':memory:' AS m"),
+]
+
+
+@pytest.mark.parametrize("statement, probe", _STATEFUL, ids=["temp-table", "pragma", "begin", "attach"])
+def test_state_left_by_one_query_never_reaches_the_next(retail_sqlite, statement, probe):
+    assert execute(statement, retail_sqlite).status == OK
+    assert _seen(execute(probe, retail_sqlite)) == _fresh(probe, retail_sqlite)
+    assert execute("SELECT count(*) FROM customer", retail_sqlite).rows == ((5,),)
+
+
+def test_rewritten_database_file_is_read_again(tmp_path):
+    path = tmp_path / "retail.sqlite"
+    create_sqlite(path, retail_schema(), RETAIL_ROWS)
+    assert execute("SELECT count(*) FROM customer", path).rows == ((5,),)
+    path.unlink()
+    create_sqlite(path, retail_schema(), {"customer": RETAIL_ROWS["customer"][:2]})
+    assert execute("SELECT count(*) FROM customer", path).rows == ((2,),)
+    replacement = tmp_path / "other.sqlite"
+    create_sqlite(replacement, retail_schema(), {"customer": RETAIL_ROWS["customer"][:3]})
+    os.replace(replacement, path)
+    assert execute("SELECT count(*) FROM customer", path).rows == ((3,),)
+
+
+def test_call_after_a_timeout_runs_normally(retail_sqlite):
+    endless = "WITH RECURSIVE r(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM r) SELECT count(*) FROM r"
+    assert execute(endless, retail_sqlite, timeout_s=0.05).status == TIMEOUT
+    assert execute("SELECT count(*) FROM customer", retail_sqlite, timeout_s=5.0).rows == ((5,),)
+
+
+def test_deleted_database_file_is_reported_missing(tmp_path):
+    path = tmp_path / "retail.sqlite"
+    create_sqlite(path, retail_schema(), RETAIL_ROWS)
+    assert execute("SELECT 1", path).status == OK
+    path.unlink()
+    with pytest.raises(FileNotFoundError):
+        execute("SELECT 1", path)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_replayed_records_do_not_depend_on_workers(
+        method, mini_spider_root, oracle_cache_dir, tmp_path):
+    bundle = load_dataset(mini_spider_root, "spider")
+    kept, _ = filter_items(bundle.items, bundle.catalogue)
+    blobs, metas = [], []
+    for workers in (4, 1):
+        config = RunConfig(dataset="spider", root=str(mini_spider_root), method=method,
+                           model=ORACLE_MODEL, cache_mode="replay",
+                           cache_dir=str(oracle_cache_dir), workers=workers)
+        client = LlmClient(config.llm_config(), ExchangeCache(oracle_cache_dir))
+        records, meta = run_evaluation(bundle, kept, config, client)
+        path = tmp_path / f"records-{workers}.jsonl"
+        write_records(records, path, meta)
+        blobs.append(path.read_bytes())
+        metas.append(meta)
+    assert metas[0]["config"].pop("workers") == 4
+    assert metas[1]["config"].pop("workers") == 1
+    assert metas[0] == metas[1]
+    # Past the _meta line (which names the worker count) the bytes match.
+    assert blobs[0].split(b"\n", 1)[1] == blobs[1].split(b"\n", 1)[1]
+    assert blobs[0].count(b"\n") == 26
+
+
 def test_exec_outcome_row_invariant():
     with pytest.raises(ValueError):
         ExecOutcome(status=OK, rows=None)
@@ -135,6 +224,40 @@ def test_nested_order_by_ignored():
         "SELECT x FROM (SELECT a AS x FROM t ORDER BY a LIMIT 3) AS d"
     )
     assert not has_top_level_order_by("SELECT a FROM t")
+
+
+def _tokenizing_order_by(sql):
+    """The order-by check with no substring shortcut: every string is tokenized."""
+    depth = 0
+    for tok in tokenize(sql):
+        if tok.kind == OP and tok.value in ("(", ")"):
+            depth = depth + 1 if tok.value == "(" else max(0, depth - 1)
+        elif tok.kind == IDENT and depth == 0 and tok.lower == "order":
+            return True
+    return False
+
+
+_SQL_PARTS = st.sampled_from([
+    "SELECT", "a", "FROM", "t", "(", ")", ",", "ORDER", "order", "oRdEr", "BY", "orders",
+    "border", "'order'", '"order"', "[order]", "-- order\n", "/* ORDER */", "LIMIT 1",
+    "UNION", "'unterminated", "x.order_id",
+])
+
+
+@settings(max_examples=300)
+@given(st.lists(_SQL_PARTS, max_size=12))
+def test_order_by_shortcut_matches_tokenizing_path(parts):
+    sql = " ".join(parts)
+    try:
+        expected = _tokenizing_order_by(sql)
+    except TokenizeError:
+        if "order" in sql.lower():
+            with pytest.raises(TokenizeError):
+                has_top_level_order_by(sql)
+        else:
+            assert has_top_level_order_by(sql) is False
+        return
+    assert has_top_level_order_by(sql) == expected
 
 
 # ----- result comparison -----

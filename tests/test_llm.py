@@ -298,6 +298,13 @@ EXTRACTION_CASES = [
      "SELECT 'a;b' FROM t"),
     ("leading-whitespace-block", "```sql\n\n  SELECT 9\n```", "SELECT 9"),
     ("crlf-free-suffix", "answer:\nSELECT z\nFROM w", "SELECT z\nFROM w"),
+    ("prose-line-after-query",
+     "Here is the query: SELECT name FROM customer\nThis returns every customer name.",
+     "SELECT name FROM customer"),
+    ("two-queries-without-fences",
+     "SELECT name FROM customer_flat\n\nTranslated back to the original schema:\n\n"
+     "SELECT c.name FROM customer AS c JOIN city AS y ON c.city_id = y.city_id",
+     "SELECT name FROM customer_flat"),
 ]
 
 
@@ -310,8 +317,17 @@ def test_extraction_fixture(completion, expected):
     assert extract_sql(completion) == expected
 
 
-def test_extraction_fixture_has_twenty_cases():
-    assert len(EXTRACTION_CASES) == 20
+def test_extraction_fixture_case_count():
+    assert len(EXTRACTION_CASES) == 22
+
+
+def test_keyword_fallback_never_shortens_an_unparsed_query():
+    # The parser rejects IS DISTINCT FROM; a line that starts with a
+    # keyword is read as part of the query, not as prose.
+    sql = "SELECT a\nFROM t\nWHERE a IS DISTINCT FROM b"
+    assert extract_sql("Answer:\n" + sql) == sql
+    # No prefix parses: the whole suffix comes back, as before.
+    assert extract_sql("SELECT FROM\nNothing here.") == "SELECT FROM\nNothing here."
 
 
 def test_extract_sql_blocks_order_and_tags():
