@@ -15,15 +15,24 @@ name.
 
 The search is bounded: a candidate only matters if its distance is within
 both its own threshold and the best distance found so far, so candidates
-whose length differs by more than that are skipped outright, and the rest
-get a banded edit distance that gives up once a row exceeds the bound.
+whose length differs by more than that are skipped outright. The rest
+are scored by ``levenshtein``, Myers' bit-vector edit distance (Myers,
+JACM 1999, in the global form Hyyrö 2001 gives): the name being
+repaired is the pattern, and each candidate character costs a few
+integer operations. A candidate is given up once its distance can no
+longer come back within the bound.
 The chosen candidate and its distance are identical to an exhaustive
 search, since ties with the best so far are still computed exactly.
+
+The vocabulary that repair searches (lookup maps and sorted candidate
+lists) is computed once per schema object and held on it; see
+``DatabaseSchema`` and ``SimplifiedSchema``.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .schema import DatabaseSchema, SimplifiedSchema
@@ -44,52 +53,56 @@ class CorrectionReport:
     substitutions: tuple[Substitution, ...] = ()
     unresolved: tuple[str, ...] = ()
 
-    @property
-    def changed(self) -> bool:
-        return bool(self.substitutions)
-
 
 def levenshtein(a: str, b: str, bound: int | None = None) -> int:
     """Edit distance between ``a`` and ``b``, exact when ``bound`` is None.
 
     With a ``bound``, the result is exact when it is at most ``bound``
-    and ``bound + 1`` otherwise; only the diagonal band ``|i - j| <=
-    bound`` is filled, and the fill stops once a whole row exceeds it.
+    and ``bound + 1`` otherwise.
+
+    ``a`` is the pattern: ``peq`` maps each of its characters to the
+    bitmask of the positions where it occurs. Bit i of the vertical
+    delta vectors ``pv``/``mv`` says whether D[i+1][j] - D[i][j] is
+    +1/-1 in the current column j of ``b``, and ``score`` is D[m][j].
+    Python integers grow as needed, so one vector covers a pattern of
+    any length. Each remaining character of ``b`` lowers D[m][j] by at
+    most one, so the loop ends once ``score - remaining > bound``.
     """
     if a == b:
         return 0
-    la, lb = len(a), len(b)
+    m, remaining = len(a), len(b)
     if bound is None:
-        bound = max(la, lb)  # no distance exceeds this: the band is the table
-    over = bound + 1
-    if abs(la - lb) > bound:
-        return over
-    if not a or not b:
-        return la + lb
-    # Cells outside the band stay at ``over``: their true distance is at
-    # least |i - j| > bound, and every value is capped at ``over``.
-    prev = [j if j <= bound else over for j in range(lb + 1)]
-    for i in range(1, la + 1):
-        ca = a[i - 1]
-        cur = [over] * (lb + 1)
-        if i <= bound:
-            cur[0] = i
-        row_min = cur[0]
-        for j in range(max(1, i - bound), min(lb, i + bound) + 1):
-            v = prev[j - 1] if ca == b[j - 1] else prev[j - 1] + 1
-            if prev[j] + 1 < v:
-                v = prev[j] + 1
-            if cur[j - 1] + 1 < v:
-                v = cur[j - 1] + 1
-            if v > over:
-                v = over
-            cur[j] = v
-            if v < row_min:
-                row_min = v
-        if row_min > bound:
-            return over
-        prev = cur
-    return prev[lb]
+        bound = max(m, remaining)  # no distance exceeds this
+    if abs(m - remaining) > bound:
+        return bound + 1
+    if not m:
+        return remaining
+    peq: dict[str, int] = {}
+    bit = 1
+    for ch in a:
+        peq[ch] = peq.get(ch, 0) | bit
+        bit <<= 1
+    full = bit - 1
+    top = bit >> 1
+    pv, mv, score = full, 0, m
+    for ch in b:
+        eq = peq.get(ch, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & top:
+            score += 1
+        elif mh & top:
+            score -= 1
+        remaining -= 1
+        if score - remaining > bound:
+            return bound + 1
+        # Row 0 is D[0][j] = j, so its horizontal delta is always +1.
+        ph = (ph << 1) | 1
+        pv = ((mh << 1) | ~(xv | ph)) & full
+        mv = ph & xv
+    return score
 
 
 def _threshold(candidate: str) -> int:
@@ -97,7 +110,7 @@ def _threshold(candidate: str) -> int:
 
 
 def _best(
-    token_lower: str, candidates: list[tuple[str, str, bool]]
+    token_lower: str, candidates: Sequence[tuple[str, str, bool]]
 ) -> tuple[str, int] | None:
     """Pick the closest eligible candidate.
 
@@ -138,11 +151,10 @@ def correct_identifiers(sql: str, db: DatabaseSchema) -> tuple[str, CorrectionRe
     """
     toks = tokenize(sql)
     roles = _Roles(toks)
-    table_canon = {t.name.lower(): t.name for t in db.tables}
-    table_cands = [(tl, canon, False) for tl, canon in sorted(table_canon.items())]
-    cols_by_table = {
-        t.name.lower(): {c.name.lower(): c.name for c in t.columns} for t in db.tables
-    }
+    table_canon = db.table_names
+    table_cands = db.table_candidates
+    cols_by_table = db.columns_by_table
+    all_names = db.column_name_set
 
     subs: list[tuple[Substitution, int, str]] = []
     unresolved: list[tuple[int, str]] = []  # (offset, name)
@@ -218,14 +230,6 @@ def correct_identifiers(sql: str, db: DatabaseSchema) -> tuple[str, CorrectionRe
         referenced.add(pick[0].lower())
 
     # Pass 3: columns.
-    referenced_cols: list[tuple[str, str, bool]] = []
-    all_cols: list[tuple[str, str, bool]] = []
-    for tl in sorted(cols_by_table):
-        for cl, canon in sorted(cols_by_table[tl].items()):
-            item = (cl, canon, tl in referenced)
-            all_cols.append(item)
-            if tl in referenced:
-                referenced_cols.append(item)
     for idx, qidx in roles.columns:
         tok = toks[idx]
         low = tok.lower
@@ -243,22 +247,26 @@ def correct_identifiers(sql: str, db: DatabaseSchema) -> tuple[str, CorrectionRe
                     continue
                 cands = [(cl, canon, True) for cl, canon in sorted(scope.items())]
             else:
-                if any(low in cols_by_table[t] for t in cols_by_table):
+                if low in all_names:
                     continue
                 if tok.quote == '"':
                     continue
-                cands = all_cols
+                cands = [(cl, canon, tl in referenced) for tl, cl, canon in db.flat_columns]
         else:
             if low in alias_map or low in roles.cte_names or low in roles.select_aliases:
                 continue
             in_referenced = any(low in cols_by_table[t] for t in referenced)
             if in_referenced:
                 continue
-            if not referenced and any(low in cols_by_table[t] for t in cols_by_table):
+            if not referenced and low in all_names:
                 continue
             if tok.quote == '"':
                 continue
-            cands = referenced_cols if referenced else all_cols
+            cands = [
+                (cl, canon, tl in referenced)
+                for tl, cl, canon in db.flat_columns
+                if not referenced or tl in referenced
+            ]
         pick = _best(low, cands)
         if pick is None:
             unresolved.append((tok.start, tok.value))
@@ -292,16 +300,11 @@ def correct_identifiers_simplified(
             unresolved.append((tok.start, tok.value))
         else:
             subs.append((Substitution(tok.value, pick[0], pick[1], tok.start), tok.end, pick[0]))
-    entry_cands: list[tuple[str, str, bool]] | None = None  # built on first need
     for first, last in roles.chains:
         if simplified.lookup(toks[last - 2].value + "." + toks[last].value) is not None:
             continue
-        if entry_cands is None:
-            entry_cands = sorted(
-                (e.rendered.lower(), e.rendered, False) for e in simplified.entries
-            )
         chain = ".".join(toks[k].value for k in range(first, last + 1, 2))
-        pick = _best(chain.lower(), entry_cands)
+        pick = _best(chain.lower(), simplified.entry_candidates)
         start = toks[first].start
         if pick is None:
             unresolved.append((start, chain))

@@ -5,6 +5,11 @@ after the database. Every column of every table contributes exactly one
 entry rendered as ``table_name.column_name``. The mapping back to the
 original (table, column) pair is carried explicitly on each entry, so
 downstream code never has to split the rendered string and guess.
+
+What is derived from a schema object (lookup maps, rendered prompt
+blocks, identifier-repair vocabulary, the flattened view) is held by the
+object itself: it lives exactly as long as the schema does, and every
+caller shares it. Callers must treat these values as read-only.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 
@@ -36,9 +42,6 @@ class TableDef:
     name: str
     columns: tuple[ColumnDef, ...]
 
-    def column_names(self) -> list[str]:
-        return [c.name for c in self.columns]
-
 
 @dataclass(frozen=True)
 class DatabaseSchema:
@@ -46,6 +49,12 @@ class DatabaseSchema:
     tables: tuple[TableDef, ...]
     # (table1, col1, table2, col2) with names exactly as declared
     foreign_keys: tuple[tuple[str, str, str, str], ...] = ()
+    # Lower-case name maps, built while the names are checked for collisions.
+    # table_names: lower-case table name -> declared name.
+    table_names: dict[str, str] = field(init=False, compare=False, repr=False)
+    # columns_by_table: lower-case table name -> (lower-case column name ->
+    # declared name).
+    columns_by_table: dict[str, dict[str, str]] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.db_id:
@@ -53,6 +62,7 @@ class DatabaseSchema:
         if not self.tables:
             raise SchemaError(f"schema {self.db_id!r} has no tables", self.db_id)
         seen: dict[str, str] = {}
+        by_table: dict[str, dict[str, str]] = {}
         for t in self.tables:
             if not t.name:
                 raise SchemaError(f"schema {self.db_id!r} has an unnamed table", self.db_id)
@@ -65,7 +75,7 @@ class DatabaseSchema:
                     (seen[low], t.name),
                 )
             seen[low] = t.name
-            cols: dict[str, str] = {}
+            cols = by_table[low] = {}
             for c in t.columns:
                 if not c.name:
                     raise SchemaError(
@@ -82,16 +92,18 @@ class DatabaseSchema:
                         (t.name, cols[cl], c.name),
                     )
                 cols[cl] = c.name
+        object.__setattr__(self, "table_names", seen)
+        object.__setattr__(self, "columns_by_table", by_table)
         for t1, c1, t2, c2 in self.foreign_keys:
             for tname, cname in ((t1, c1), (t2, c2)):
-                table = self.find_table(tname)
-                if table is None:
+                cols = by_table.get(tname.lower())
+                if cols is None:
                     raise SchemaError(
                         f"schema {self.db_id!r}: foreign key references unknown table {tname!r}",
                         self.db_id,
                         (tname,),
                     )
-                if cname.lower() not in {c.name.lower() for c in table.columns}:
+                if cname.lower() not in cols:
                     raise SchemaError(
                         f"schema {self.db_id!r}: foreign key references unknown column "
                         f"{tname!r}.{cname!r}",
@@ -108,6 +120,56 @@ class DatabaseSchema:
 
     def column_count(self) -> int:
         return sum(len(t.columns) for t in self.tables)
+
+    # Derived data, computed on first use (frozen dataclasses without
+    # slots keep a per-instance __dict__ that cached_property writes to).
+
+    @cached_property
+    def table_candidates(self) -> tuple[tuple[str, str, bool], ...]:
+        """(lower, declared, False) per table, sorted: the repair candidates."""
+        return tuple((low, name, False) for low, name in sorted(self.table_names.items()))
+
+    @cached_property
+    def flat_columns(self) -> tuple[tuple[str, str, str], ...]:
+        """(lower table, lower column, declared column) for every column, sorted."""
+        return tuple(sorted(
+            (tl, cl, name)
+            for tl, cols in self.columns_by_table.items()
+            for cl, name in cols.items()
+        ))
+
+    @cached_property
+    def column_name_set(self) -> frozenset[str]:
+        """Every lower-case column name of every table."""
+        return frozenset(cl for _, cl, _ in self.flat_columns)
+
+    @cached_property
+    def original_block(self) -> str:
+        """CREATE TABLE-style rendering of the schema plus FK lines."""
+        parts = []
+        for t in self.tables:
+            col_lines = [f"  {c.name} {c.col_type}".rstrip() for c in t.columns]
+            parts.append(f"CREATE TABLE {t.name} (\n" + ",\n".join(col_lines) + "\n);")
+        text = "\n".join(parts)
+        if self.foreign_keys:
+            fk_lines = [f"{t1}.{c1} = {t2}.{c2}" for t1, c1, t2, c2 in self.foreign_keys]
+            text += "\nForeign Keys:\n" + "\n".join(fk_lines)
+        return text
+
+    def _simplified(self, descriptions: dict[str, str]) -> SimplifiedSchema:
+        """The flattened view for ``descriptions``; see ``simplify_schema``.
+
+        The last view built is held with a copy of its descriptions, in
+        the instance __dict__ as cached_property holds its values, and is
+        returned again while the descriptions are equal by value. Threads
+        racing here each return a view of their own descriptions;
+        whichever pair is stored last is a consistent one.
+        """
+        held = self.__dict__.get("_simplified_view")
+        if held is None or held[0] != descriptions:
+            held = (dict(descriptions), _flatten(self, descriptions))
+            self.__dict__["_simplified_view"] = held
+        return held[1]
 
 
 @dataclass(frozen=True)
@@ -138,6 +200,31 @@ class SimplifiedSchema:
     def lookup(self, rendered: str) -> SimplifiedEntry | None:
         return self._by_rendered.get(rendered.lower())
 
+    @cached_property
+    def entry_candidates(self) -> tuple[tuple[str, str, bool], ...]:
+        """(lower, rendered, False) per entry, sorted: the repair candidates."""
+        return tuple(sorted((e.rendered.lower(), e.rendered, False) for e in self.entries))
+
+    @cached_property
+    def block(self) -> str:
+        """The prompt block: a "Table: <name>" header, then one line per entry.
+
+        When any entry carries a description, names are padded to a
+        common width so descriptions align in a second column.
+        """
+        lines = [f"Table: {self.name}"]
+        if any(e.description for e in self.entries):
+            width = max((len(e.rendered) for e in self.entries), default=0) + 2
+            lines.append("Column Name".ljust(width) + "Description")
+            for e in self.entries:
+                if e.description:
+                    lines.append(e.rendered.ljust(width) + e.description)
+                else:
+                    lines.append(e.rendered)
+        else:
+            lines.extend(e.rendered for e in self.entries)
+        return "\n".join(lines)
+
 
 def simplify_schema(db: DatabaseSchema, descriptions: dict[str, str] | None = None) -> SimplifiedSchema:
     """Flatten ``db`` into one virtual table named after the database.
@@ -146,8 +233,16 @@ def simplify_schema(db: DatabaseSchema, descriptions: dict[str, str] | None = No
     within each table, so the output is byte-stable for a given input.
     ``descriptions`` optionally maps "table.column" (case-insensitive)
     to human-readable text attached to the matching entry.
+
+    ``db`` keeps the last view built from it, and that view is returned
+    again while the descriptions are equal by value (None counts as
+    empty).
     """
-    desc = { (k or "").lower(): v for k, v in (descriptions or {}).items() }
+    return db._simplified(descriptions or {})
+
+
+def _flatten(db: DatabaseSchema, descriptions: dict[str, str]) -> SimplifiedSchema:
+    desc = {(k or "").lower(): v for k, v in descriptions.items()}
     entries = []
     for t in db.tables:
         for c in t.columns:
@@ -160,41 +255,17 @@ def simplify_schema(db: DatabaseSchema, descriptions: dict[str, str] | None = No
 
 
 def render_simplified(simplified: SimplifiedSchema, with_header: bool = True) -> str:
-    """Render the virtual table as a prompt block.
-
-    One line per entry. When any entry carries a description, names are
-    padded to a common width so descriptions align in a second column.
+    """Render the virtual table as a prompt block: ``simplified.block``,
+    without its "Table:" header line when ``with_header`` is false.
     """
-    lines = []
     if with_header:
-        lines.append(f"Table: {simplified.name}")
-    has_desc = any(e.description for e in simplified.entries)
-    if has_desc:
-        width = max((len(e.rendered) for e in simplified.entries), default=0) + 2
-        lines.append("Column Name".ljust(width) + "Description")
-        for e in simplified.entries:
-            if e.description:
-                lines.append(e.rendered.ljust(width) + e.description)
-            else:
-                lines.append(e.rendered)
-    else:
-        lines.extend(e.rendered for e in simplified.entries)
-    return "\n".join(lines)
+        return simplified.block
+    return simplified.block.partition("\n")[2]
 
 
 def render_original_schema(db: DatabaseSchema) -> str:
     """CREATE TABLE-style rendering of the original schema plus FK lines."""
-    parts = []
-    for t in db.tables:
-        col_lines = []
-        for c in t.columns:
-            col_lines.append(f"  {c.name} {c.col_type}".rstrip())
-        parts.append(f"CREATE TABLE {t.name} (\n" + ",\n".join(col_lines) + "\n);")
-    text = "\n".join(parts)
-    if db.foreign_keys:
-        fk_lines = [f"{t1}.{c1} = {t2}.{c2}" for t1, c1, t2, c2 in db.foreign_keys]
-        text += "\nForeign Keys:\n" + "\n".join(fk_lines)
-    return text
+    return db.original_block
 
 
 def load_catalogue(path: str | Path) -> dict[str, DatabaseSchema]:

@@ -95,9 +95,9 @@ class _Analyzer:
         self.tables: set[str] = set()
         self.columns: set[str] = set()
         self.ambiguous: set[str] = set()
-        self.schema_cols: dict[str, list[str]] = {
-            t.name.lower(): [c.name.lower() for c in t.columns] for t in db.tables
-        }
+        # Held by the schema; only the lower-case column names (keys, in
+        # declared order) are read here.
+        self.schema_cols: dict[str, dict[str, str]] = db.columns_by_table
 
     def add_pair(self, table: str, column: str):
         self.tables.add(table)

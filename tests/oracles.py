@@ -1,7 +1,9 @@
 """Independent reference implementations used to cross-check metrics.
 
 Everything here is written the slow, obvious way on purpose: plain loops
-and a recursive edit distance, sharing no code with the package.
+and a recursive edit distance, sharing no code with the package. The
+banded edit distance is the package's former row-by-row implementation,
+kept as a second, differently built oracle for the bit-vector one.
 """
 
 from functools import lru_cache
@@ -84,6 +86,48 @@ def slow_levenshtein(a: str, b: str) -> int:
         return min(d(i - 1, j) + 1, d(i, j - 1) + 1, d(i - 1, j - 1) + cost)
 
     return d(len(a), len(b))
+
+
+def banded_levenshtein(a: str, b: str, bound: int | None = None) -> int:
+    """Edit distance by a row-by-row DP over the band ``|i - j| <= bound``.
+
+    Exact when ``bound`` is None; otherwise exact when at most ``bound``
+    and ``bound + 1`` otherwise, giving up once a whole row exceeds it.
+    """
+    if a == b:
+        return 0
+    la, lb = len(a), len(b)
+    if bound is None:
+        bound = max(la, lb)  # no distance exceeds this: the band is the table
+    over = bound + 1
+    if abs(la - lb) > bound:
+        return over
+    if not a or not b:
+        return la + lb
+    # Cells outside the band stay at ``over``: their true distance is at
+    # least |i - j| > bound, and every value is capped at ``over``.
+    prev = [j if j <= bound else over for j in range(lb + 1)]
+    for i in range(1, la + 1):
+        ca = a[i - 1]
+        cur = [over] * (lb + 1)
+        if i <= bound:
+            cur[0] = i
+        row_min = cur[0]
+        for j in range(max(1, i - bound), min(lb, i + bound) + 1):
+            v = prev[j - 1] if ca == b[j - 1] else prev[j - 1] + 1
+            if prev[j] + 1 < v:
+                v = prev[j] + 1
+            if cur[j - 1] + 1 < v:
+                v = cur[j - 1] + 1
+            if v > over:
+                v = over
+            cur[j] = v
+            if v < row_min:
+                row_min = v
+        if row_min > bound:
+            return over
+        prev = cur
+    return prev[lb]
 
 
 def slow_best(token: str, candidates) -> tuple[str, int] | None:

@@ -139,7 +139,7 @@ def test_criterion_4_perturbed_identifiers_restored(verdict, mini_spider_root):
             if fixed == gold:
                 restored += 1
             again, report = correct_identifiers(fixed, db)
-            assert again == fixed and not report.changed, "not idempotent"
+            assert again == fixed and not report.substitutions, "not idempotent"
             db_file = mini_spider_root / "database" / db.db_id / f"{db.db_id}.sqlite"
             want = execute(gold, db_file)
             got = execute(fixed, db_file)

@@ -13,18 +13,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from unjoin.correction import (
-    CorrectionReport,
-    Substitution,
     _best,
     correct_identifiers,
     correct_identifiers_simplified,
     levenshtein,
 )
+from unjoin.pipeline import assemble_pool
 from unjoin.schema import ColumnDef, DatabaseSchema, TableDef, simplify_schema
 from unjoin.tokens import IDENT, KEYWORDS, QIDENT, tokenize
 
 from conftest import SPIDER_CASES, academic_schema, retail_schema
-from oracles import slow_best, slow_levenshtein
+from oracles import banded_levenshtein, slow_best, slow_levenshtein
 
 SEED = 20240814
 LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -107,7 +106,7 @@ def test_gold_queries_are_fixed_points():
     for db, gold, _ in SUITE:
         fixed, report = correct_identifiers(gold, db)
         assert fixed == gold
-        assert not report.changed
+        assert not report.substitutions
 
 
 def test_correction_is_idempotent_on_all_cases():
@@ -115,7 +114,7 @@ def test_correction_is_idempotent_on_all_cases():
         once, _ = correct_identifiers(broken, db)
         twice, report = correct_identifiers(once, db)
         assert twice == once
-        assert not report.changed
+        assert not report.substitutions
 
 
 def test_only_identifier_tokens_are_touched():
@@ -210,7 +209,7 @@ def test_double_quoted_tokens_never_corrected(retail_db):
     sql = 'SELECT "nmae" FROM customer'
     fixed, report = correct_identifiers(sql, retail_db)
     assert fixed == sql
-    assert not report.changed
+    assert not report.substitutions
 
 
 def test_backtick_quoting_preserved_on_rewrite(retail_db):
@@ -237,13 +236,6 @@ def test_select_alias_not_corrected(retail_db):
     sql = "SELECT count(*) AS totl FROM orders GROUP BY status ORDER BY totl"
     fixed, _ = correct_identifiers(sql, retail_db)
     assert fixed == sql
-
-
-def test_report_changed_flag():
-    report = CorrectionReport((), ())
-    assert not report.changed
-    report = CorrectionReport((Substitution("a", "b", 1, 0),), ())
-    assert report.changed
 
 
 # ----- simplified-side repair -----
@@ -280,7 +272,53 @@ def test_simplified_gold_queries_are_fixed_points():
         simp = simplify_schema(schemas[db_id])
         fixed, report = correct_identifiers_simplified(simplified, simp)
         assert fixed == simplified
-        assert not report.changed
+        assert not report.substitutions
+
+
+# ----- repair vocabulary held on the schema objects -----
+
+
+def test_repair_is_the_same_on_cold_and_warm_schemas():
+    rng = random.Random(SEED)
+    schemas = {"retail": retail_schema(), "academic": academic_schema()}
+    flat_cases = []
+    for db_id, _, _, simplified in SPIDER_CASES:
+        if simplified is not None:
+            db = schemas[db_id]
+            broken = perturb(simplified, rng, schema_idents(db) | {db_id})
+            flat_cases.append((db, broken))
+
+    def cold(db):
+        return DatabaseSchema(db.db_id, db.tables, db.foreign_keys)
+
+    for db, _, broken in SUITE:
+        warm = correct_identifiers(broken, db)
+        fresh = cold(db)
+        assert correct_identifiers(broken, fresh) == warm
+        assert correct_identifiers(broken, fresh) == warm
+    for db, broken in flat_cases:
+        warm = correct_identifiers_simplified(broken, simplify_schema(db))
+        fresh = cold(db)
+        assert correct_identifiers_simplified(broken, simplify_schema(fresh)) == warm
+        assert correct_identifiers_simplified(broken, simplify_schema(fresh)) == warm
+    assert sum(bool(correct_identifiers_simplified(b, simplify_schema(db))[1].substitutions)
+               for db, b in flat_cases) >= 20
+
+
+def test_open_book_pool_repairs_against_its_own_names():
+    retail = retail_schema()
+    branch = DatabaseSchema("branch", retail.tables, retail.foreign_keys)
+    catalogue = {"retail": retail, "branch": branch}
+    correct_identifiers("SELECT nmae FROM custmer", retail)  # warm the source schema
+    pool = assemble_pool([("retail", "customer", 0.9), ("branch", "customer", 0.8),
+                          ("retail", "orders", 0.7)], catalogue).schema
+    assert sorted(t.name for t in pool.tables) == ["customer", "customer__branch", "orders"]
+    fixed, report = correct_identifiers(
+        "SELECT customer__brnch.nmae FROM customer__brnch", pool)
+    assert fixed == "SELECT customer__branch.name FROM customer__branch"
+    assert report.unresolved == ()
+    _, report = correct_identifiers("SELECT name FROM customer__branch", retail)
+    assert report.unresolved == ("customer__branch",)
 
 
 # ----- edit distance against an independent implementation -----
@@ -292,17 +330,44 @@ def test_levenshtein_known_values():
     assert levenshtein("abc", "abc") == 0
 
 
-@given(
-    st.text(alphabet="abcde", max_size=8),
-    st.text(alphabet="abcde", max_size=8),
-    st.none() | st.integers(min_value=0, max_value=6),
+# A small alphabet repeats characters; two of them are not ASCII. Long
+# strings (past 64 characters) take the bit vectors past one machine word.
+_CHARS = "ab_zé日"
+_strings = st.text(alphabet=_CHARS, max_size=8) | st.text(
+    alphabet=_CHARS, min_size=60, max_size=100
 )
-def test_levenshtein_matches_recursive_oracle(a, b, bound):
-    exact = slow_levenshtein(a, b)
-    if bound is None or exact <= bound:
-        assert levenshtein(a, b, bound) == exact
+
+
+@st.composite
+def distance_cases(draw):
+    """(a, b, bound), with b either independent of a or a few edits away."""
+    a = draw(_strings)
+    if draw(st.booleans()):
+        b = draw(_strings)
     else:
-        assert levenshtein(a, b, bound) == bound + 1
+        chars = list(a)
+        for _ in range(draw(st.integers(0, 4))):
+            pos = draw(st.integers(0, len(chars)))
+            op = draw(st.sampled_from(("sub", "ins", "del")))
+            if op == "ins":
+                chars.insert(pos, draw(st.sampled_from(_CHARS)))
+            elif pos < len(chars):
+                if op == "sub":
+                    chars[pos] = draw(st.sampled_from(_CHARS))
+                else:
+                    del chars[pos]
+        b = "".join(chars)
+    bound = draw(st.none() | st.integers(0, max(len(a), len(b)) + 2))
+    return a, b, bound
+
+
+@given(distance_cases())
+def test_levenshtein_matches_recursive_oracle(case):
+    a, b, bound = case
+    exact = slow_levenshtein(a, b)
+    want = exact if bound is None or exact <= bound else bound + 1
+    assert levenshtein(a, b, bound) == want
+    assert banded_levenshtein(a, b, bound) == want
 
 
 # ----- bounded candidate search against an exhaustive one -----
@@ -398,7 +463,7 @@ def test_repair_rewrites_only_identifier_spans_and_is_idempotent(sql):
     assert sql[prev_b:] == fixed[prev_a:]
     again, report = correct_identifiers(fixed, RETAIL)
     assert again == fixed
-    assert not report.changed
+    assert not report.substitutions
 
 
 # ----- CAST types and arithmetic operands -----

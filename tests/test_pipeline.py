@@ -1,4 +1,5 @@
 import shutil
+import sys
 import threading
 import time
 
@@ -29,10 +30,13 @@ from unjoin.pipeline import (
     run_evaluation,
     run_method,
 )
-from unjoin.prompting import build_mp_step1_prompt
+from unjoin.evaluation import write_records
+from unjoin.prompting import build_mp_step1_prompt, build_mp_step2_prompt
 from unjoin.schema import ColumnDef, DatabaseSchema, TableDef, simplify_schema
 
-from conftest import ORACLE_MODEL, seed_oracle_cache, spider_oracle_plan
+from unjoin.tokens import IDENT, tokenize
+
+from conftest import BIRD_CASES, ORACLE_MODEL, seed_oracle_cache, spider_oracle_plan
 
 ITEM = EvalItem(
     "retail:7", "retail",
@@ -80,8 +84,8 @@ def test_mp_happy_path_corrects_both_stages(retail_db):
     assert not pred.failed
     assert pred.intermediate_sql == "SELECT count(*) FROM retail WHERE city.name = 'Springfield'"
     assert "JOIN customer" in pred.final_sql
-    assert pred.intermediate_report.changed
-    assert pred.final_report.changed
+    assert pred.intermediate_report.substitutions
+    assert pred.final_report.substitutions
     assert len(pred.completions) == 2
     assert pred.method == "unjoin-mp"
 
@@ -515,3 +519,66 @@ def test_run_evaluation_open_book_missing_list_fails_item(mini_spider_root, tmp_
     assert not records[0].qe
     assert records[0].prediction["failed"]
     assert records[0].prediction["failure_stage"] == "retrieval"
+
+
+# ----- per-schema caches filled concurrently -----
+
+
+def _misspell(sql: str, names: set[str]) -> str:
+    """Drop the next-to-last letter of the first schema name of 5+ letters."""
+    for tok in tokenize(sql):
+        if tok.kind == IDENT and tok.lower in names and len(tok.value) >= 5:
+            return sql[: tok.start] + tok.value[:-2] + tok.value[-1] + sql[tok.end:]
+    raise AssertionError(f"no schema name to misspell in {sql!r}")
+
+
+def test_cold_schema_caches_filled_by_eight_workers_match_one(mini_bird_root, tmp_path):
+    simplified_of = {gold: simp for _, _, _, gold, simp in BIRD_CASES}
+    cache_dir = tmp_path / "cache"
+    cache = ExchangeCache(cache_dir)
+    cfg = LlmConfig(model=ORACLE_MODEL, temperature=0.0)
+    seeded = load_dataset(mini_bird_root, "bird")
+    kept, _ = filter_items(seeded.items, seeded.catalogue)
+    for item in kept:
+        db = seeded.catalogue[item.db_id]
+        names = {item.db_id} | {t.name.lower() for t in db.tables} | {
+            c.name.lower() for t in db.tables for c in t.columns}
+        simp = simplify_schema(db, seeded.descriptions.get(item.db_id))
+        flat = simplified_of[item.gold_sql]
+        # Both completions carry a near-miss name; the step-2 prompt holds
+        # the repaired step-1 query, so only a correct repair replays.
+        for prompt, sql in (
+            (build_mp_step1_prompt(simp, item.prompt_question), flat),
+            (build_mp_step2_prompt(simp, flat, item.prompt_question, db), item.gold_sql),
+        ):
+            completion = f"```sql\n{_misspell(sql, names)}\n```"
+            cache.put(LlmExchange(key=exchange_key(prompt, cfg), prompt=prompt,
+                                  completion=completion))
+    items = kept * 8  # several threads reach each cold schema at once
+
+    def records_body(workers: int) -> bytes:
+        bundle = load_dataset(mini_bird_root, "bird")  # new schema objects, caches cold
+        config = RunConfig(dataset="bird", root=str(mini_bird_root), method="unjoin-mp",
+                           model=ORACLE_MODEL, cache_mode="replay",
+                           cache_dir=str(cache_dir), workers=workers)
+        client = LlmClient(config.llm_config(), ExchangeCache(cache_dir))
+        records, meta = run_evaluation(bundle, items, config, client)
+        for rec in records:
+            assert rec.em, rec.item_id
+            assert rec.prediction["intermediate_report"]["substitutions"], rec.item_id
+            assert rec.prediction["final_report"]["substitutions"], rec.item_id
+        path = tmp_path / f"records-{workers}.jsonl"
+        write_records(records, path, meta)
+        return path.read_bytes().split(b"\n", 1)[1]  # the _meta line names the workers
+
+    expected = records_body(1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        deadline = time.monotonic() + 5.0
+        for _ in range(20):
+            assert records_body(8) == expected
+            if time.monotonic() > deadline:
+                break
+    finally:
+        sys.setswitchinterval(interval)

@@ -87,6 +87,51 @@ def test_render_original_schema_lists_tables_and_fks(retail_db):
     assert "customer.city_id = city.city_id" in text
 
 
+# ----- derived data held on the schema objects -----
+
+
+def test_simplify_returns_the_held_view_for_equal_descriptions(retail_db):
+    first = simplify_schema(retail_db, {"customer.name": "full name"})
+    assert simplify_schema(retail_db, {"customer.name": "full name"}) is first
+    empty = simplify_schema(retail_db)
+    assert simplify_schema(retail_db, {}) is empty
+
+
+def test_simplify_rebuilds_for_different_or_mutated_descriptions(retail_db):
+    desc = {"customer.name": "full name"}
+    first = simplify_schema(retail_db, desc)
+    desc["customer.name"] = "legal name"
+    mutated = simplify_schema(retail_db, desc)
+    assert mutated is not first
+    assert mutated.lookup("customer.name").description == "legal name"
+    assert "legal name" in render_simplified(mutated)
+    other = simplify_schema(retail_db, {"customer.name": "given name"})
+    assert other.lookup("customer.name").description == "given name"
+    assert "given name" in render_simplified(other)
+    assert "full name" not in render_simplified(other)
+
+
+def test_rendered_blocks_match_a_freshly_built_schema():
+    desc = {"account.date": "creation date", "district.a2": "district name"}
+
+    def blocks(db):
+        with_desc = simplify_schema(db, desc)
+        return (
+            render_original_schema(db),
+            render_simplified(with_desc),
+            render_simplified(with_desc, with_header=False),
+            render_simplified(simplify_schema(db)),
+            render_simplified(simplify_schema(db), with_header=False),
+        )
+
+    warm = financial_schema()
+    for _ in range(3):  # the descriptions alternate, so the held view is replaced
+        assert blocks(warm) == blocks(financial_schema())
+    headed, bare = blocks(warm)[1:3]
+    assert headed == "Table: financial\n" + bare
+    assert not bare.startswith("Table:")
+
+
 def test_find_table_is_case_insensitive(retail_db):
     assert retail_db.find_table("CUSTOMER").name == "customer"
     assert retail_db.find_table("nope") is None
