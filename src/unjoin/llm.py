@@ -95,9 +95,13 @@ class ExchangeCache:
         return self.root / key[:2] / f"{key}.json"
 
     def get(self, key: str) -> LlmExchange | None:
+        """The stored exchange, or None when no file exists at the key's path.
+
+        A file that cannot be opened or read as an exchange (a directory,
+        unreadable bytes, bad JSON, missing fields) raises
+        ``CorruptCacheError``, which fails one item.
+        """
         path = self.path_for(key)
-        if not path.exists():
-            return None
         try:
             with open(path, encoding="utf-8") as fh:
                 raw = json.load(fh)
@@ -109,7 +113,9 @@ class ExchangeCache:
                 prompt_tokens=raw.get("prompt_tokens"),
                 completion_tokens=raw.get("completion_tokens"),
             )
-        except (ValueError, KeyError, TypeError) as exc:
+        except FileNotFoundError:
+            return None
+        except (OSError, ValueError, KeyError, TypeError) as exc:
             raise CorruptCacheError(path, f"{type(exc).__name__}: {exc}") from exc
 
     def put(self, exchange: LlmExchange) -> None:

@@ -56,12 +56,13 @@ from .llm import (
     trim_sql,
 )
 from .prompting import (
+    METHOD_TEMPLATES,
+    TemplateSet,
     baseline_schema_block,
     build_baseline_prompt,
     build_mp_step1_prompt,
     build_mp_step2_prompt,
     build_sp_prompt,
-    template_hashes,
 )
 from .schema import DatabaseSchema, SchemaError, TableDef, simplify_schema
 from .sqlref import RefSet, extract_refs
@@ -219,10 +220,14 @@ def run_method(
     db: DatabaseSchema,
     client: LlmClient,
     cache_mode: str,
-    template_dir: str | Path | None = None,
+    template_dir: TemplateSet | str | Path | None = None,
     descriptions: dict[str, str] | None = None,
 ) -> PredictedQuery:
-    """Run one method on one item; a failed stage fails the item, not the run."""
+    """Run one method on one item; a failed stage fails the item, not the run.
+
+    ``template_dir`` is a loaded ``TemplateSet``, or a directory each
+    prompt's templates are read from (the shipped ones when None).
+    """
     runner = _RUNNERS.get(method)
     if runner is None:
         raise DatasetError(f"unknown method {method!r}")
@@ -378,8 +383,13 @@ def run_evaluation(
     client: LlmClient,
     retrieval: dict[str, list[tuple[str, str, float]]] | None = None,
 ) -> tuple[list[EvalRecord], dict]:
-    """Run one method over items; returns records in item order plus meta."""
-    template_dir = config.template_dir or None
+    """Run one method over items; returns records in item order plus meta.
+
+    The method's templates are read once, before the first item, and
+    the recorded hashes come from the same bytes; a missing one raises
+    ``TemplateError`` before any endpoint call.
+    """
+    templates = TemplateSet(METHOD_TEMPLATES.get(config.method, ()), config.template_dir or None)
 
     def one(item: EvalItem) -> EvalRecord:
         home_db = pred_db = bundle.catalogue[item.db_id]
@@ -401,7 +411,7 @@ def run_evaluation(
         else:
             prediction = run_method(
                 config.method, item, pred_db, client, config.cache_mode,
-                template_dir, descriptions,
+                templates, descriptions,
             )
         return evaluate_item(
             item, prediction, home_db, pred_db,
@@ -416,7 +426,7 @@ def run_evaluation(
             records = list(pool.map(one, items))
     meta = {
         "config": config.to_dict(),
-        "template_hashes": template_hashes(template_dir),
+        "template_hashes": templates.hashes,
         "comparison": COMPARISON_SEMANTICS,
         "n_items": len(records),
     }

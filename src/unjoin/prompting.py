@@ -6,12 +6,18 @@ slot values passes through untouched, so SQL and prose containing
 braces cannot corrupt a render. Few-shot example blocks are fixed,
 schema-agnostic constants shipped alongside the templates; they talk
 about a fictional bank_data schema and never about evaluation data.
+
+A run reads its templates once, as a ``TemplateSet``: the texts of the
+templates its method uses, and the sha256 of every shipped template
+file, both taken from the same bytes. The ``build_*_prompt`` functions
+accept such a set, or a directory to load each template from per call.
 """
 
 from __future__ import annotations
 
 import hashlib
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -45,6 +51,15 @@ TEMPLATE_FILES = (
     "examples_translation.txt",
     "examples_baseline.txt",
 )
+
+
+# The templates each method's prompts are built from.
+METHOD_TEMPLATES = {
+    "unjoin-sp": ("sp", "examples_translation"),
+    "unjoin-mp": ("mp_step1", "examples_generation", "mp_step2", "examples_translation"),
+    "cot": ("cot", "examples_baseline"),
+    "cot-ss": ("cot_ss", "examples_baseline"),
+}
 
 
 class TemplateError(ValueError):
@@ -87,20 +102,66 @@ class PromptTemplate:
         return _SLOT_RE.sub(repl, self.text)
 
 
-def _examples(name: str, template_dir: str | Path | None) -> str:
-    return PromptTemplate.load(name, template_dir).text.rstrip("\n")
+class TemplateSet:
+    """The templates of one run, each file read once.
+
+    ``hashes`` maps every shipped template file present in the directory
+    to the sha256 of its bytes. The templates named in ``template_ids``
+    are decoded from those same bytes, as ``PromptTemplate.load`` would
+    decode them; a missing one raises ``TemplateError``. Files the run
+    does not use may be absent.
+    """
+
+    def __init__(self, template_ids: Iterable[str], template_dir: str | Path | None = None):
+        directory = Path(template_dir) if template_dir else DEFAULT_TEMPLATE_DIR
+        self.hashes: dict[str, str] = {}
+        self._templates: dict[str, PromptTemplate] = {}
+        wanted = set(template_ids)
+        for name in TEMPLATE_FILES:
+            try:
+                data = (directory / name).read_bytes()
+            except FileNotFoundError:
+                continue
+            except OSError as exc:
+                raise TemplateError(f"cannot read template {name!r}: {exc}") from exc
+            self.hashes[name] = hashlib.sha256(data).hexdigest()
+            template_id = name.removesuffix(".txt")
+            if template_id in wanted:
+                # Universal newlines, as text-mode reading gives.
+                text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+                self._templates[template_id] = PromptTemplate(template_id, text)
+        missing = sorted(wanted - self._templates.keys())
+        if missing:
+            names = ", ".join(repr(m) for m in missing)
+            raise TemplateError(f"cannot load template {names}: not found in {directory}")
+
+    def __getitem__(self, template_id: str) -> PromptTemplate:
+        try:
+            return self._templates[template_id]
+        except KeyError:
+            raise TemplateError(f"template {template_id!r} was not loaded") from None
+
+
+def _template(template_id: str, templates: TemplateSet | str | Path | None) -> PromptTemplate:
+    if isinstance(templates, TemplateSet):
+        return templates[template_id]
+    return PromptTemplate.load(template_id, templates)
+
+
+def _examples(name: str, templates: TemplateSet | str | Path | None) -> str:
+    return _template(name, templates).text.rstrip("\n")
 
 
 def build_sp_prompt(
     simplified: SimplifiedSchema,
     question: str,
     db: DatabaseSchema,
-    template_dir: str | Path | None = None,
+    template_dir: TemplateSet | str | Path | None = None,
 ) -> str:
     """Joint two-step prompt: simplify-time generation plus translation."""
     if not simplified.entries or not question.strip():
         raise ValueError("simplified schema and question must be non-empty")
-    template = PromptTemplate.load("sp", template_dir)
+    template = _template("sp", template_dir)
     return template.render(
         schema_block=render_simplified(simplified),
         examples_block=_examples("examples_translation", template_dir),
@@ -112,12 +173,12 @@ def build_sp_prompt(
 def build_mp_step1_prompt(
     simplified: SimplifiedSchema,
     question: str,
-    template_dir: str | Path | None = None,
+    template_dir: TemplateSet | str | Path | None = None,
 ) -> str:
     """Step 1 of the multi-prompt variant: single-table query generation."""
     if not simplified.entries or not question.strip():
         raise ValueError("simplified schema and question must be non-empty")
-    template = PromptTemplate.load("mp_step1", template_dir)
+    template = _template("mp_step1", template_dir)
     return template.render(
         schema_block=render_simplified(simplified),
         examples_block=_examples("examples_generation", template_dir),
@@ -130,12 +191,12 @@ def build_mp_step2_prompt(
     simplified_sql: str,
     question: str,
     db: DatabaseSchema,
-    template_dir: str | Path | None = None,
+    template_dir: TemplateSet | str | Path | None = None,
 ) -> str:
     """Step 2 of the multi-prompt variant: translation to the original schema."""
     if not simplified_sql.strip():
         raise ValueError("simplified_sql must be non-empty")
-    template = PromptTemplate.load("mp_step2", template_dir)
+    template = _template("mp_step2", template_dir)
     return template.render(
         schema_block=render_simplified(simplified),
         examples_block=_examples("examples_translation", template_dir),
@@ -149,7 +210,7 @@ def build_baseline_prompt(
     kind: str,
     schema_block: str,
     question: str,
-    template_dir: str | Path | None = None,
+    template_dir: TemplateSet | str | Path | None = None,
 ) -> str:
     """Chain-of-thought baselines.
 
@@ -160,7 +221,7 @@ def build_baseline_prompt(
     ids = {"cot": "cot", "cot-ss": "cot_ss"}
     if kind not in ids:
         raise TemplateError(f"unknown baseline kind {kind!r}; expected one of {sorted(ids)}")
-    template = PromptTemplate.load(ids[kind], template_dir)
+    template = _template(ids[kind], template_dir)
     return template.render(
         schema_block=schema_block,
         examples_block=_examples("examples_baseline", template_dir),
@@ -179,10 +240,4 @@ def baseline_schema_block(kind: str, db: DatabaseSchema) -> str:
 
 def template_hashes(template_dir: str | Path | None = None) -> dict[str, str]:
     """sha256 of every shipped template, for run provenance."""
-    directory = Path(template_dir) if template_dir else DEFAULT_TEMPLATE_DIR
-    out = {}
-    for name in TEMPLATE_FILES:
-        path = directory / name
-        if path.exists():
-            out[name] = hashlib.sha256(path.read_bytes()).hexdigest()
-    return out
+    return TemplateSet((), template_dir).hashes

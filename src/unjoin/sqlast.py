@@ -96,24 +96,32 @@ def parse(sql: str) -> SelectStatement:
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
+        self.n = len(tokens)
         self.i = 0
 
     def peek(self, k: int = 0) -> Token | None:
         j = self.i + k
-        return self.tokens[j] if j < len(self.tokens) else None
+        return self.tokens[j] if j < self.n else None
 
     def advance(self) -> Token:
         tok = self.tokens[self.i]
         self.i += 1
         return tok
 
+    # at_op and at_keyword run once or more per token: they index the
+    # list themselves rather than go through peek.
+
     def at_op(self, ch: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.kind == OP and tok.value == ch
+        if self.i >= self.n:
+            return False
+        tok = self.tokens[self.i]
+        return tok.kind == OP and tok.value == ch
 
     def at_keyword(self, *names: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.is_keyword(*names)
+        if self.i >= self.n:
+            return False
+        tok = self.tokens[self.i]
+        return tok.kind == IDENT and tok.lower in names
 
     def expect_op(self, ch: str) -> Token:
         tok = self.peek()
@@ -358,41 +366,35 @@ class _Parser:
         """
         out = []
         depth = 0
-        while True:
-            tok = self.peek()
-            if tok is None:
-                break
+        toks = self.tokens
+        while self.i < self.n:
+            tok = toks[self.i]
             if tok.kind == OP:
-                if tok.value == "(":
+                value = tok.value
+                if value == "(":
                     if self._starts_statement(1):
                         self.advance()
                         out.append(self.parse_statement())
                         self.expect_op(")")
                         continue
                     depth += 1
-                    out.append(self.advance())
-                    continue
-                if tok.value == ")":
+                elif value == ")":
                     if depth == 0:
                         break
                     depth -= 1
-                    out.append(self.advance())
-                    continue
-                if tok.value == ",":
+                elif value == ",":
                     if depth == 0 and not commas:
                         break
-                    out.append(self.advance())
-                    continue
-                if tok.value == ";" and depth == 0:
+                elif value == ";" and depth == 0:
                     break
-                out.append(self.advance())
-                continue
-            if depth == 0 and tok.kind == IDENT and tok.lower in _CLAUSE_STOPS:
-                break
-            if tok.is_keyword("cast"):
-                out.extend(self._consume_cast())
-                continue
-            out.append(self.advance())
+            elif tok.kind == IDENT:
+                if depth == 0 and tok.lower in _CLAUSE_STOPS:
+                    break
+                if tok.lower == "cast":
+                    out.extend(self._consume_cast())
+                    continue
+            out.append(tok)
+            self.i += 1
         return out
 
     def _consume_cast(self) -> list:
@@ -420,6 +422,8 @@ _ALIAS_STOPS = frozenset(
     """.split()
 )
 
+_ITEM_ALIAS_STOPS = _ALIAS_STOPS | {"asc", "desc", "null"}
+
 
 def _implicit_alias_ok(expr: list) -> bool:
     """Heuristic for ``SELECT expr name`` aliases without AS."""
@@ -428,7 +432,7 @@ def _implicit_alias_ok(expr: list) -> bool:
     last = expr[-1]
     if not isinstance(last, Token) or last.kind not in (IDENT, QIDENT):
         return False
-    if last.kind == IDENT and last.lower in _ALIAS_STOPS | {"asc", "desc", "null"}:
+    if last.kind == IDENT and last.lower in _ITEM_ALIAS_STOPS:
         return False
     return implicit_alias_after(expr[-2])
 

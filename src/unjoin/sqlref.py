@@ -144,7 +144,7 @@ class _Analyzer:
         for item in block.items:
             if item.is_star:
                 if item.star_qualifier:
-                    self.qualified_star(item.star_qualifier, scope)
+                    self.qualified_star(item.star_qualifier.lower(), scope)
                 else:
                     self.star_outputs(scope)
             else:
@@ -161,7 +161,7 @@ class _Analyzer:
         for item in block.items:
             if item.is_star:
                 if item.star_qualifier:
-                    outputs.extend(self.qualified_star(item.star_qualifier, scope))
+                    outputs.extend(self.qualified_star(item.star_qualifier.lower(), scope))
                 else:
                     outputs.extend(self.star_outputs(scope))
                 continue
@@ -172,7 +172,7 @@ class _Analyzer:
                     pairs = self.resolve_qualified(qual, name, scope)
                 else:
                     pairs = self.resolve_bare(name, scope)
-                outputs.append(((item.alias or name).lower(), pairs))
+                outputs.append((item.alias.lower() if item.alias else name, pairs))
             else:
                 outputs.append(((item.alias or "").lower(), frozenset()))
         return outputs
@@ -188,10 +188,13 @@ class _Analyzer:
                 self.add_pair(t, c)
         return out
 
-    def qualified_star(self, qualifier: str, scope: _Scope) -> list:
-        res = scope.lookup(qualifier.lower())
+    # Names reach resolution in lower case: from the tokens' stored
+    # ``lower`` field, or lowered once where the parser kept the text.
+
+    def qualified_star(self, ql: str, scope: _Scope) -> list:
+        res = scope.lookup(ql)
         if res is None:
-            self.tables.add(qualifier.lower())
+            self.tables.add(ql)
             return []
         out = self._source_outputs(res)
         for _, pairs in out:
@@ -210,8 +213,7 @@ class _Analyzer:
 
     # ----- reference resolution -----
 
-    def resolve_qualified(self, qualifier: str, column: str, scope: _Scope) -> frozenset:
-        ql, cl = qualifier.lower(), column.lower()
+    def resolve_qualified(self, ql: str, cl: str, scope: _Scope) -> frozenset:
         res = scope.lookup(ql)
         if res is None:
             # Qualifier names something outside every scope. Keep it so
@@ -229,8 +231,7 @@ class _Analyzer:
             self.add_pair(t, c)
         return frozenset(pairs)
 
-    def resolve_bare(self, column: str, scope: _Scope) -> frozenset:
-        cl = column.lower()
+    def resolve_bare(self, cl: str, scope: _Scope) -> frozenset:
         s = scope
         while s is not None:
             owner_sets = set()
@@ -278,7 +279,7 @@ class _Analyzer:
                 continue
             j = chain_end(items, i)
             if j > i:
-                self.resolve_qualified(items[j - 2].value, items[j].value, scope)
+                self.resolve_qualified(items[j - 2].lower, items[j].lower, scope)
                 i = j + 1
                 continue
             nxt = items[i + 1] if i + 1 < n else None
@@ -288,22 +289,25 @@ class _Analyzer:
                 continue
             star = items[i + 2] if i + 2 < n else None
             if op == "." and isinstance(star, Token) and star.kind == OP and star.value == "*":
-                self.qualified_star(tok.value, scope)
+                self.qualified_star(tok.lower, scope)
                 i += 3
                 continue
-            self.resolve_bare(tok.value, scope)
+            self.resolve_bare(tok.lower, scope)
             i += 1
 
 
 def _plain_ref(expr: list) -> tuple[str | None, str] | None:
-    """Recognize a select item that is exactly one column reference."""
+    """Recognize a select item that is exactly one column reference.
+
+    Returns the (qualifier, column) names in lower case.
+    """
     toks = [x for x in expr if isinstance(x, Token)]
     if len(toks) != len(expr):
         return None
     if len(toks) == 1 and toks[0].kind in (IDENT, QIDENT):
         if toks[0].kind == IDENT and toks[0].lower in KEYWORDS:
             return None
-        return (None, toks[0].value)
+        return (None, toks[0].lower)
     if (
         len(toks) == 3
         and toks[0].kind in (IDENT, QIDENT)
@@ -311,7 +315,7 @@ def _plain_ref(expr: list) -> tuple[str | None, str] | None:
         and toks[1].value == "."
         and toks[2].kind in (IDENT, QIDENT)
     ):
-        return (toks[0].value, toks[2].value)
+        return (toks[0].lower, toks[2].lower)
     return None
 
 

@@ -7,7 +7,7 @@ the query text (whitespace, comments, literals, casing of keywords).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 IDENT = "ident"
 QIDENT = "qident"
@@ -40,20 +40,45 @@ class TokenizeError(ValueError):
         self.offset = offset
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    value: str  # unquoted text for QIDENT, raw text otherwise
-    start: int
-    end: int
-    quote: str = ""  # opening quote character for QIDENT tokens
+_new = tuple.__new__
 
-    @property
-    def lower(self) -> str:
-        return self.value.lower()
+
+class Token(namedtuple("_TokenTuple", "kind value start end quote lower")):
+    """One token: kind, text, source span, and the text in lower case.
+
+    ``value`` is the unquoted text for QIDENT and STRING tokens and the
+    raw text otherwise; ``quote`` is the opening quote character of a
+    QIDENT. ``lower`` is ``value.lower()``, computed once when the token
+    is built, so readers compare case-insensitively without lowering
+    again. A token is an immutable tuple: assigning an attribute raises,
+    and equality and hashing are by value. ``lower`` is never passed in:
+    the constructor, ``_make``, ``_replace`` and copying derive it.
+    ``tokenize`` skips the Python-level constructor and builds each tuple
+    with ``tuple.__new__``, lowering the text itself.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, value: str, start: int, end: int, quote: str = ""):
+        return _new(cls, (kind, value, start, end, quote, value.lower()))
+
+    @classmethod
+    def _make(cls, iterable) -> "Token":
+        return cls(*iterable)
+
+    def _replace(self, **changes) -> "Token":
+        fields = dict(zip(self._fields[:5], self))
+        fields.update(changes)
+        return type(self)(**fields)
+
+    def __getnewargs__(self):
+        return tuple(self[:5])
+
+    def __repr__(self) -> str:
+        return f"Token{tuple(self[:5])!r}"
 
     def is_keyword(self, *names: str) -> bool:
-        return self.kind == IDENT and self.value.lower() in names
+        return self.kind == IDENT and self.lower in names
 
 
 _CLOSERS = {'"': '"', "`": "`", "[": "]", "'": "'"}
@@ -84,6 +109,7 @@ def _scan_quoted(text: str, i: int) -> tuple[str, int]:
 
 def tokenize(sql: str) -> list[Token]:
     tokens: list[Token] = []
+    append = tokens.append
     i = 0
     n = len(sql)
     while i < n:
@@ -103,19 +129,20 @@ def tokenize(sql: str) -> list[Token]:
             continue
         if ch == "'":
             value, end = _scan_quoted(sql, i)
-            tokens.append(Token(STRING, value, i, end))
+            append(_new(Token, (STRING, value, i, end, "", value.lower())))
             i = end
             continue
         if ch in ('"', "`", "["):
             value, end = _scan_quoted(sql, i)
-            tokens.append(Token(QIDENT, value, i, end, quote=ch))
+            append(_new(Token, (QIDENT, value, i, end, ch, value.lower())))
             i = end
             continue
         if ch in _WORD_START:
             j = i + 1
             while j < n and sql[j] in _WORD_CHARS:
                 j += 1
-            tokens.append(Token(IDENT, sql[i:j], i, j))
+            value = sql[i:j]
+            append(_new(Token, (IDENT, value, i, j, "", value.lower())))
             i = j
             continue
         if ch in _DIGITS or (ch == "." and i + 1 < n and sql[i + 1] in _DIGITS):
@@ -133,14 +160,17 @@ def tokenize(sql: str) -> list[Token]:
                     while k < n and sql[k] in _DIGITS:
                         k += 1
                     j = k
-            tokens.append(Token(NUMBER, sql[i:j], i, j))
+            value = sql[i:j]
+            append(_new(Token, (NUMBER, value, i, j, "", value.lower())))
             i = j
             continue
         two = sql[i : i + 2]
         if two in _TWO_CHAR_OPS:
-            tokens.append(Token(OP, two, i, i + 2))
+            # No letters in these, so the text is its own lower case.
+            append(_new(Token, (OP, two, i, i + 2, "", two)))
             i += 2
             continue
-        tokens.append(Token(OP, ch, i, i + 1))
+        # Any other character, letters outside ASCII included.
+        append(_new(Token, (OP, ch, i, i + 1, "", ch.lower())))
         i += 1
     return tokens

@@ -4,8 +4,11 @@ Everything here is written the slow, obvious way on purpose: plain loops
 and a recursive edit distance, sharing no code with the package. The
 banded edit distance is the package's former row-by-row implementation,
 kept as a second, differently built oracle for the bit-vector one.
+``slow_tokenize`` is the package's former tokenizer, which built each
+token as a frozen dataclass and lowered its text on every read.
 """
 
+from dataclasses import dataclass
 from functools import lru_cache
 
 
@@ -150,3 +153,129 @@ def slow_best(token: str, candidates) -> tuple[str, int] | None:
         if entry[0] < winner[0]:
             winner = entry
     return winner[1], winner[0][0]
+
+
+# ----- the former tokenizer, kept verbatim as a reference -----
+
+IDENT = "ident"
+QIDENT = "qident"
+STRING = "string"
+NUMBER = "number"
+OP = "op"
+
+_WORD_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
+_WORD_CHARS = _WORD_START | frozenset("0123456789$")
+_DIGITS = frozenset("0123456789")
+_TWO_CHAR_OPS = ("<>", "!=", ">=", "<=", "||", "==")
+
+
+class SlowTokenizeError(ValueError):
+    def __init__(self, message: str, offset: int):
+        super().__init__(f"{message} at offset {offset}")
+        self.offset = offset
+
+
+@dataclass(frozen=True)
+class SlowToken:
+    kind: str
+    value: str  # unquoted text for QIDENT, raw text otherwise
+    start: int
+    end: int
+    quote: str = ""  # opening quote character for QIDENT tokens
+
+    @property
+    def lower(self) -> str:
+        return self.value.lower()
+
+    def is_keyword(self, *names: str) -> bool:
+        return self.kind == IDENT and self.value.lower() in names
+
+
+_CLOSERS = {'"': '"', "`": "`", "[": "]", "'": "'"}
+
+
+def _scan_quoted(text: str, i: int) -> tuple[str, int]:
+    """Scan a quoted region starting at ``i``; return (inner text, end index).
+
+    Doubled closing quotes escape themselves, per SQL convention.
+    """
+    opener = text[i]
+    closer = _CLOSERS[opener]
+    j = i + 1
+    parts = []
+    n = len(text)
+    while j < n:
+        ch = text[j]
+        if ch == closer:
+            if opener != "[" and j + 1 < n and text[j + 1] == closer:
+                parts.append(closer)
+                j += 2
+                continue
+            return "".join(parts), j + 1
+        parts.append(ch)
+        j += 1
+    raise SlowTokenizeError(f"unterminated {opener!r} quote", i)
+
+
+def slow_tokenize(sql: str) -> list[SlowToken]:
+    tokens: list[SlowToken] = []
+    i = 0
+    n = len(sql)
+    while i < n:
+        ch = sql[i]
+        if ch in " \t\r\n\f":
+            i += 1
+            continue
+        if ch == "-" and sql.startswith("--", i):
+            nl = sql.find("\n", i)
+            i = n if nl < 0 else nl + 1
+            continue
+        if ch == "/" and sql.startswith("/*", i):
+            close = sql.find("*/", i + 2)
+            if close < 0:
+                raise SlowTokenizeError("unterminated block comment", i)
+            i = close + 2
+            continue
+        if ch == "'":
+            value, end = _scan_quoted(sql, i)
+            tokens.append(SlowToken(STRING, value, i, end))
+            i = end
+            continue
+        if ch in ('"', "`", "["):
+            value, end = _scan_quoted(sql, i)
+            tokens.append(SlowToken(QIDENT, value, i, end, quote=ch))
+            i = end
+            continue
+        if ch in _WORD_START:
+            j = i + 1
+            while j < n and sql[j] in _WORD_CHARS:
+                j += 1
+            tokens.append(SlowToken(IDENT, sql[i:j], i, j))
+            i = j
+            continue
+        if ch in _DIGITS or (ch == "." and i + 1 < n and sql[i + 1] in _DIGITS):
+            j = i
+            seen_dot = False
+            while j < n and (sql[j] in _DIGITS or (sql[j] == "." and not seen_dot)):
+                if sql[j] == ".":
+                    seen_dot = True
+                j += 1
+            if j < n and sql[j] in ("e", "E"):
+                k = j + 1
+                if k < n and sql[k] in "+-":
+                    k += 1
+                if k < n and sql[k] in _DIGITS:
+                    while k < n and sql[k] in _DIGITS:
+                        k += 1
+                    j = k
+            tokens.append(SlowToken(NUMBER, sql[i:j], i, j))
+            i = j
+            continue
+        two = sql[i : i + 2]
+        if two in _TWO_CHAR_OPS:
+            tokens.append(SlowToken(OP, two, i, i + 2))
+            i += 2
+            continue
+        tokens.append(SlowToken(OP, ch, i, i + 1))
+        i += 1
+    return tokens

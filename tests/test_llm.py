@@ -82,6 +82,18 @@ def test_corrupt_cache_file_is_an_llm_error_naming_the_file(tmp_path, body):
     assert str(path) in str(info.value)
 
 
+def test_cache_entry_that_cannot_be_opened_is_corrupt(tmp_path):
+    cache = ExchangeCache(tmp_path)
+    key = exchange_key("a", CFG)
+    assert cache.get(key) is None  # no shard directory yet: a miss
+    path = cache.path_for(key)
+    path.mkdir(parents=True)  # a directory where the file belongs
+    with pytest.raises(CorruptCacheError) as info:
+        LlmClient(CFG, cache).complete("a", "replay")
+    assert str(path) in str(info.value)
+    assert "IsADirectoryError" in str(info.value)
+
+
 # ----- cache modes -----
 
 

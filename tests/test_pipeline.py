@@ -1,3 +1,4 @@
+import hashlib
 import shutil
 import sys
 import threading
@@ -31,7 +32,15 @@ from unjoin.pipeline import (
     run_method,
 )
 from unjoin.evaluation import write_records
-from unjoin.prompting import build_mp_step1_prompt, build_mp_step2_prompt
+from unjoin.prompting import (
+    DEFAULT_TEMPLATE_DIR,
+    TEMPLATE_FILES,
+    PromptTemplate,
+    TemplateError,
+    build_mp_step1_prompt,
+    build_mp_step2_prompt,
+    template_hashes,
+)
 from unjoin.schema import ColumnDef, DatabaseSchema, TableDef, simplify_schema
 
 from unjoin.tokens import IDENT, tokenize
@@ -484,6 +493,145 @@ def test_corrupt_cache_file_fails_only_its_item(mini_spider_root, oracle_cache_d
             assert str(path) in after.prediction["failure_reason"]
         else:
             assert after.to_dict() == before.to_dict()
+
+
+def test_cache_directory_at_key_path_fails_only_its_item(
+        mini_spider_root, oracle_cache_dir, tmp_path):
+    bundle = load_dataset(mini_spider_root, "spider")
+    kept, _ = filter_items(bundle.items, bundle.catalogue)
+    items = kept[:6]
+    config = RunConfig(dataset="spider", root=str(mini_spider_root), method="unjoin-mp",
+                       model=ORACLE_MODEL, cache_mode="replay",
+                       cache_dir=str(tmp_path / "cache"), workers=2)
+    shutil.copytree(oracle_cache_dir, config.cache_dir)
+    cache = ExchangeCache(config.cache_dir)
+    client = LlmClient(config.llm_config(), cache)
+    clean, _ = run_evaluation(bundle, items, config, client)
+
+    victim = items[2]
+    db = bundle.catalogue[victim.db_id]
+    simp = simplify_schema(db)
+    plan = spider_oracle_plan()[victim.item_id]
+    prompt = build_mp_step2_prompt(simp, plan[2], victim.prompt_question, db)
+    path = cache.path_for(exchange_key(prompt, config.llm_config()))
+    path.unlink()
+    path.mkdir()
+    records, _ = run_evaluation(bundle, items, config, client)
+
+    assert [r.item_id for r in records] == [i.item_id for i in items]
+    for before, after in zip(clean, records):
+        if after.item_id == victim.item_id:
+            assert after.prediction["failed"]
+            assert after.prediction["failure_stage"] == "step2-complete"
+            assert after.prediction["intermediate_sql"] == plan[2]
+            assert str(path) in after.prediction["failure_reason"]
+        else:
+            assert after.to_dict() == before.to_dict()
+
+
+# ----- templates read once per run -----
+
+
+def _copy_templates(dest, names=TEMPLATE_FILES):
+    dest.mkdir(exist_ok=True)
+    for name in names:
+        shutil.copy(DEFAULT_TEMPLATE_DIR / name, dest / name)
+    return dest
+
+
+def _recording_client(config, on_call=None):
+    prompts = []
+
+    def transport(prompt, cfg):
+        prompts.append(prompt)
+        if on_call is not None:
+            on_call(len(prompts))
+        return "```sql\nSELECT 1\n```", 1, 1
+
+    return LlmClient(config.llm_config(), cache=None, transport=transport), prompts
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_run_reads_templates_once(mini_spider_root, tmp_path, monkeypatch, method):
+    bundle = load_dataset(mini_spider_root, "spider")
+    kept, _ = filter_items(bundle.items, bundle.catalogue)
+    sets = []
+
+    class CountingSet(pipeline.TemplateSet):
+        def __init__(self, *args, **kwargs):
+            sets.append(args)
+            super().__init__(*args, **kwargs)
+
+    def per_call_load(*args, **kwargs):
+        raise AssertionError("a template was read during the run")
+
+    monkeypatch.setattr(pipeline, "TemplateSet", CountingSet)
+    monkeypatch.setattr(PromptTemplate, "load", per_call_load)
+    config = RunConfig(dataset="spider", root=str(mini_spider_root), method=method,
+                       model="m", cache_mode="live", workers=2, out_dir=str(tmp_path))
+    client, prompts = _recording_client(config)
+    records, _ = run_evaluation(bundle, kept[:6], config, client)
+    assert len(sets) == 1
+    assert not any(r.prediction["failed"] for r in records)
+    assert len(prompts) == (12 if method == "unjoin-mp" else 6)
+
+
+def test_template_rewritten_mid_run_changes_neither_prompts_nor_hash(
+        mini_spider_root, tmp_path):
+    bundle = load_dataset(mini_spider_root, "spider")
+    kept, _ = filter_items(bundle.items, bundle.catalogue)
+    items = kept[:4]
+    template_dir = _copy_templates(tmp_path / "templates")
+    original = (template_dir / "mp_step2.txt").read_bytes()
+    config = RunConfig(dataset="spider", root=str(mini_spider_root), method="unjoin-mp",
+                       model="m", cache_mode="live", workers=1,
+                       template_dir=str(template_dir), out_dir=str(tmp_path))
+
+    def rewrite(calls):
+        if calls == 1:
+            (template_dir / "mp_step2.txt").write_text("REWRITTEN {question}", encoding="utf-8")
+
+    client, prompts = _recording_client(config, rewrite)
+    _, meta = run_evaluation(bundle, items, config, client)
+
+    assert len(prompts) == 8
+    assert not any("REWRITTEN" in p for p in prompts)
+    for item, prompt in zip(items, prompts[1::2]):
+        db = bundle.catalogue[item.db_id]
+        (template_dir / "mp_step2.txt").write_bytes(original)
+        assert prompt == build_mp_step2_prompt(
+            simplify_schema(db), "SELECT 1", item.prompt_question, db, template_dir)
+    assert meta["template_hashes"]["mp_step2.txt"] == hashlib.sha256(original).hexdigest()
+    assert meta["template_hashes"] == template_hashes()
+
+
+def test_missing_needed_template_fails_before_any_call(mini_spider_root, tmp_path):
+    bundle = load_dataset(mini_spider_root, "spider")
+    kept, _ = filter_items(bundle.items, bundle.catalogue)
+    names = [n for n in TEMPLATE_FILES if n != "mp_step2.txt"]
+    config = RunConfig(dataset="spider", root=str(mini_spider_root), method="unjoin-mp",
+                       model="m", cache_mode="live", workers=1,
+                       template_dir=str(_copy_templates(tmp_path / "t", names)),
+                       out_dir=str(tmp_path))
+    client, prompts = _recording_client(config)
+    with pytest.raises(TemplateError, match="mp_step2"):
+        run_evaluation(bundle, kept[:3], config, client)
+    assert prompts == []
+
+
+def test_templates_the_method_never_uses_may_be_absent(mini_spider_root, tmp_path):
+    bundle = load_dataset(mini_spider_root, "spider")
+    kept, _ = filter_items(bundle.items, bundle.catalogue)
+    names = ("cot.txt", "examples_baseline.txt")
+    config = RunConfig(dataset="spider", root=str(mini_spider_root), method="cot",
+                       model="m", cache_mode="live", workers=1,
+                       template_dir=str(_copy_templates(tmp_path / "t", names)),
+                       out_dir=str(tmp_path))
+    client, prompts = _recording_client(config)
+    records, meta = run_evaluation(bundle, kept[:3], config, client)
+    assert len(prompts) == 3
+    assert not any(r.prediction["failed"] for r in records)
+    assert sorted(meta["template_hashes"]) == sorted(names)
 
 
 def test_run_evaluation_open_book_uses_pool(mini_spider_root, tmp_path):

@@ -4,9 +4,11 @@ import pytest
 
 from unjoin.prompting import (
     DEFAULT_TEMPLATE_DIR,
+    METHOD_TEMPLATES,
     TEMPLATE_FILES,
     PromptTemplate,
     TemplateError,
+    TemplateSet,
     baseline_schema_block,
     build_baseline_prompt,
     build_mp_step1_prompt,
@@ -164,3 +166,42 @@ def test_custom_template_dir_used(simp, retail_db, tmp_path):
     )
     prompt = build_mp_step1_prompt(simp, QUESTION, tmp_path)
     assert prompt.startswith("CUSTOM")
+
+
+def _all_prompts(simp, db, templates):
+    return [
+        build_sp_prompt(simp, QUESTION, db, templates),
+        build_mp_step1_prompt(simp, QUESTION, templates),
+        build_mp_step2_prompt(simp, "SELECT 1 FROM retail", QUESTION, db, templates),
+        build_baseline_prompt("cot", baseline_schema_block("cot", db), QUESTION, templates),
+        build_baseline_prompt("cot-ss", baseline_schema_block("cot-ss", db), QUESTION, templates),
+    ]
+
+
+@pytest.mark.parametrize("newline", [None, b"\r\n", b"\r"])
+def test_template_set_prompts_equal_per_call_loads(simp, retail_db, tmp_path, newline):
+    template_dir = None
+    if newline is not None:
+        template_dir = tmp_path
+        for name in TEMPLATE_FILES:
+            data = (DEFAULT_TEMPLATE_DIR / name).read_bytes()
+            (tmp_path / name).write_bytes(data.replace(b"\n", newline))
+    ids = {t for names in METHOD_TEMPLATES.values() for t in names}
+    loaded = TemplateSet(ids, template_dir)
+    assert _all_prompts(simp, retail_db, loaded) == _all_prompts(simp, retail_db, template_dir)
+    assert loaded.hashes == template_hashes(template_dir)
+
+
+def test_template_set_holds_only_what_it_was_asked_for(simp, retail_db):
+    loaded = TemplateSet(METHOD_TEMPLATES["cot"])
+    assert loaded["cot"] == PromptTemplate.load("cot")
+    with pytest.raises(TemplateError):
+        build_sp_prompt(simp, QUESTION, retail_db, loaded)
+
+
+def test_template_set_missing_or_unreadable_file(tmp_path):
+    with pytest.raises(TemplateError, match="sp"):
+        TemplateSet(["sp"], tmp_path)
+    (tmp_path / "cot.txt").mkdir()
+    with pytest.raises(TemplateError, match="cot.txt"):
+        TemplateSet([], tmp_path)

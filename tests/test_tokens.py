@@ -1,9 +1,14 @@
+import copy
+import pickle
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from unjoin.tokens import (
     IDENT, NUMBER, OP, QIDENT, STRING, KEYWORDS, Token, TokenizeError, tokenize,
 )
+
+from oracles import SlowTokenizeError, slow_tokenize
 
 
 def kinds(sql):
@@ -104,3 +109,97 @@ def test_token_hashable_and_frozen():
     assert isinstance(hash(tok), int)
     with pytest.raises(AttributeError):
         tok.value = "b"
+
+
+# ----- the tokenizer against its former dataclass version -----
+
+# Pieces that reach every branch of the scanner: the four quote kinds
+# with doubled closers and unterminated, both comment styles, numbers
+# with dots and exponents, one- and two-character operators, ``$`` in
+# names, and letters outside ASCII (some lower-case to other lengths).
+_PIECES = [
+    "'", "''", '"', '""', "`", "``", "[", "]", "]]",
+    "--", "/*", "*/", "\n", "\r\n", " ", "\t",
+    "1", "1e5", "2.5E-3", "1e", "1E+", ".5", "1.2.3", "007",
+    "<>", "!=", ">=", "<=", "||", "==", "=", "<", ">", "!", "|", "-", "/", "*",
+    ".", ",", ";", "(", ")", "$", "a$1", "_x", "SeLeCt", "FROM", "t.c",
+    "é", "É", "日本", "ß", "İ", "Σ", "ǅ", "\u212a",
+]
+SQLISH = st.lists(
+    st.one_of(st.sampled_from(_PIECES), st.text(max_size=3)), max_size=25
+).map("".join)
+
+
+def _fields(tokens):
+    return [(t.kind, t.value, t.start, t.end, t.quote) for t in tokens]
+
+
+@settings(max_examples=600, deadline=None)
+@given(SQLISH)
+def test_tokenize_matches_former_tokenizer(sql):
+    try:
+        want = slow_tokenize(sql)
+    except SlowTokenizeError as exc:
+        with pytest.raises(TokenizeError) as info:
+            tokenize(sql)
+        assert info.value.offset == exc.offset
+        return
+    got = tokenize(sql)
+    assert _fields(got) == _fields(want)
+    assert [t.lower for t in got] == [t.lower for t in want]
+
+
+# ----- Token invariants -----
+
+
+def test_token_attributes_cannot_be_assigned():
+    tok = tokenize("Name")[0]
+    for attr in ("kind", "value", "start", "end", "quote", "lower", "other"):
+        with pytest.raises(AttributeError):
+            setattr(tok, attr, "x")
+
+
+@given(SQLISH)
+def test_token_lower_is_value_lower_from_tokenize(sql):
+    try:
+        tokens = tokenize(sql)
+    except TokenizeError:
+        return
+    for tok in tokens:
+        assert tok.lower == tok.value.lower()
+
+
+@pytest.mark.parametrize("value", ["SeLeCt", "É", "İx", "\u212a", "1E5", "<>", ""])
+def test_token_lower_is_value_lower_however_built(value):
+    made = [
+        Token(IDENT, value, 0, len(value)),
+        Token(QIDENT, value, 0, len(value) + 2, quote="`"),
+        Token._make((STRING, value, 0, 1)),
+        Token(OP, "x", 0, 1)._replace(value=value),
+        copy.copy(Token(IDENT, value, 0, 1)),
+        copy.deepcopy(Token(IDENT, value, 0, 1)),
+        pickle.loads(pickle.dumps(Token(IDENT, value, 0, 1))),
+    ]
+    for tok in made:
+        assert tok.value == value
+        assert tok.lower == value.lower()
+
+
+def test_token_lower_cannot_be_passed_in():
+    with pytest.raises(TypeError):
+        Token(IDENT, "A", 0, 1, "", "b")
+    with pytest.raises(TypeError):
+        Token(IDENT, "A", 0, 1, lower="b")
+    with pytest.raises(TypeError):
+        Token(IDENT, "A", 0, 1)._replace(lower="b")
+
+
+def test_equal_tokens_hash_equal():
+    built = Token(QIDENT, "My Col", 7, 15, quote="[")
+    scanned = tokenize("SELECT [My Col]")[1]
+    assert scanned == built
+    assert hash(scanned) == hash(built)
+    assert len({scanned, built}) == 1
+    assert built != Token(QIDENT, "My Col", 7, 15, quote="`")
+    assert built != Token(QIDENT, "my col", 7, 15, quote="[")
+    assert eval(repr(built)) == built
