@@ -37,7 +37,7 @@ from .evaluation import (
 )
 from .llm import CACHE_MODES, ExchangeCache, LlmClient, LlmError
 from .pipeline import run_evaluation
-from .schema import render_simplified, simplify_schema
+from .schema import simplify_schema
 
 # Schema, template and tokenizer errors are ValueErrors.
 _ERRORS = (DatasetError, LlmError, ValueError, OSError)
@@ -112,7 +112,7 @@ def cmd_simplify(args) -> int:
     if db is None:
         raise DatasetError(f"unknown database {args.db!r}")
     descriptions = bundle.descriptions.get(args.db) if args.with_descriptions else None
-    print(render_simplified(simplify_schema(db, descriptions)))
+    print(simplify_schema(db, descriptions).block)
     return 0
 
 

@@ -221,6 +221,10 @@ class LlmClient:
 _FENCE_OPEN = "```"
 _QUOTES = ("'", '"', "`", "[")
 _LEADING_WORD = re.compile(r"\s*([A-Za-z_]\w*)")
+# SELECT or WITH as a whole word, matched on the text itself so offsets
+# stay exact. Spelled-out cases, not IGNORECASE, which would also take
+# letters such as "ſ" or "İ" for ASCII ones.
+_FIRST_KEYWORD = re.compile(r"(?<!\w)(?:[Ss][Ee][Ll][Ee][Cc][Tt]|[Ww][Ii][Tt][Hh])(?!\w)")
 
 
 def extract_sql_blocks(completion: str) -> list[str]:
@@ -251,37 +255,16 @@ def extract_sql_blocks(completion: str) -> list[str]:
     return blocks
 
 
-def _first_keyword_suffix(text: str) -> str | None:
-    lower = text.lower()
-    best = None
-    for kw in ("select", "with"):
-        at = 0
-        while True:
-            pos = lower.find(kw, at)
-            if pos < 0:
-                break
-            before_ok = pos == 0 or not (lower[pos - 1].isalnum() or lower[pos - 1] == "_")
-            end = pos + len(kw)
-            after_ok = end >= len(lower) or not (lower[end].isalnum() or lower[end] == "_")
-            if before_ok and after_ok:
-                if best is None or pos < best:
-                    best = pos
-                break
-            at = pos + 1
-    if best is None:
-        return None
-    return text[best:]
-
-
 def _strip_trailing_prose(sql: str) -> str:
     semi = sql.find(";")
     if semi < 0:
         return sql.strip()
     head = sql[:semi]
-    if any(q in head for q in _QUOTES):
-        # The ';' may sit inside a literal or quoted name: cut at the
-        # first one the tokenizer reads as an operator. Tokens stop where
-        # the text turns unreadable (say, an apostrophe in trailing prose).
+    if any(q in head for q in _QUOTES) or "--" in head or "/*" in head:
+        # The ';' may sit inside a literal, a quoted name or a comment:
+        # cut at the first one the tokenizer reads as an operator. Tokens
+        # stop where the text turns unreadable (say, an apostrophe in
+        # trailing prose).
         try:
             toks, readable = tokenize(sql), True
         except TokenizeError as exc:
@@ -336,8 +319,8 @@ def extract_sql(completion: str) -> str:
     blocks = extract_sql_blocks(completion)
     if blocks:
         return trim_sql(blocks[0])
-    suffix = _first_keyword_suffix(completion)
-    if suffix is None:
+    keyword = _FIRST_KEYWORD.search(completion)
+    if keyword is None:
         raise ExtractionError("no SQL content found in completion")
-    sql = trim_sql(suffix)
+    sql = trim_sql(completion[keyword.start():])
     return sql if sql.endswith(";") else _parsing_prefix(sql)

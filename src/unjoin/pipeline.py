@@ -162,24 +162,24 @@ class _Run:
         )
 
 
-def _unjoin_mp(run: _Run, item: EvalItem, db: DatabaseSchema, template_dir, descriptions):
+def _unjoin_mp(run: _Run, item: EvalItem, db: DatabaseSchema, templates, descriptions):
     simplified = simplify_schema(db, descriptions)
     question = item.prompt_question
-    prompt1 = build_mp_step1_prompt(simplified, question, template_dir)
+    prompt1 = build_mp_step1_prompt(simplified, question, templates)
     raw1 = run.extract(run.complete(prompt1, "step1-complete"), "step1-extract")
     run.intermediate_sql, run.intermediate_report = correct_identifiers_simplified(
         raw1, simplified
     )
     prompt2 = build_mp_step2_prompt(
-        simplified, run.intermediate_sql, question, db, template_dir
+        simplified, run.intermediate_sql, question, db, templates
     )
     raw2 = run.extract(run.complete(prompt2, "step2-complete"), "step2-extract")
     return correct_identifiers(raw2, db)
 
 
-def _unjoin_sp(run: _Run, item: EvalItem, db: DatabaseSchema, template_dir, descriptions):
+def _unjoin_sp(run: _Run, item: EvalItem, db: DatabaseSchema, templates, descriptions):
     simplified = simplify_schema(db, descriptions)
-    prompt = build_sp_prompt(simplified, item.prompt_question, db, template_dir)
+    prompt = build_sp_prompt(simplified, item.prompt_question, db, templates)
     completion = run.complete(prompt, "complete")
     blocks = extract_sql_blocks(completion)
     if len(blocks) >= 2:
@@ -199,9 +199,9 @@ def _unjoin_sp(run: _Run, item: EvalItem, db: DatabaseSchema, template_dir, desc
     return correct_identifiers(final_raw, db)
 
 
-def _baseline(run: _Run, item: EvalItem, db: DatabaseSchema, template_dir, descriptions):
+def _baseline(run: _Run, item: EvalItem, db: DatabaseSchema, templates, descriptions):
     schema_block = baseline_schema_block(run.method, db)
-    prompt = build_baseline_prompt(run.method, schema_block, item.prompt_question, template_dir)
+    prompt = build_baseline_prompt(run.method, schema_block, item.prompt_question, templates)
     raw = run.extract(run.complete(prompt, "complete"), "extract")
     return correct_identifiers(raw, db)
 
@@ -220,20 +220,20 @@ def run_method(
     db: DatabaseSchema,
     client: LlmClient,
     cache_mode: str,
-    template_dir: TemplateSet | str | Path | None = None,
+    templates: TemplateSet | None = None,
     descriptions: dict[str, str] | None = None,
 ) -> PredictedQuery:
     """Run one method on one item; a failed stage fails the item, not the run.
 
-    ``template_dir`` is a loaded ``TemplateSet``, or a directory each
-    prompt's templates are read from (the shipped ones when None).
+    ``templates`` is the run's loaded ``TemplateSet``; None reads the
+    method's shipped templates for each prompt.
     """
     runner = _RUNNERS.get(method)
     if runner is None:
         raise DatasetError(f"unknown method {method!r}")
     run = _Run(method, client, cache_mode)
     try:
-        final_sql, final_report = runner(run, item, db, template_dir, descriptions)
+        final_sql, final_report = runner(run, item, db, templates, descriptions)
     except _StageFailure as exc:
         return run.predicted(failed=True, failure_stage=exc.stage, failure_reason=str(exc))
     return run.predicted(final_sql=final_sql, final_report=final_report)

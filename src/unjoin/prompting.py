@@ -7,10 +7,12 @@ braces cannot corrupt a render. Few-shot example blocks are fixed,
 schema-agnostic constants shipped alongside the templates; they talk
 about a fictional bank_data schema and never about evaluation data.
 
-A run reads its templates once, as a ``TemplateSet``: the texts of the
-templates its method uses, and the sha256 of every shipped template
-file, both taken from the same bytes. The ``build_*_prompt`` functions
-accept such a set, or a directory to load each template from per call.
+Template text reaches a prompt only through a ``TemplateSet``: the
+texts of the templates a method uses, and the sha256 of every shipped
+template file, both taken from the same bytes. A run reads its set
+once; a ``build_*_prompt`` call given ``None`` reads the shipped
+templates of its method for that call. Schema text comes only from the
+schema objects' own blocks.
 """
 
 from __future__ import annotations
@@ -21,13 +23,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
-from .schema import (
-    DatabaseSchema,
-    SimplifiedSchema,
-    render_original_schema,
-    render_simplified,
-    simplify_schema,
-)
+from .schema import DatabaseSchema, SimplifiedSchema, simplify_schema
 
 SLOT_NAMES = (
     "schema_block",
@@ -71,16 +67,6 @@ class PromptTemplate:
     template_id: str
     text: str
 
-    @classmethod
-    def load(cls, template_id: str, template_dir: str | Path | None = None) -> "PromptTemplate":
-        directory = Path(template_dir) if template_dir else DEFAULT_TEMPLATE_DIR
-        path = directory / f"{template_id}.txt"
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise TemplateError(f"cannot load template {template_id!r}: {exc}") from exc
-        return cls(template_id, text)
-
     def slots(self) -> tuple[str, ...]:
         seen = []
         for m in _SLOT_RE.finditer(self.text):
@@ -107,9 +93,9 @@ class TemplateSet:
 
     ``hashes`` maps every shipped template file present in the directory
     to the sha256 of its bytes. The templates named in ``template_ids``
-    are decoded from those same bytes, as ``PromptTemplate.load`` would
-    decode them; a missing one raises ``TemplateError``. Files the run
-    does not use may be absent.
+    are decoded from those same bytes with universal newlines; a missing
+    one raises ``TemplateError``. Files the run does not use may be
+    absent.
     """
 
     def __init__(self, template_ids: Iterable[str], template_dir: str | Path | None = None):
@@ -142,30 +128,32 @@ class TemplateSet:
             raise TemplateError(f"template {template_id!r} was not loaded") from None
 
 
-def _template(template_id: str, templates: TemplateSet | str | Path | None) -> PromptTemplate:
-    if isinstance(templates, TemplateSet):
-        return templates[template_id]
-    return PromptTemplate.load(template_id, templates)
+def _render(
+    method: str, template_id: str, examples_id: str, templates: TemplateSet | None, **values: str
+) -> str:
+    """Render ``template_id`` with ``examples_id`` as its examples block.
 
-
-def _examples(name: str, templates: TemplateSet | str | Path | None) -> str:
-    return _template(name, templates).text.rstrip("\n")
+    ``templates`` None reads the shipped templates of ``method``.
+    """
+    if templates is None:
+        templates = TemplateSet(METHOD_TEMPLATES[method])
+    template = templates[template_id]
+    return template.render(examples_block=templates[examples_id].text.rstrip("\n"), **values)
 
 
 def build_sp_prompt(
     simplified: SimplifiedSchema,
     question: str,
     db: DatabaseSchema,
-    template_dir: TemplateSet | str | Path | None = None,
+    templates: TemplateSet | None = None,
 ) -> str:
     """Joint two-step prompt: simplify-time generation plus translation."""
     if not simplified.entries or not question.strip():
         raise ValueError("simplified schema and question must be non-empty")
-    template = _template("sp", template_dir)
-    return template.render(
-        schema_block=render_simplified(simplified),
-        examples_block=_examples("examples_translation", template_dir),
-        original_schema_block=render_original_schema(db),
+    return _render(
+        "unjoin-sp", "sp", "examples_translation", templates,
+        schema_block=simplified.block,
+        original_schema_block=db.original_block,
         question=question,
     )
 
@@ -173,15 +161,14 @@ def build_sp_prompt(
 def build_mp_step1_prompt(
     simplified: SimplifiedSchema,
     question: str,
-    template_dir: TemplateSet | str | Path | None = None,
+    templates: TemplateSet | None = None,
 ) -> str:
     """Step 1 of the multi-prompt variant: single-table query generation."""
     if not simplified.entries or not question.strip():
         raise ValueError("simplified schema and question must be non-empty")
-    template = _template("mp_step1", template_dir)
-    return template.render(
-        schema_block=render_simplified(simplified),
-        examples_block=_examples("examples_generation", template_dir),
+    return _render(
+        "unjoin-mp", "mp_step1", "examples_generation", templates,
+        schema_block=simplified.block,
         question=question,
     )
 
@@ -191,17 +178,16 @@ def build_mp_step2_prompt(
     simplified_sql: str,
     question: str,
     db: DatabaseSchema,
-    template_dir: TemplateSet | str | Path | None = None,
+    templates: TemplateSet | None = None,
 ) -> str:
     """Step 2 of the multi-prompt variant: translation to the original schema."""
     if not simplified_sql.strip():
         raise ValueError("simplified_sql must be non-empty")
-    template = _template("mp_step2", template_dir)
-    return template.render(
-        schema_block=render_simplified(simplified),
-        examples_block=_examples("examples_translation", template_dir),
+    return _render(
+        "unjoin-mp", "mp_step2", "examples_translation", templates,
+        schema_block=simplified.block,
         simplified_query=simplified_sql,
-        original_schema_block=render_original_schema(db),
+        original_schema_block=db.original_block,
         question=question,
     )
 
@@ -210,7 +196,7 @@ def build_baseline_prompt(
     kind: str,
     schema_block: str,
     question: str,
-    template_dir: TemplateSet | str | Path | None = None,
+    templates: TemplateSet | None = None,
 ) -> str:
     """Chain-of-thought baselines.
 
@@ -218,26 +204,17 @@ def build_baseline_prompt(
     the simplified single-table rendering but must answer with the final
     multi-table SQL. Both share one fixed few-shot block.
     """
-    ids = {"cot": "cot", "cot-ss": "cot_ss"}
-    if kind not in ids:
-        raise TemplateError(f"unknown baseline kind {kind!r}; expected one of {sorted(ids)}")
-    template = _template(ids[kind], template_dir)
-    return template.render(
-        schema_block=schema_block,
-        examples_block=_examples("examples_baseline", template_dir),
-        question=question,
-    )
+    if kind not in ("cot", "cot-ss"):
+        raise TemplateError(f"unknown baseline kind {kind!r}; expected one of ['cot', 'cot-ss']")
+    template_id, examples_id = METHOD_TEMPLATES[kind]
+    return _render(kind, template_id, examples_id, templates,
+                   schema_block=schema_block, question=question)
 
 
 def baseline_schema_block(kind: str, db: DatabaseSchema) -> str:
     """The schema rendering each baseline kind consumes."""
     if kind == "cot":
-        return render_original_schema(db)
+        return db.original_block
     if kind == "cot-ss":
-        return render_simplified(simplify_schema(db))
+        return simplify_schema(db).block
     raise TemplateError(f"unknown baseline kind {kind!r}")
-
-
-def template_hashes(template_dir: str | Path | None = None) -> dict[str, str]:
-    """sha256 of every shipped template, for run provenance."""
-    return TemplateSet((), template_dir).hashes

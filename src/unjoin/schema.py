@@ -186,7 +186,8 @@ class SimplifiedSchema:
 
     name: str
     entries: tuple[SimplifiedEntry, ...]
-    _by_rendered: dict = field(default=None, compare=False, repr=False)
+    # Lower-case rendered name -> entry, built while duplicates are checked.
+    _by_rendered: dict[str, SimplifiedEntry] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         index = {}
@@ -252,20 +253,6 @@ def _flatten(db: DatabaseSchema, descriptions: dict[str, str]) -> SimplifiedSche
     simplified = SimplifiedSchema(db.db_id, tuple(entries))
     assert len(simplified.entries) == db.column_count()
     return simplified
-
-
-def render_simplified(simplified: SimplifiedSchema, with_header: bool = True) -> str:
-    """Render the virtual table as a prompt block: ``simplified.block``,
-    without its "Table:" header line when ``with_header`` is false.
-    """
-    if with_header:
-        return simplified.block
-    return simplified.block.partition("\n")[2]
-
-
-def render_original_schema(db: DatabaseSchema) -> str:
-    """CREATE TABLE-style rendering of the original schema plus FK lines."""
-    return db.original_block
 
 
 def load_catalogue(path: str | Path) -> dict[str, DatabaseSchema]:

@@ -28,6 +28,8 @@ KEYWORDS = frozenset(
     """.split()
 )
 
+# Every character above U+007F is a name character too, at the start of
+# a name and inside it, as in SQLite's tokenizer.
 _WORD_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _WORD_CHARS = _WORD_START | frozenset("0123456789$")
 _DIGITS = frozenset("0123456789")
@@ -137,9 +139,9 @@ def tokenize(sql: str) -> list[Token]:
             append(_new(Token, (QIDENT, value, i, end, ch, value.lower())))
             i = end
             continue
-        if ch in _WORD_START:
+        if ch in _WORD_START or ch > "\x7f":
             j = i + 1
-            while j < n and sql[j] in _WORD_CHARS:
+            while j < n and (sql[j] in _WORD_CHARS or sql[j] > "\x7f"):
                 j += 1
             value = sql[i:j]
             append(_new(Token, (IDENT, value, i, j, "", value.lower())))
@@ -170,7 +172,7 @@ def tokenize(sql: str) -> list[Token]:
             append(_new(Token, (OP, two, i, i + 2, "", two)))
             i += 2
             continue
-        # Any other character, letters outside ASCII included.
+        # Any other ASCII character.
         append(_new(Token, (OP, ch, i, i + 1, "", ch.lower())))
         i += 1
     return tokens

@@ -5,7 +5,9 @@ and a recursive edit distance, sharing no code with the package. The
 banded edit distance is the package's former row-by-row implementation,
 kept as a second, differently built oracle for the bit-vector one.
 ``slow_tokenize`` is the package's former tokenizer, which built each
-token as a frozen dataclass and lowered its text on every read.
+token as a frozen dataclass and lowered its text on every read; it
+follows the same name rule (every character above U+007F is a name
+character), so the differential test compares token boundaries too.
 """
 
 from dataclasses import dataclass
@@ -246,9 +248,9 @@ def slow_tokenize(sql: str) -> list[SlowToken]:
             tokens.append(SlowToken(QIDENT, value, i, end, quote=ch))
             i = end
             continue
-        if ch in _WORD_START:
+        if ch in _WORD_START or ch > "\x7f":
             j = i + 1
-            while j < n and sql[j] in _WORD_CHARS:
+            while j < n and (sql[j] in _WORD_CHARS or sql[j] > "\x7f"):
                 j += 1
             tokens.append(SlowToken(IDENT, sql[i:j], i, j))
             i = j

@@ -8,6 +8,7 @@ nearer candidates, so the bar is 90%; the structural invariants
 """
 
 import random
+import sqlite3
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,6 +21,7 @@ from unjoin.correction import (
 )
 from unjoin.pipeline import assemble_pool
 from unjoin.schema import ColumnDef, DatabaseSchema, TableDef, simplify_schema
+from unjoin.sqlref import extract_refs
 from unjoin.tokens import IDENT, KEYWORDS, QIDENT, tokenize
 
 from conftest import SPIDER_CASES, academic_schema, retail_schema
@@ -484,3 +486,32 @@ def test_operand_after_multiplication_is_repaired(retail_db):
         "SELECT product.name FROM product, item WHERE price * quantty > 3", retail_db
     )
     assert fixed == "SELECT product.name FROM product, item WHERE price * quantity > 3"
+
+
+# ----- names with letters outside ASCII -----
+
+
+def _cafe_db():
+    return DatabaseSchema("shop", (TableDef("t", (ColumnDef("café"), ColumnDef("prix"))),), ())
+
+
+def test_non_ascii_name_left_alone_and_runs_on_sqlite():
+    db = _cafe_db()
+    sql = "SELECT café FROM t"
+    fixed, report = correct_identifiers(sql, db)
+    assert fixed == sql
+    assert report.substitutions == () and report.unresolved == ()
+    assert "t.café" in extract_refs(sql, db).columns
+    conn = sqlite3.connect(":memory:")
+    try:
+        conn.execute("CREATE TABLE t (café, prix)")
+        conn.execute("INSERT INTO t VALUES (1, 2)")
+        assert conn.execute(sql).fetchall() == [(1,)]
+    finally:
+        conn.close()
+
+
+def test_ascii_spelling_repaired_to_non_ascii_name():
+    fixed, report = correct_identifiers("SELECT cafe FROM t", _cafe_db())
+    assert fixed == "SELECT café FROM t"
+    assert report.substitutions[0].replacement == "café"

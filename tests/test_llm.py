@@ -317,6 +317,9 @@ EXTRACTION_CASES = [
      "SELECT name FROM customer_flat\n\nTranslated back to the original schema:\n\n"
      "SELECT c.name FROM customer AS c JOIN city AS y ON c.city_id = y.city_id",
      "SELECT name FROM customer_flat"),
+    ("longer-lower-case-before-keyword", "İ SELECT a FROM t", "SELECT a FROM t"),
+    ("long-s-is-not-select", "ſelect nothing. SELECT b FROM u", "SELECT b FROM u"),
+    ("dotted-capital-i-is-not-with", "WİTH x. SELECT c FROM v", "SELECT c FROM v"),
 ]
 
 
@@ -330,7 +333,7 @@ def test_extraction_fixture(completion, expected):
 
 
 def test_extraction_fixture_case_count():
-    assert len(EXTRACTION_CASES) == 22
+    assert len(EXTRACTION_CASES) == 25
 
 
 def test_keyword_fallback_never_shortens_an_unparsed_query():
@@ -372,5 +375,8 @@ def test_semicolon_inside_literal_does_not_cut():
         extract_sql("SELECT a FROM t WHERE b = 'x;y'; that's all")
         == "SELECT a FROM t WHERE b = 'x;y';"
     )
+    # Nor does a ';' inside a comment.
+    assert trim_sql("SELECT a -- pick a; not b\nFROM t;") == "SELECT a -- pick a; not b\nFROM t;"
+    assert trim_sql("SELECT a /* x; */ FROM t;") == "SELECT a /* x; */ FROM t;"
     # Unreadable text before any unquoted ';' keeps the plain cut.
     assert trim_sql("SELECT 'a;b FROM t") == "SELECT 'a;"

@@ -22,7 +22,7 @@ from unjoin.llm import (
     LlmExchange,
     exchange_key,
 )
-from unjoin import pipeline
+from unjoin import pipeline, prompting
 from unjoin.pipeline import (
     PoolError,
     PredictedQuery,
@@ -34,12 +34,12 @@ from unjoin.pipeline import (
 from unjoin.evaluation import write_records
 from unjoin.prompting import (
     DEFAULT_TEMPLATE_DIR,
+    METHOD_TEMPLATES,
     TEMPLATE_FILES,
-    PromptTemplate,
     TemplateError,
+    TemplateSet,
     build_mp_step1_prompt,
     build_mp_step2_prompt,
-    template_hashes,
 )
 from unjoin.schema import ColumnDef, DatabaseSchema, TableDef, simplify_schema
 
@@ -557,16 +557,14 @@ def test_run_reads_templates_once(mini_spider_root, tmp_path, monkeypatch, metho
     kept, _ = filter_items(bundle.items, bundle.catalogue)
     sets = []
 
-    class CountingSet(pipeline.TemplateSet):
+    class CountingSet(TemplateSet):
         def __init__(self, *args, **kwargs):
             sets.append(args)
             super().__init__(*args, **kwargs)
 
-    def per_call_load(*args, **kwargs):
-        raise AssertionError("a template was read during the run")
-
+    # Counts the run's set and any set a prompt builder would read per call.
     monkeypatch.setattr(pipeline, "TemplateSet", CountingSet)
-    monkeypatch.setattr(PromptTemplate, "load", per_call_load)
+    monkeypatch.setattr(prompting, "TemplateSet", CountingSet)
     config = RunConfig(dataset="spider", root=str(mini_spider_root), method=method,
                        model="m", cache_mode="live", workers=2, out_dir=str(tmp_path))
     client, prompts = _recording_client(config)
@@ -600,9 +598,10 @@ def test_template_rewritten_mid_run_changes_neither_prompts_nor_hash(
         db = bundle.catalogue[item.db_id]
         (template_dir / "mp_step2.txt").write_bytes(original)
         assert prompt == build_mp_step2_prompt(
-            simplify_schema(db), "SELECT 1", item.prompt_question, db, template_dir)
+            simplify_schema(db), "SELECT 1", item.prompt_question, db,
+            TemplateSet(METHOD_TEMPLATES["unjoin-mp"], template_dir))
     assert meta["template_hashes"]["mp_step2.txt"] == hashlib.sha256(original).hexdigest()
-    assert meta["template_hashes"] == template_hashes()
+    assert meta["template_hashes"] == TemplateSet(()).hashes
 
 
 def test_missing_needed_template_fails_before_any_call(mini_spider_root, tmp_path):

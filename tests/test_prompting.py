@@ -1,7 +1,9 @@
+import hashlib
 import shutil
 
 import pytest
 
+from unjoin.dataset import METHODS, filter_items, load_dataset
 from unjoin.prompting import (
     DEFAULT_TEMPLATE_DIR,
     METHOD_TEMPLATES,
@@ -14,9 +16,10 @@ from unjoin.prompting import (
     build_mp_step1_prompt,
     build_mp_step2_prompt,
     build_sp_prompt,
-    template_hashes,
 )
 from unjoin.schema import simplify_schema
+
+from conftest import BIRD_CASES, SPIDER_CASES
 
 QUESTION = "How many orders were placed by customers from Springfield?"
 
@@ -131,28 +134,28 @@ def test_missing_slot_value_raises():
 
 
 def test_template_load_unknown_id():
-    with pytest.raises(TemplateError):
-        PromptTemplate.load("nope")
+    with pytest.raises(TemplateError, match="nope"):
+        TemplateSet(["nope"])
 
 
 def test_template_hashes_cover_all_files():
-    hashes = template_hashes()
+    hashes = TemplateSet(()).hashes
     assert sorted(hashes) == sorted(TEMPLATE_FILES)
     assert len(hashes) == 8
     assert all(len(h) == 64 for h in hashes.values())
-    assert template_hashes() == hashes
+    assert TemplateSet(()).hashes == hashes
 
 
 def test_template_hashes_track_content(tmp_path):
     for name in TEMPLATE_FILES:
         shutil.copy(DEFAULT_TEMPLATE_DIR / name, tmp_path / name)
-    base = template_hashes(tmp_path)
-    assert base == template_hashes()
+    base = TemplateSet((), tmp_path).hashes
+    assert base == TemplateSet(()).hashes
     (tmp_path / "sp.txt").write_text(
         (tmp_path / "sp.txt").read_text(encoding="utf-8") + "\nextra",
         encoding="utf-8",
     )
-    changed = template_hashes(tmp_path)
+    changed = TemplateSet((), tmp_path).hashes
     assert changed["sp.txt"] != base["sp.txt"]
     assert changed["mp_step1.txt"] == base["mp_step1.txt"]
 
@@ -164,37 +167,15 @@ def test_custom_template_dir_used(simp, retail_db, tmp_path):
         "CUSTOM\nSchema:\n{schema_block}\nQ: {question}\n{examples_block}",
         encoding="utf-8",
     )
-    prompt = build_mp_step1_prompt(simp, QUESTION, tmp_path)
+    templates = TemplateSet(METHOD_TEMPLATES["unjoin-mp"], tmp_path)
+    prompt = build_mp_step1_prompt(simp, QUESTION, templates)
     assert prompt.startswith("CUSTOM")
-
-
-def _all_prompts(simp, db, templates):
-    return [
-        build_sp_prompt(simp, QUESTION, db, templates),
-        build_mp_step1_prompt(simp, QUESTION, templates),
-        build_mp_step2_prompt(simp, "SELECT 1 FROM retail", QUESTION, db, templates),
-        build_baseline_prompt("cot", baseline_schema_block("cot", db), QUESTION, templates),
-        build_baseline_prompt("cot-ss", baseline_schema_block("cot-ss", db), QUESTION, templates),
-    ]
-
-
-@pytest.mark.parametrize("newline", [None, b"\r\n", b"\r"])
-def test_template_set_prompts_equal_per_call_loads(simp, retail_db, tmp_path, newline):
-    template_dir = None
-    if newline is not None:
-        template_dir = tmp_path
-        for name in TEMPLATE_FILES:
-            data = (DEFAULT_TEMPLATE_DIR / name).read_bytes()
-            (tmp_path / name).write_bytes(data.replace(b"\n", newline))
-    ids = {t for names in METHOD_TEMPLATES.values() for t in names}
-    loaded = TemplateSet(ids, template_dir)
-    assert _all_prompts(simp, retail_db, loaded) == _all_prompts(simp, retail_db, template_dir)
-    assert loaded.hashes == template_hashes(template_dir)
 
 
 def test_template_set_holds_only_what_it_was_asked_for(simp, retail_db):
     loaded = TemplateSet(METHOD_TEMPLATES["cot"])
-    assert loaded["cot"] == PromptTemplate.load("cot")
+    shipped = (DEFAULT_TEMPLATE_DIR / "cot.txt").read_text(encoding="utf-8")
+    assert loaded["cot"] == PromptTemplate("cot", shipped)
     with pytest.raises(TemplateError):
         build_sp_prompt(simp, QUESTION, retail_db, loaded)
 
@@ -205,3 +186,57 @@ def test_template_set_missing_or_unreadable_file(tmp_path):
     (tmp_path / "cot.txt").mkdir()
     with pytest.raises(TemplateError, match="cot.txt"):
         TemplateSet([], tmp_path)
+
+
+# ----- pinned prompt bytes -----
+
+# sha256 of every prompt each method sends over the SPIDER fixture and the
+# BIRD fixture (with its descriptions), prompts joined by NUL in item order.
+# The unjoin-mp step-2 prompts use the oracle plan's simplified query.
+# Prompt bytes are also the replay-cache keys, so these must not drift.
+PROMPT_DIGESTS = {
+    "unjoin-sp": "93536beeecfb64fa0fac42aeccd32587b961376541f92cee7f0fdb6fc6dc3133",
+    "unjoin-mp": "e2bbb692a63a354237f5e949bbf5c80c950c86416d73e6d6df0be2825211b883",
+    "cot": "58626a1c5f1c5ec1e3d1899601e8f9377c15947526e746e77dfe8a87c4e8cb06",
+    "cot-ss": "a8e7ae3563220105c839fbb17e997c8293594778a680897bac8597fb327fe4c5",
+}
+
+
+def _method_prompts(root, flavor, cases, templates):
+    bundle = load_dataset(root, flavor)
+    kept, _ = filter_items(bundle.items, bundle.catalogue)
+    out = {method: [] for method in METHODS}
+    for item in kept:
+        db = bundle.catalogue[item.db_id]
+        simplified = simplify_schema(db, bundle.descriptions.get(item.db_id))
+        flat = cases[int(item.item_id.rsplit(":", 1)[1])][-1]
+        question = item.prompt_question
+        out["unjoin-mp"] += [
+            build_mp_step1_prompt(simplified, question, templates),
+            build_mp_step2_prompt(simplified, flat, question, db, templates),
+        ]
+        out["unjoin-sp"].append(build_sp_prompt(simplified, question, db, templates))
+        for kind in ("cot", "cot-ss"):
+            out[kind].append(
+                build_baseline_prompt(kind, baseline_schema_block(kind, db), question, templates))
+    return out
+
+
+@pytest.mark.parametrize("newline", [None, b"\n", b"\r\n", b"\r"],
+                         ids=["shipped", "lf", "crlf", "cr"])
+def test_prompt_bytes_pinned(mini_spider_root, mini_bird_root, tmp_path, newline):
+    templates = None
+    if newline is not None:
+        for name in TEMPLATE_FILES:
+            data = (DEFAULT_TEMPLATE_DIR / name).read_bytes()
+            (tmp_path / name).write_bytes(data.replace(b"\n", newline))
+        templates = TemplateSet({t for ids in METHOD_TEMPLATES.values() for t in ids}, tmp_path)
+    spider = _method_prompts(mini_spider_root, "spider", SPIDER_CASES, templates)
+    bird = _method_prompts(mini_bird_root, "bird", BIRD_CASES, templates)
+    assert len(spider["cot"]) == 25 and len(bird["cot"]) == 3
+    assert any("location of branch" in p for p in bird["unjoin-mp"])
+    digests = {
+        method: hashlib.sha256("\0".join(spider[method] + bird[method]).encode("utf-8")).hexdigest()
+        for method in METHODS
+    }
+    assert digests == PROMPT_DIGESTS

@@ -8,8 +8,6 @@ from unjoin.schema import (
     TableDef,
     load_catalogue,
     load_descriptions,
-    render_original_schema,
-    render_simplified,
     simplify_schema,
 )
 
@@ -64,7 +62,7 @@ def test_descriptions_attach_to_entries(retail_db):
 
 
 def test_render_without_descriptions_is_name_per_line(retail_db):
-    text = render_simplified(simplify_schema(retail_db))
+    text = simplify_schema(retail_db).block
     lines = text.splitlines()
     assert lines[0] == "Table: retail"
     assert lines[1] == "customer.customer_id"
@@ -73,14 +71,14 @@ def test_render_without_descriptions_is_name_per_line(retail_db):
 
 def test_render_with_descriptions_adds_column(retail_db):
     simp = simplify_schema(retail_db, {"city.population": "resident count"})
-    text = render_simplified(simp)
+    text = simp.block
     assert "Column Name" in text
     assert "Description" in text
     assert "resident count" in text
 
 
 def test_render_original_schema_lists_tables_and_fks(retail_db):
-    text = render_original_schema(retail_db)
+    text = retail_db.original_block
     assert "CREATE TABLE customer (" in text
     assert "CREATE TABLE orders (" in text
     assert "Foreign Keys:" in text
@@ -104,11 +102,11 @@ def test_simplify_rebuilds_for_different_or_mutated_descriptions(retail_db):
     mutated = simplify_schema(retail_db, desc)
     assert mutated is not first
     assert mutated.lookup("customer.name").description == "legal name"
-    assert "legal name" in render_simplified(mutated)
+    assert "legal name" in mutated.block
     other = simplify_schema(retail_db, {"customer.name": "given name"})
     assert other.lookup("customer.name").description == "given name"
-    assert "given name" in render_simplified(other)
-    assert "full name" not in render_simplified(other)
+    assert "given name" in other.block
+    assert "full name" not in other.block
 
 
 def test_rendered_blocks_match_a_freshly_built_schema():
@@ -116,20 +114,11 @@ def test_rendered_blocks_match_a_freshly_built_schema():
 
     def blocks(db):
         with_desc = simplify_schema(db, desc)
-        return (
-            render_original_schema(db),
-            render_simplified(with_desc),
-            render_simplified(with_desc, with_header=False),
-            render_simplified(simplify_schema(db)),
-            render_simplified(simplify_schema(db), with_header=False),
-        )
+        return db.original_block, with_desc.block, simplify_schema(db).block
 
     warm = financial_schema()
     for _ in range(3):  # the descriptions alternate, so the held view is replaced
         assert blocks(warm) == blocks(financial_schema())
-    headed, bare = blocks(warm)[1:3]
-    assert headed == "Table: financial\n" + bare
-    assert not bare.startswith("Table:")
 
 
 def test_find_table_is_case_insensitive(retail_db):

@@ -59,6 +59,12 @@ def test_comments_dropped():
     assert values(sql) == ["SELECT", "a", "FROM", "t", "WHERE", "b", "=", "2"]
 
 
+def test_names_take_every_character_above_ascii():
+    toks = tokenize("SELECT café, été1, 日本$x, a\u00a0b FROM t")
+    names = [t.value for t in toks if t.kind == IDENT]
+    assert names == ["SELECT", "café", "été1", "日本$x", "a\u00a0b", "FROM", "t"]
+
+
 def test_numbers():
     toks = tokenize("SELECT 1, 2.5, 1e3, 2.5E-2, .75")
     nums = [t.value for t in toks if t.kind == NUMBER]
