@@ -8,6 +8,17 @@ tokens are ever touched; keywords, literals, aliases, and every byte of
 surrounding text survive unchanged, so the repair cannot alter query
 logic beyond the names themselves.
 
+A FROM table or a qualifier is matched against the table names. A
+qualified column is matched against its table's columns, or against
+every column when the qualifier names no known table; a bare column
+against the columns of the tables the query references, or every
+column when it references none. Names that are not schema names are
+left alone, neither repaired nor reported: CTE names and the columns
+qualified by one, directly or through an alias; columns qualified by a
+derived table's alias; and aliases of tables, derived tables and select
+items. Double-quoted names are left alone too, since SQLite reads an
+unknown one as a string literal.
+
 A candidate is eligible when the distance is at most
 max(2, ceil(0.4 * len(candidate))). Ties prefer a candidate from a
 table the query already references, then the lexicographically smallest
@@ -152,126 +163,74 @@ def correct_identifiers(sql: str, db: DatabaseSchema) -> tuple[str, CorrectionRe
     toks = tokenize(sql)
     roles = _Roles(toks)
     table_canon = db.table_names
-    table_cands = db.table_candidates
     cols_by_table = db.columns_by_table
-    all_names = db.column_name_set
-
     subs: list[tuple[Substitution, int, str]] = []
     unresolved: list[tuple[int, str]] = []  # (offset, name)
-    corrected_value: dict[int, str] = {}
-
-    def token_value(idx: int) -> str:
-        return corrected_value.get(idx, toks[idx].value)
-
-    def substitute(idx: int, pick: tuple[str, int]):
-        tok, (name, dist) = toks[idx], pick
-        text = name
-        if tok.quote == "`":
-            text = f"`{name}`"
-        elif tok.quote == "[":
-            text = f"[{name}]"
-        subs.append((Substitution(tok.value, name, dist, tok.start), tok.end, text))
-        corrected_value[idx] = name
-
     referenced: set[str] = set()
-    # Pass 1: table positions.
-    for idx in roles.tables:
+
+    def repair(idx: int, candidates) -> str | None:
+        """Substitute the closest candidate for token ``idx``, or report it.
+
+        Returns the lower-case replacement, or None when the token stays.
+        """
         tok = toks[idx]
-        low = tok.lower
-        if low in table_canon:
-            referenced.add(low)
-            continue
-        if low in roles.cte_names:
-            continue
         if tok.quote == '"':
             # Double quotes are ambiguous with string literals here;
             # leave them alone rather than rewrite a value.
-            continue
-        pick = _best(low, table_cands)
+            return None
+        pick = _best(tok.lower, candidates)
         if pick is None:
             unresolved.append((tok.start, tok.value))
-            continue
-        substitute(idx, pick)
-        referenced.add(pick[0].lower())
+            return None
+        name, dist = pick
+        text = {"`": f"`{name}`", "[": f"[{name}]"}.get(tok.quote, name)
+        subs.append((Substitution(tok.value, name, dist, tok.start), tok.end, text))
+        return name.lower()
 
-    alias_map: dict[str, str | None] = {}
-    for alias, tidx in roles.alias_defs.items():
-        if tidx is None:
-            alias_map[alias] = None
-        else:
-            alias_map[alias] = token_value(tidx).lower()
-
-    # Pass 2: qualifiers.
-    qualifier_table: dict[int, str | None] = {}
-    for idx in roles.qualifiers:
-        tok = toks[idx]
-        low = tok.lower
-        if low in alias_map:
-            target = alias_map[low]
-            qualifier_table[idx] = target if target in table_canon else None
-            continue
+    def table_at(idx: int) -> str:
+        """The lower-case name a FROM table or qualifier token stands for."""
+        low = toks[idx].lower
+        if low not in table_canon and low not in roles.cte_names:
+            low = repair(idx, db.table_candidates) or low
         if low in table_canon:
-            qualifier_table[idx] = low
             referenced.add(low)
-            continue
-        if low in roles.cte_names:
-            qualifier_table[idx] = None
-            continue
-        if tok.quote == '"':
-            qualifier_table[idx] = None
-            continue
-        pick = _best(low, table_cands)
-        if pick is None:
-            unresolved.append((tok.start, tok.value))
-            qualifier_table[idx] = None
-            continue
-        substitute(idx, pick)
-        qualifier_table[idx] = pick[0].lower()
-        referenced.add(pick[0].lower())
+        return low
 
-    # Pass 3: columns.
+    from_tables = {idx: table_at(idx) for idx in roles.tables}
+    # Alias -> the table it names; None for a derived table or select item.
+    alias_map = {
+        alias: None if tidx is None else from_tables[tidx]
+        for alias, tidx in roles.alias_defs.items()
+    }
+    qualifier_table = {
+        idx: alias_map[toks[idx].lower] if toks[idx].lower in alias_map else table_at(idx)
+        for idx in roles.qualifiers
+    }
+
     for idx, qidx in roles.columns:
-        tok = toks[idx]
-        low = tok.lower
-        if qidx is not None:
-            table = qualifier_table.get(qidx)
-            if table is None and toks[qidx].lower in alias_map and alias_map[toks[qidx].lower] is None:
-                # Qualifier is a derived-table or CTE alias; its columns
-                # are not schema names, so nothing to validate against.
+        low = toks[idx].lower
+        if qidx is None:
+            if low in alias_map or low in roles.cte_names:
                 continue
-            if table is not None:
-                scope = cols_by_table[table]
-                if low in scope:
-                    continue
-                if tok.quote == '"':
-                    continue
-                cands = [(cl, canon, True) for cl, canon in sorted(scope.items())]
-            else:
-                if low in all_names:
-                    continue
-                if tok.quote == '"':
-                    continue
-                cands = [(cl, canon, tl in referenced) for tl, cl, canon in db.flat_columns]
+            within = referenced
         else:
-            if low in alias_map or low in roles.cte_names or low in roles.select_aliases:
+            table = qualifier_table[qidx]
+            if table in table_canon:
+                within = {table}
+            elif table is None or table in roles.cte_names:
+                # A derived table or a CTE: its columns are not schema names.
                 continue
-            in_referenced = any(low in cols_by_table[t] for t in referenced)
-            if in_referenced:
-                continue
-            if not referenced and low in all_names:
-                continue
-            if tok.quote == '"':
-                continue
-            cands = [
-                (cl, canon, tl in referenced)
-                for tl, cl, canon in db.flat_columns
-                if not referenced or tl in referenced
-            ]
-        pick = _best(low, cands)
-        if pick is None:
-            unresolved.append((tok.start, tok.value))
-            continue
-        substitute(idx, pick)
+            else:
+                within = ()  # the qualifier names no known table
+        # Candidates come from ``within``, or from every table when empty.
+        if within:
+            if not any(low in cols_by_table[t] for t in within):
+                repair(idx, [
+                    (cl, canon, True)
+                    for t in sorted(within) for cl, canon in sorted(cols_by_table[t].items())
+                ])
+        elif low not in db.column_name_set:
+            repair(idx, [(cl, canon, tl in referenced) for tl, cl, canon in db.flat_columns])
 
     return _apply(sql, subs, unresolved)
 

@@ -17,7 +17,6 @@ from pathlib import Path
 from .llm import CACHE_MODES, LlmConfig
 from .schema import DatabaseSchema, load_catalogue, load_descriptions
 from .sqlref import extract_refs
-from .tokens import TokenizeError
 
 log = logging.getLogger(__name__)
 
@@ -132,7 +131,7 @@ def filter_items(
             continue
         try:
             refs = extract_refs(item.gold_sql, db)
-        except (ValueError, TokenizeError) as exc:
+        except ValueError as exc:
             dropped.append((item, f"unparseable gold SQL: {exc}"))
             log.warning("dropping %s: unparseable gold SQL: %s", item.item_id, exc)
             continue

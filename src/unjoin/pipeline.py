@@ -333,16 +333,21 @@ def evaluate_item(
     db_file: Path | None,
     exec_timeout_s: float,
 ) -> EvalRecord:
-    """Execute gold and prediction, extract references, score one item."""
-    if db_file is not None and db_file.exists():
-        gold_exec = execute(item.gold_sql, db_file, exec_timeout_s)
-        if prediction.final_sql:
-            pred_exec = execute(prediction.final_sql, db_file, exec_timeout_s)
-        else:
-            pred_exec = None
-    else:
-        gold_exec = ExecOutcome(status=RUNTIME_ERROR, error="database file missing")
-        pred_exec = None
+    """Execute gold and prediction, extract references, score one item.
+
+    Without its database file, whether absent from the start or gone
+    before the prediction ran, the item's gold outcome is a runtime error
+    "database file missing" and its prediction is not executed.
+    """
+    missing = ExecOutcome(status=RUNTIME_ERROR, error="database file missing")
+    gold_exec, pred_exec = missing, None
+    if db_file is not None:
+        try:
+            gold_exec = execute(item.gold_sql, db_file, exec_timeout_s)
+            if prediction.final_sql:
+                pred_exec = execute(prediction.final_sql, db_file, exec_timeout_s)
+        except FileNotFoundError:
+            gold_exec, pred_exec = missing, None
     qe = pred_exec is not None and pred_exec.status == OK
     em = qe and compare_results(
         gold_exec, pred_exec, has_top_level_order_by(item.gold_sql)

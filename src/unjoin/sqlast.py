@@ -497,9 +497,10 @@ class _Roles:
         self.chains: list[tuple[int, int]] = []  # (first, last) name of each a.b[.c]
         self.qualifiers: list[int] = []  # indices; column follows 2 later
         self.columns: list[tuple[int, int | None]] = []  # (index, qualifier index)
-        self.alias_defs: dict[str, int | None] = {}  # alias lower -> table token idx
+        # Alias lower -> token index of its FROM table; None for a derived
+        # table or a select item.
+        self.alias_defs: dict[str, int | None] = {}
         self.cte_names: set[str] = set()
-        self.select_aliases: set[str] = set()
         self._classify()
 
     def _classify(self):
@@ -596,8 +597,6 @@ class _Roles:
                 expect_cte = False
             elif expect_alias:
                 self.alias_defs[low] = last_table_idx
-                if last_table_idx is None:
-                    self.select_aliases.add(low)
                 expect_alias = False
                 last_table_idx = None
             elif expect_table:
@@ -616,8 +615,6 @@ class _Roles:
             elif prev is not None and implicit_alias_after(prev):
                 # Implicit alias: "expr name", "table name", "CASE..END name".
                 self.alias_defs[low] = last_table_idx
-                if last_table_idx is None:
-                    self.select_aliases.add(low)
                 last_table_idx = None
             else:
                 self.columns.append((i, None))

@@ -99,9 +99,10 @@ class _Analyzer:
         # declared order) are read here.
         self.schema_cols: dict[str, dict[str, str]] = db.columns_by_table
 
-    def add_pair(self, table: str, column: str):
-        self.tables.add(table)
-        self.columns.add(f"{table}.{column}")
+    def add_pairs(self, pairs):
+        for table, column in pairs:
+            self.tables.add(table)
+            self.columns.add(f"{table}.{column}")
 
     # ----- statement / block walking -----
 
@@ -121,6 +122,7 @@ class _Analyzer:
         return outputs or []
 
     def block(self, block, parent: _Scope | None, env: dict) -> list:
+        """Resolve one select block; returns its (column_name, pairs) outputs."""
         scope = _Scope(parent)
         for src in block.sources:
             if isinstance(src, TableSource):
@@ -141,123 +143,87 @@ class _Analyzer:
         scope.select_aliases = {
             item.alias.lower() for item in block.items if item.alias
         }
-        for item in block.items:
-            if item.is_star:
-                if item.star_qualifier:
-                    self.qualified_star(item.star_qualifier.lower(), scope)
-                else:
-                    self.star_outputs(scope)
-            else:
-                self.expr(item.expr, scope, env)
-        for run in block.join_exprs:
-            self.expr(run, scope, env)
-        for run in (block.where, block.group_by, block.having, block.order_by, block.limit):
-            if run:
-                self.expr(run, scope, env)
-        return self._outputs(block, scope)
-
-    def _outputs(self, block, scope) -> list:
         outputs = []
         for item in block.items:
             if item.is_star:
-                if item.star_qualifier:
-                    outputs.extend(self.qualified_star(item.star_qualifier.lower(), scope))
-                else:
-                    outputs.extend(self.star_outputs(scope))
+                qualifier = item.star_qualifier
+                outputs.extend(self.star(qualifier.lower() if qualifier else None, scope))
                 continue
             ref = _plain_ref(item.expr)
-            if ref is not None:
+            if ref is None:
+                self.expr(item.expr, scope, env)
+                name, pairs = "", frozenset()
+            else:
                 qual, name = ref
                 if qual is not None:
                     pairs = self.resolve_qualified(qual, name, scope)
                 else:
                     pairs = self.resolve_bare(name, scope)
-                outputs.append((item.alias.lower() if item.alias else name, pairs))
-            else:
-                outputs.append(((item.alias or "").lower(), frozenset()))
+            outputs.append((item.alias.lower() if item.alias else name, pairs))
+        for run in block.join_exprs:
+            self.expr(run, scope, env)
+        for run in (block.where, block.group_by, block.having, block.order_by, block.limit):
+            if run:
+                self.expr(run, scope, env)
         return outputs
 
-    # ----- star expansion -----
-
-    def star_outputs(self, scope: _Scope) -> list:
-        out = []
-        for res in scope.ordered:
-            out.extend(self._source_outputs(res))
-        for _, pairs in out:
-            for t, c in pairs:
-                self.add_pair(t, c)
-        return out
+    # ----- reference resolution -----
 
     # Names reach resolution in lower case: from the tokens' stored
     # ``lower`` field, or lowered once where the parser kept the text.
 
-    def qualified_star(self, ql: str, scope: _Scope) -> list:
-        res = scope.lookup(ql)
-        if res is None:
-            self.tables.add(ql)
-            return []
-        out = self._source_outputs(res)
-        for _, pairs in out:
-            for t, c in pairs:
-                self.add_pair(t, c)
-        return out
-
-    def _source_outputs(self, res) -> list:
+    def _column(self, res, cl: str) -> frozenset | None:
+        """The (table, column) pairs source ``res`` gives for ``cl``, or
+        None when it has no such column."""
         if res[0] == "table":
-            table = res[1]
-            return [
-                (col, frozenset({(table, col)}))
-                for col in self.schema_cols.get(table, [])
-            ]
-        return list(res[1])
+            cols = self.schema_cols.get(res[1])
+            return frozenset({(res[1], cl)}) if cols is not None and cl in cols else None
+        hits = [pairs for name, pairs in res[1] if name == cl]
+        return frozenset().union(*hits) if hits else None
 
-    # ----- reference resolution -----
+    def star(self, ql: str | None, scope: _Scope) -> list:
+        """Expand ``*`` (``ql`` None) or ``ql.*`` into the columns it projects."""
+        if ql is None:
+            sources = scope.ordered
+        else:
+            res = scope.lookup(ql)
+            if res is None:
+                self.tables.add(ql)
+                return []
+            sources = [res]
+        out = []
+        for res in sources:
+            if res[0] == "table":
+                table_cols = self.schema_cols.get(res[1], ())
+                out.extend((cl, self._column(res, cl)) for cl in table_cols)
+            else:
+                out.extend(res[1])
+        for _, pairs in out:
+            self.add_pairs(pairs)
+        return out
 
     def resolve_qualified(self, ql: str, cl: str, scope: _Scope) -> frozenset:
         res = scope.lookup(ql)
-        if res is None:
-            # Qualifier names something outside every scope. Keep it so
+        if res is None or res[0] == "table":
+            # A base table is credited with the column even when the
+            # schema lacks it, and so is a qualifier outside every scope:
             # the prediction pays for the stray reference.
-            self.add_pair(ql, cl)
-            return frozenset({(ql, cl)})
-        if res[0] == "table":
-            self.add_pair(res[1], cl)
-            return frozenset({(res[1], cl)})
-        pairs = set()
-        for name, ps in res[1]:
-            if name == cl:
-                pairs |= ps
-        for t, c in pairs:
-            self.add_pair(t, c)
-        return frozenset(pairs)
+            pairs = frozenset({(ql if res is None else res[1], cl)})
+        else:
+            pairs = self._column(res, cl) or frozenset()
+        self.add_pairs(pairs)
+        return pairs
 
     def resolve_bare(self, cl: str, scope: _Scope) -> frozenset:
         s = scope
         while s is not None:
-            owner_sets = set()
-            for res in s.ordered:
-                if res[0] == "table":
-                    cols = self.schema_cols.get(res[1])
-                    if cols is not None and cl in cols:
-                        owner_sets.add(frozenset({(res[1], cl)}))
-                else:
-                    pairs = set()
-                    hit = False
-                    for name, ps in res[1]:
-                        if name == cl:
-                            hit = True
-                            pairs |= ps
-                    if hit:
-                        owner_sets.add(frozenset(pairs))
+            owner_sets = {self._column(res, cl) for res in s.ordered} - {None}
             if owner_sets:
                 if len(owner_sets) > 1:
                     self.ambiguous.add(cl)
-                merged = set()
-                for ps in owner_sets:
-                    merged |= ps
-                for t, c in merged:
-                    self.add_pair(t, c)
-                return frozenset(merged)
+                merged = frozenset().union(*owner_sets)
+                self.add_pairs(merged)
+                return merged
             if cl in s.select_aliases:
                 return frozenset()
             s = s.parent
@@ -289,7 +255,7 @@ class _Analyzer:
                 continue
             star = items[i + 2] if i + 2 < n else None
             if op == "." and isinstance(star, Token) and star.kind == OP and star.value == "*":
-                self.qualified_star(tok.lower, scope)
+                self.star(tok.lower, scope)
                 i += 3
                 continue
             self.resolve_bare(tok.lower, scope)

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from unjoin.correction import (
+    CorrectionReport,
     _best,
     correct_identifiers,
     correct_identifiers_simplified,
@@ -238,6 +239,47 @@ def test_select_alias_not_corrected(retail_db):
     sql = "SELECT count(*) AS totl FROM orders GROUP BY status ORDER BY totl"
     fixed, _ = correct_identifiers(sql, retail_db)
     assert fixed == sql
+
+
+@pytest.mark.parametrize("sql", [
+    # A column of a derived table is named by its select list, not the schema.
+    "SELECT d.total FROM (SELECT count(*) AS total FROM orders) AS d",
+    # A bare name equal to a CTE name.
+    "WITH total AS (SELECT 1 AS k) SELECT total FROM total",
+    # No base table is referenced, so every schema column is a candidate,
+    # and a known one must not be substituted for itself at distance 0.
+    "WITH x AS (SELECT 1 AS k) SELECT name FROM x",
+])
+def test_names_outside_the_schema_left_alone(retail_db, sql):
+    assert correct_identifiers(sql, retail_db) == (sql, CorrectionReport())
+
+
+def test_unresolved_qualifier_tie_prefers_referenced_table():
+    db = DatabaseSchema(
+        "tie",
+        (TableDef("a", (ColumnDef("nmaexy"),)), TableDef("b", (ColumnDef("name"),))),
+        (),
+    )
+    # Both candidates are two edits from "nmae"; only a is in FROM.
+    fixed, report = correct_identifiers("SELECT zzzzzzzz.nmae FROM a", db)
+    assert fixed == "SELECT zzzzzzzz.nmaexy FROM a"
+    assert report.unresolved == ("zzzzzzzz",)
+
+
+@pytest.mark.parametrize("sql", [
+    "WITH x AS (SELECT name AS nam FROM customer) SELECT x.nam FROM x",
+    "WITH x AS (SELECT name AS nam FROM customer) SELECT y.nam FROM x AS y",
+])
+def test_cte_qualified_columns_left_alone(retail_db, retail_sqlite, sql):
+    # The CTE's columns are its select list's names, which repair must not
+    # rewrite into base-table columns the CTE does not have.
+    fixed, report = correct_identifiers(sql, retail_db)
+    conn = sqlite3.connect(f"file:{retail_sqlite}?mode=ro", uri=True)
+    try:
+        assert conn.execute(fixed).fetchall() == conn.execute(sql).fetchall() != []
+    finally:
+        conn.close()
+    assert (fixed, report) == (sql, CorrectionReport())
 
 
 # ----- simplified-side repair -----

@@ -407,8 +407,31 @@ def test_evaluate_item_missing_database_file(retail_db, tmp_path):
     pred = PredictedQuery(method="cot", final_sql="SELECT 1")
     rec = evaluate_item(ITEM, pred, retail_db, retail_db, tmp_path / "gone.sqlite", 10.0)
     assert rec.gold_exec.status == "runtime_error"
-    assert "missing" in rec.gold_exec.error
+    assert rec.gold_exec.error == "database file missing"
+    assert rec.pred_exec is None
     assert not rec.qe
+
+
+def test_database_file_removed_after_gold_ran_costs_only_that_item(
+    retail_db, retail_sqlite, tmp_path, monkeypatch
+):
+    db_file = tmp_path / "retail.sqlite"
+    shutil.copyfile(retail_sqlite, db_file)
+    real_execute = pipeline.execute
+
+    def execute_then_remove(sql, path, timeout_s):
+        outcome = real_execute(sql, path, timeout_s)
+        db_file.unlink(missing_ok=True)
+        return outcome
+
+    monkeypatch.setattr(pipeline, "execute", execute_then_remove)
+    pred = PredictedQuery(method="cot", final_sql=ITEM.gold_sql)
+    rec = evaluate_item(ITEM, pred, retail_db, retail_db, db_file, 10.0)
+    assert rec.gold_exec.status == "runtime_error"
+    assert rec.gold_exec.error == "database file missing"
+    assert rec.pred_exec is None
+    assert not rec.qe and not rec.em
+    assert rec.gold_tables == ("city", "customer", "orders")
 
 
 def test_evaluate_item_counts_tables_when_item_lacks_count(retail_db, retail_sqlite):
