@@ -17,7 +17,8 @@ left alone, neither repaired nor reported: CTE names and the columns
 qualified by one, directly or through an alias; columns qualified by a
 derived table's alias; and aliases of tables, derived tables and select
 items. Double-quoted names are left alone too, since SQLite reads an
-unknown one as a string literal.
+unknown one as a string literal. Text that cannot be tokenized (an
+unterminated quote or block comment) is left whole for SQLite to judge.
 
 A candidate is eligible when the distance is at most
 max(2, ceil(0.4 * len(candidate))). Ties prefer a candidate from a
@@ -48,7 +49,7 @@ from dataclasses import dataclass
 
 from .schema import DatabaseSchema, SimplifiedSchema
 from .sqlast import _Roles
-from .tokens import tokenize
+from .tokens import TokenizeError, tokenize
 
 
 @dataclass(frozen=True)
@@ -157,10 +158,14 @@ def correct_identifiers(sql: str, db: DatabaseSchema) -> tuple[str, CorrectionRe
 
     Returns the rewritten SQL and a report of substitutions (original,
     replacement, distance, offset) plus names that stayed unresolved,
-    both in text order.
+    both in text order. Text that cannot be tokenized comes back
+    unchanged with an empty report.
     Applying the function to its own output is a fixed point.
     """
-    toks = tokenize(sql)
+    try:
+        toks = tokenize(sql)
+    except TokenizeError:
+        return sql, CorrectionReport()
     roles = _Roles(toks)
     table_canon = db.table_names
     cols_by_table = db.columns_by_table
@@ -243,9 +248,13 @@ def correct_identifiers_simplified(
     Maximal dotted chains are matched whole against the rendered
     "table.column" entries; FROM tables other than CTE names are matched
     against the virtual table name. Bare names are left alone.
-    Unresolved names are reported in text order.
+    Unresolved names are reported in text order. Text that cannot be
+    tokenized comes back unchanged with an empty report.
     """
-    toks = tokenize(sql)
+    try:
+        toks = tokenize(sql)
+    except TokenizeError:
+        return sql, CorrectionReport()
     roles = _Roles(toks)
     virtual_low = simplified.name.lower()
     subs: list[tuple[Substitution, int, str]] = []

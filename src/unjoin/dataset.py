@@ -192,7 +192,6 @@ class RunConfig:
             max_output_tokens=self.max_output_tokens,
             timeout_s=self.request_timeout_s,
             retries=self.retries,
-            max_in_flight=self.workers,
         )
 
     def validate(self) -> None:

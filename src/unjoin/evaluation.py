@@ -176,8 +176,6 @@ def has_top_level_order_by(sql: str) -> bool:
 def _value_key(v):
     if v is None:
         return (0, "")
-    if isinstance(v, bool):
-        return (1, float(v))
     if isinstance(v, (int, float)):
         return (1, float(v))
     if isinstance(v, str):

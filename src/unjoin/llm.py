@@ -15,7 +15,7 @@ import os
 import re
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import requests
@@ -62,7 +62,6 @@ class LlmConfig:
     max_output_tokens: int = 1024
     timeout_s: float = 60.0
     retries: int = 2
-    max_in_flight: int = 4
 
 
 @dataclass(frozen=True)
@@ -73,6 +72,10 @@ class LlmExchange:
     latency_s: float = 0.0
     prompt_tokens: int | None = None
     completion_tokens: int | None = None
+
+
+# A cache file holds these fields as JSON keys, in this order.
+_RECORD_FIELDS = fields(LlmExchange)
 
 
 def exchange_key(prompt: str, cfg: LlmConfig) -> str:
@@ -105,14 +108,10 @@ class ExchangeCache:
         try:
             with open(path, encoding="utf-8") as fh:
                 raw = json.load(fh)
-            return LlmExchange(
-                key=raw["key"],
-                prompt=raw["prompt"],
-                completion=raw["completion"],
-                latency_s=raw.get("latency_s", 0.0),
-                prompt_tokens=raw.get("prompt_tokens"),
-                completion_tokens=raw.get("completion_tokens"),
-            )
+            return LlmExchange(**{
+                f.name: raw[f.name] if f.default is MISSING else raw.get(f.name, f.default)
+                for f in _RECORD_FIELDS
+            })
         except FileNotFoundError:
             return None
         except (OSError, ValueError, KeyError, TypeError) as exc:
@@ -120,14 +119,7 @@ class ExchangeCache:
 
     def put(self, exchange: LlmExchange) -> None:
         path = self.path_for(exchange.key)
-        record = {
-            "key": exchange.key,
-            "prompt": exchange.prompt,
-            "completion": exchange.completion,
-            "latency_s": exchange.latency_s,
-            "prompt_tokens": exchange.prompt_tokens,
-            "completion_tokens": exchange.completion_tokens,
-        }
+        record = {f.name: getattr(exchange, f.name) for f in _RECORD_FIELDS}
         body = json.dumps(record, ensure_ascii=False, indent=1)
         with self._lock:
             path.parent.mkdir(parents=True, exist_ok=True)
@@ -166,13 +158,12 @@ def default_transport(prompt: str, cfg: LlmConfig) -> tuple[str, int | None, int
 
 
 class LlmClient:
-    """Thread-safe client; bounded number of concurrent network calls."""
+    """Thread-safe client; each calling thread makes one endpoint call at a time."""
 
     def __init__(self, cfg: LlmConfig, cache: ExchangeCache | None = None, transport=None):
         self.cfg = cfg
         self.cache = cache
         self.transport = transport or default_transport
-        self._gate = threading.Semaphore(max(1, cfg.max_in_flight))
 
     def complete(self, prompt: str, cache_mode: str = "replay") -> str:
         if cache_mode not in CACHE_MODES:
@@ -201,8 +192,7 @@ class LlmClient:
         for _ in range(attempts):
             started = time.monotonic()
             try:
-                with self._gate:
-                    text, ptok, ctok = self.transport(prompt, self.cfg)
+                text, ptok, ctok = self.transport(prompt, self.cfg)
                 return LlmExchange(
                     key=key,
                     prompt=prompt,
@@ -219,7 +209,6 @@ class LlmClient:
 # ----- completion post-processing -----
 
 _FENCE_OPEN = "```"
-_QUOTES = ("'", '"', "`", "[")
 _LEADING_WORD = re.compile(r"\s*([A-Za-z_]\w*)")
 # SELECT or WITH as a whole word, matched on the text itself so offsets
 # stay exact. Spelled-out cases, not IGNORECASE, which would also take
@@ -255,28 +244,6 @@ def extract_sql_blocks(completion: str) -> list[str]:
     return blocks
 
 
-def _strip_trailing_prose(sql: str) -> str:
-    semi = sql.find(";")
-    if semi < 0:
-        return sql.strip()
-    head = sql[:semi]
-    if any(q in head for q in _QUOTES) or "--" in head or "/*" in head:
-        # The ';' may sit inside a literal, a quoted name or a comment:
-        # cut at the first one the tokenizer reads as an operator. Tokens
-        # stop where the text turns unreadable (say, an apostrophe in
-        # trailing prose).
-        try:
-            toks, readable = tokenize(sql), True
-        except TokenizeError as exc:
-            toks, readable = tokenize(sql[: exc.offset]), False
-        for tok in toks:
-            if tok.kind == OP and tok.value == ";":
-                return sql[: tok.end]
-        # Every readable ';' is quoted. Unreadable text keeps the raw cut.
-        return sql.strip() if readable else sql[: semi + 1]
-    return sql[: semi + 1]
-
-
 def _starts_with_prose(line: str) -> bool:
     word = _LEADING_WORD.match(line)
     return word is not None and word.group(1).lower() not in KEYWORDS
@@ -303,8 +270,26 @@ def _parsing_prefix(sql: str) -> str:
 
 
 def trim_sql(text: str) -> str:
-    """Cut anything after the first statement-terminating semicolon."""
-    return _strip_trailing_prose(text).strip()
+    """Cut anything after the first statement-terminating semicolon.
+
+    A ';' inside a literal, a quoted name or a comment does not end the
+    statement: the cut is at the first ';' the tokenizer reads as an
+    operator. Tokens stop where the text turns unreadable (say, an
+    apostrophe in trailing prose); with no ';' read before that point,
+    the cut is at the first ';' in the text.
+    """
+    semi = text.find(";")
+    if semi < 0:
+        return text.strip()
+    try:
+        toks, readable = tokenize(text), True
+    except TokenizeError as exc:
+        toks, readable = tokenize(text[: exc.offset]), False
+    for tok in toks:
+        if tok.kind == OP and tok.value == ";":
+            return text[: tok.end].strip()
+    # Every readable ';' is quoted. Unreadable text keeps the raw cut.
+    return text.strip() if readable else text[: semi + 1].strip()
 
 
 def extract_sql(completion: str) -> str:

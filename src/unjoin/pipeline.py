@@ -16,7 +16,7 @@ against QE. Stage names: ``step1-complete``, ``step1-extract``,
 ``extract`` for the others; ``retrieval`` when an open-book item has
 no usable table pool.
 
-Open-book runs swap the item's home schema for a TablePool assembled
+Open-book runs swap the item's home schema for a pool schema assembled
 from an external retrieval list; everything downstream is unchanged.
 Predictions always execute against the item's home database, so a pool
 that lacks the right tables shows up as execution failure rather than
@@ -242,13 +242,6 @@ def run_method(
 # ----- open-book table pools -----
 
 
-@dataclass(frozen=True)
-class TablePool:
-    schema: DatabaseSchema
-    # pool table name -> (source db_id, original table name)
-    provenance: dict
-
-
 class PoolError(ValueError):
     pass
 
@@ -257,7 +250,7 @@ def assemble_pool(
     retrieved: list[tuple[str, str, float]],
     catalogue: dict[str, DatabaseSchema],
     topk: int = 10,
-) -> TablePool:
+) -> DatabaseSchema:
     """Build one synthetic schema from the top-k retrieved tables.
 
     Name collisions across source databases are resolved by suffixing
@@ -268,7 +261,6 @@ def assemble_pool(
     ranked = sorted(enumerate(retrieved), key=lambda e: (-e[1][2], e[0]))
     picked = [entry for _, entry in ranked[: max(1, topk)]]
     tables = []
-    provenance = {}
     names_lower: set[str] = set()
     chosen: dict[tuple[str, str], str] = {}  # (db_id, table_lower) -> pool name
     for db_id, table_name, _ in picked:
@@ -292,7 +284,6 @@ def assemble_pool(
             tables.append(table)
         else:
             tables.append(TableDef(pool_name, table.columns))
-        provenance[pool_name] = (db_id, table.name)
     if not tables:
         raise PoolError("retrieval list produced an empty pool")
     fks = []
@@ -303,26 +294,24 @@ def assemble_pool(
             if p1 and p2:
                 fks.append((p1, c1, p2, c2))
     try:
-        schema = DatabaseSchema("pool", tuple(tables), tuple(fks))
+        return DatabaseSchema("pool", tuple(tables), tuple(fks))
     except SchemaError as exc:
         raise PoolError(f"pool assembly failed: {exc}") from exc
-    return TablePool(schema, provenance)
 
 
 # ----- full-run evaluation -----
 
 
-def _empty_refset() -> RefSet:
-    return RefSet(frozenset(), frozenset())
+_NO_REFS = RefSet(frozenset(), frozenset())
 
 
 def _safe_refs(sql: str | None, db: DatabaseSchema) -> RefSet:
     if not sql:
-        return _empty_refset()
+        return _NO_REFS
     try:
         return extract_refs(sql, db)
     except ValueError:
-        return _empty_refset()
+        return _NO_REFS
 
 
 def evaluate_item(
@@ -404,7 +393,7 @@ def run_evaluation(
                 listed = retrieval.get(item.item_id)
                 if not listed:
                     raise PoolError(f"no retrieval list for {item.item_id}")
-                pred_db = assemble_pool(listed, bundle.catalogue, config.topk).schema
+                pred_db = assemble_pool(listed, bundle.catalogue, config.topk)
                 descriptions = None
         except PoolError as exc:
             prediction = PredictedQuery(

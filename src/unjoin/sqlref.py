@@ -240,13 +240,17 @@ class _Analyzer:
                 self.statement(tok, scope, env)
                 i += 1
                 continue
-            if tok.kind not in (IDENT, QIDENT) or (tok.kind == IDENT and tok.lower in KEYWORDS):
+            if tok.kind not in (IDENT, QIDENT):
                 i += 1
                 continue
+            # A qualifier may be a keyword SQLite takes as an alias, such as ``row``.
             j = chain_end(items, i)
             if j > i:
                 self.resolve_qualified(items[j - 2].lower, items[j].lower, scope)
                 i = j + 1
+                continue
+            if tok.kind == IDENT and tok.lower in KEYWORDS:
+                i += 1
                 continue
             nxt = items[i + 1] if i + 1 < n else None
             op = nxt.value if isinstance(nxt, Token) and nxt.kind == OP else None

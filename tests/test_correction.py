@@ -355,7 +355,7 @@ def test_open_book_pool_repairs_against_its_own_names():
     catalogue = {"retail": retail, "branch": branch}
     correct_identifiers("SELECT nmae FROM custmer", retail)  # warm the source schema
     pool = assemble_pool([("retail", "customer", 0.9), ("branch", "customer", 0.8),
-                          ("retail", "orders", 0.7)], catalogue).schema
+                          ("retail", "orders", 0.7)], catalogue)
     assert sorted(t.name for t in pool.tables) == ["customer", "customer__branch", "orders"]
     fixed, report = correct_identifiers(
         "SELECT customer__brnch.nmae FROM customer__brnch", pool)

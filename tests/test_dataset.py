@@ -181,4 +181,3 @@ def test_llm_config_mapping():
     assert llm.max_output_tokens == 77
     assert llm.timeout_s == 9.0
     assert llm.retries == 4
-    assert llm.max_in_flight == 3

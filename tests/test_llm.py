@@ -1,6 +1,4 @@
 import json
-import threading
-import time
 
 import pytest
 
@@ -144,6 +142,39 @@ def test_record_writes_before_returning(tmp_path):
     assert raw["completion"] == "out"
 
 
+
+def test_cache_file_layout_is_pinned(tmp_path):
+    cache = ExchangeCache(tmp_path)
+    cache.put(LlmExchange(key="ab12", prompt="p\u00e9", completion="c", latency_s=0.5,
+                          prompt_tokens=3))
+    assert cache.path_for("ab12").read_text(encoding="utf-8") == (
+        '{\n "key": "ab12",\n "prompt": "p\u00e9",\n "completion": "c",\n'
+        ' "latency_s": 0.5,\n "prompt_tokens": 3,\n "completion_tokens": null\n}'
+    )
+
+
+def test_cache_file_without_optional_fields_reads_with_defaults(tmp_path):
+    cache = ExchangeCache(tmp_path)
+    path = cache.path_for("ab12")
+    path.parent.mkdir(parents=True)
+    path.write_text('{"completion": "c", "prompt": "p", "key": "ab12", "extra": 1}',
+                    encoding="utf-8")
+    assert cache.get("ab12") == LlmExchange(key="ab12", prompt="p", completion="c")
+
+
+@pytest.mark.parametrize("missing", ["key", "prompt", "completion"])
+def test_cache_file_without_a_required_field_is_corrupt(tmp_path, missing):
+    cache = ExchangeCache(tmp_path)
+    path = cache.path_for("ab12")
+    path.parent.mkdir(parents=True)
+    raw = {"key": "ab12", "prompt": "p", "completion": "c"}
+    del raw[missing]
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    with pytest.raises(CorruptCacheError) as info:
+        cache.get("ab12")
+    assert f"KeyError: '{missing}'" in str(info.value)
+
+
 def test_record_without_cache_rejected():
     client = LlmClient(CFG, cache=None, transport=lambda p, c: ("x", 1, 1))
     with pytest.raises(ValueError):
@@ -240,31 +271,6 @@ def test_non_transport_errors_not_retried(tmp_path):
     with pytest.raises(LlmError):
         client.complete("p", "live")
     assert len(attempts) == 1
-
-
-def test_concurrent_calls_bounded_by_max_in_flight(tmp_path):
-    lock = threading.Lock()
-    state = {"now": 0, "peak": 0}
-
-    def transport(prompt, cfg):
-        with lock:
-            state["now"] += 1
-            state["peak"] = max(state["peak"], state["now"])
-        time.sleep(0.02)
-        with lock:
-            state["now"] -= 1
-        return "x", None, None
-
-    client = make_client(tmp_path, transport, max_in_flight=2)
-    threads = [
-        threading.Thread(target=client.complete, args=(f"p{i}", "live"))
-        for i in range(8)
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert state["peak"] <= 2
 
 
 # ----- completion post-processing -----

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import shutil
 import sys
@@ -31,7 +32,7 @@ from unjoin.pipeline import (
     run_evaluation,
     run_method,
 )
-from unjoin.evaluation import write_records
+from unjoin.evaluation import read_records, write_records
 from unjoin.prompting import (
     DEFAULT_TEMPLATE_DIR,
     METHOD_TEMPLATES,
@@ -285,6 +286,38 @@ def test_retrieval_failure_is_the_items_first_stage(mini_spider_root, tmp_path, 
     assert records[0].gold_tables  # gold is still scored against the home schema
 
 
+
+@pytest.mark.parametrize("bad, runs", [
+    ("SELECT name FROM customer WHERE name = 'x", False),
+    ("SELECT name FROM customer /* note", True),  # SQLite runs this one
+], ids=["unterminated-quote", "unterminated-comment"])
+def test_query_that_cannot_be_tokenized_is_left_to_sqlite(mini_spider_root, tmp_path, bad, runs):
+    bundle = load_dataset(mini_spider_root, "spider")
+    kept, _ = filter_items(bundle.items, bundle.catalogue)
+    items = [item for item in kept if item.db_id == "retail"][:2]
+    answers = {items[0].question: bad, items[1].question: items[1].gold_sql}
+
+    def transport(prompt, cfg):
+        (sql,) = [sql for question, sql in answers.items() if question in prompt]
+        return f"```sql\n{sql}\n```", 1, 1
+
+    config = RunConfig(dataset="spider", root=str(mini_spider_root), method="cot",
+                       model="m", cache_mode="record", cache_dir=str(tmp_path / "cache"),
+                       workers=1, out_dir=str(tmp_path))
+    cache = ExchangeCache(config.cache_dir)
+    run_evaluation(bundle, items, config, LlmClient(config.llm_config(), cache, transport))
+    config = dataclasses.replace(config, cache_mode="replay")
+    records, meta = run_evaluation(bundle, items, config, LlmClient(config.llm_config(), cache))
+    write_records(records, tmp_path / "records.jsonl", meta)
+    _, written = read_records(tmp_path / "records.jsonl")
+    assert [r.item_id for r in written] == [item.item_id for item in items]
+    bad_record, good_record = written
+    assert bad_record.prediction["final_sql"] == bad
+    assert bad_record.prediction["final_report"] == {"substitutions": [], "unresolved": []}
+    assert bad_record.qe is runs
+    assert good_record.qe and good_record.em
+
+
 def test_predicted_query_invariant():
     with pytest.raises(ValueError):
         PredictedQuery(method="cot")  # not failed, but no final sql
@@ -324,10 +357,8 @@ def test_pool_ranks_by_score_then_input_order(retail_db):
         [("retail", "city", 0.5), ("retail", "customer", 0.9), ("retail", "orders", 0.5)],
         catalogue, topk=2,
     )
-    assert [t.name for t in pool.schema.tables] == ["customer", "city"]
-    assert pool.schema.db_id == "pool"
-    assert pool.provenance == {"customer": ("retail", "customer"),
-                               "city": ("retail", "city")}
+    assert [t.name for t in pool.tables] == ["customer", "city"]
+    assert pool.db_id == "pool"
 
 
 def test_pool_deduplicates_repeated_tables(retail_db):
@@ -335,17 +366,18 @@ def test_pool_deduplicates_repeated_tables(retail_db):
         [("retail", "customer", 0.9), ("retail", "CUSTOMER", 0.8)],
         {"retail": retail_db},
     )
-    assert [t.name for t in pool.schema.tables] == ["customer"]
+    assert [t.name for t in pool.tables] == ["customer"]
 
 
 def test_pool_renames_cross_database_collisions(retail_db):
-    catalogue = {"retail": retail_db, "crm": crm_schema()}
+    crm = crm_schema()
     pool = assemble_pool(
         [("retail", "customer", 0.9), ("crm", "customer", 0.8)],
-        catalogue,
+        {"retail": retail_db, "crm": crm},
     )
-    assert [t.name for t in pool.schema.tables] == ["customer", "customer__crm"]
-    assert pool.provenance["customer__crm"] == ("crm", "customer")
+    assert [t.name for t in pool.tables] == ["customer", "customer__crm"]
+    # The renamed table is crm's customer, columns and all.
+    assert pool.find_table("customer__crm").columns == crm.find_table("customer").columns
 
 
 def test_pool_keeps_foreign_keys_within_one_source(retail_db):
@@ -353,9 +385,9 @@ def test_pool_keeps_foreign_keys_within_one_source(retail_db):
         [("retail", "customer", 0.9), ("retail", "city", 0.8), ("retail", "product", 0.7)],
         {"retail": retail_db},
     )
-    assert ("customer", "city_id", "city", "city_id") in pool.schema.foreign_keys
+    assert ("customer", "city_id", "city", "city_id") in pool.foreign_keys
     # item/orders absent, so their keys must not survive
-    assert all("item" not in fk for fk in pool.schema.foreign_keys)
+    assert all("item" not in fk for fk in pool.foreign_keys)
 
 
 def test_pool_drops_foreign_keys_across_sources(retail_db):
@@ -364,7 +396,7 @@ def test_pool_drops_foreign_keys_across_sources(retail_db):
         [("retail", "customer", 0.9), ("crm", "deal", 0.8)],
         catalogue,
     )
-    assert pool.schema.foreign_keys == ()
+    assert pool.foreign_keys == ()
 
 
 def test_pool_rejects_unknown_entries(retail_db):
@@ -595,6 +627,30 @@ def test_run_reads_templates_once(mini_spider_root, tmp_path, monkeypatch, metho
     assert len(sets) == 1
     assert not any(r.prediction["failed"] for r in records)
     assert len(prompts) == (12 if method == "unjoin-mp" else 6)
+
+
+
+def test_concurrent_endpoint_calls_bounded_by_workers(mini_spider_root, tmp_path):
+    bundle = load_dataset(mini_spider_root, "spider")
+    kept, _ = filter_items(bundle.items, bundle.catalogue)
+    lock = threading.Lock()
+    state = {"now": 0, "peak": 0}
+
+    def transport(prompt, cfg):
+        with lock:
+            state["now"] += 1
+            state["peak"] = max(state["peak"], state["now"])
+        time.sleep(0.01)
+        with lock:
+            state["now"] -= 1
+        return "```sql\nSELECT 1\n```", 1, 1
+
+    config = RunConfig(dataset="spider", root=str(mini_spider_root), method="unjoin-mp",
+                       model="m", cache_mode="live", workers=2, out_dir=str(tmp_path))
+    client = LlmClient(config.llm_config(), cache=None, transport=transport)
+    records, _ = run_evaluation(bundle, kept[:8], config, client)
+    assert len(records) == 8
+    assert 1 <= state["peak"] <= 2
 
 
 def test_template_rewritten_mid_run_changes_neither_prompts_nor_hash(

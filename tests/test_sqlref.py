@@ -253,6 +253,18 @@ def test_multiplication_operand_is_not_an_alias(retail_db):
     assert refs.columns == frozenset({"product.price", "item.quantity"})
 
 
+
+@pytest.mark.parametrize("alias", ["row", "filter", "range"])
+def test_keyword_alias_qualifies_its_column(retail_db, alias):
+    # SQLite takes these keywords as table aliases: row.name is customer's.
+    refs = extract_refs(
+        f"SELECT 1 FROM customer AS {alias}, city WHERE {alias}.name = 1", retail_db
+    )
+    assert refs.tables == frozenset({"customer", "city"})
+    assert refs.columns == frozenset({"customer.name"})
+    assert refs.ambiguous == frozenset()
+
+
 # ----- simplified-side extraction -----
 
 
