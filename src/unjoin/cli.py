@@ -162,10 +162,7 @@ def cmd_run(args) -> int:
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_records(records, out_dir / "records.jsonl", meta)
-    summary = build_summary(meta, records)
-    write_summary(summary, out_dir / "summary.json")
-    write_bucket_csv(summary["buckets"], out_dir / "buckets.csv")
-    print(_metrics_line(summary["metrics"]))
+    _write_scores(meta, records, out_dir)
     return 0
 
 
@@ -173,11 +170,7 @@ def cmd_score(args) -> int:
     meta, records = read_records(args.records)
     if not records:
         raise DatasetError(f"no records in {args.records}")
-    out_dir = Path(args.out) if args.out else Path(args.records).parent
-    summary = build_summary(meta, records)
-    write_summary(summary, out_dir / "summary.json")
-    write_bucket_csv(summary["buckets"], out_dir / "buckets.csv")
-    print(_metrics_line(summary["metrics"]))
+    _write_scores(meta, records, Path(args.out) if args.out else Path(args.records).parent)
     return 0
 
 
@@ -200,8 +193,13 @@ def cmd_diff(args) -> int:
     return 0
 
 
-def _metrics_line(metrics: dict) -> str:
-    return (
+def _write_scores(meta: dict, records: list, out_dir: Path) -> None:
+    """Write summary.json and buckets.csv into ``out_dir``; print the metrics line."""
+    summary = build_summary(meta, records)
+    write_summary(summary, out_dir / "summary.json")
+    write_bucket_csv(summary["buckets"], out_dir / "buckets.csv")
+    metrics = summary["metrics"]
+    print(
         f"{metrics['n']} items | QE {metrics['qe']:.2f} | EM {metrics['em']:.2f} | "
         f"table P/R {metrics['table_precision']:.2f}/{metrics['table_recall']:.2f} | "
         f"column P/R {metrics['column_precision']:.2f}/{metrics['column_recall']:.2f}"

@@ -77,55 +77,72 @@ _READ_ACTIONS = frozenset(
     (sqlite3.SQLITE_SELECT, sqlite3.SQLITE_READ, sqlite3.SQLITE_FUNCTION, sqlite3.SQLITE_RECURSIVE)
 )
 
-# Each thread holds one connection: (key, connection, flagged actions).
-_held = threading.local()
+class HeldConnections:
+    """One run's read-only connections, one per thread, all closed by ``close``."""
+
+    def __init__(self):
+        # Thread ident -> (key, connection, flagged actions); a thread touches only its own.
+        self._by_thread: dict[int, tuple] = {}
+
+    def __repr__(self) -> str:
+        # Equal for every run, so equal calls to ``execute`` print alike.
+        return "HeldConnections()"
+
+    def connection(self, path: Path) -> tuple[sqlite3.Connection, list]:
+        """The calling thread's connection to ``path``; a replaced or rewritten file is reopened."""
+        try:
+            st = path.stat()
+        except FileNotFoundError:
+            raise FileNotFoundError(f"database file not found: {path}") from None
+        key = (str(path), st.st_dev, st.st_ino, st.st_mtime_ns, st.st_size)
+        held = self._by_thread.get(threading.get_ident())
+        if held is not None and held[0] == key:
+            return held[1], held[2]
+        self.drop()
+        uri = "file:" + urllib.parse.quote(str(path.resolve()), safe="/") + "?mode=ro"
+        # ``close`` may run on another thread than the one that opened the
+        # connection; only the opening thread ever uses it.
+        con = sqlite3.connect(uri, uri=True, check_same_thread=False)
+        flagged: list = []
+
+        def _authorize(action, *_):
+            if action not in _READ_ACTIONS:
+                flagged.append(action)
+            return sqlite3.SQLITE_OK
+
+        con.set_authorizer(_authorize)
+        self._by_thread[threading.get_ident()] = (key, con, flagged)
+        return con, flagged
+
+    def drop(self) -> None:
+        """Close the calling thread's connection, if it holds one."""
+        held = self._by_thread.pop(threading.get_ident(), None)
+        if held is not None:
+            held[1].close()
+
+    def close(self) -> None:
+        """Close every connection; call once no thread uses them."""
+        while self._by_thread:
+            self._by_thread.popitem()[1][1].close()
 
 
-def _drop_held() -> None:
-    held = getattr(_held, "entry", None)
-    _held.entry = None
-    if held is not None:
-        held[1].close()
-
-
-def _held_connection(path: Path) -> tuple[sqlite3.Connection, list]:
-    try:
-        st = path.stat()
-    except FileNotFoundError:
-        raise FileNotFoundError(f"database file not found: {path}") from None
-    key = (str(path), st.st_dev, st.st_ino, st.st_mtime_ns, st.st_size)
-    held = getattr(_held, "entry", None)
-    if held is not None and held[0] == key:
-        return held[1], held[2]
-    _drop_held()
-    uri = "file:" + urllib.parse.quote(str(path.resolve()), safe="/") + "?mode=ro"
-    con = sqlite3.connect(uri, uri=True)
-    flagged: list = []
-
-    def _authorize(action, *_):
-        if action not in _READ_ACTIONS:
-            flagged.append(action)
-        return sqlite3.SQLITE_OK
-
-    con.set_authorizer(_authorize)
-    _held.entry = (key, con, flagged)
-    return con, flagged
-
-
-def execute(sql: str, db_file: str | Path, timeout_s: float = 30.0) -> ExecOutcome:
+def execute(
+    sql: str, db_file: str | Path, timeout_s: float = 30.0, held: HeldConnections | None = None
+) -> ExecOutcome:
     """Run one statement read-only and materialize all rows.
 
     A query still running at the deadline is interrupted and reported
     with status timeout, which counts against QE.
 
-    Each thread holds one ``mode=ro`` connection, keyed by the path and
-    the file's device, inode, mtime and size, so a replaced or rewritten
-    file is opened afresh. A statement that does anything but read
-    (creates a TEMP table, sets a PRAGMA, opens a transaction, attaches
-    a database) still runs as on a fresh connection, but the connection
-    is closed afterwards, so no query sees state another one left.
+    With ``held``, the statement runs on the calling thread's connection
+    in it; without, on a connection opened for this call and closed
+    before it returns. A statement that does anything but read (creates
+    a TEMP table, sets a PRAGMA, opens a transaction, attaches a
+    database) still runs as on a fresh connection, but the connection is
+    closed afterwards, so no query sees state another one left.
     """
-    con, flagged = _held_connection(Path(db_file))
+    owner = HeldConnections() if held is None else held
+    con, flagged = owner.connection(Path(db_file))
     started = time.monotonic()
     deadline = started + timeout_s
     timed_out = []
@@ -143,8 +160,10 @@ def execute(sql: str, db_file: str | Path, timeout_s: float = 30.0) -> ExecOutco
         status = TIMEOUT if timed_out else RUNTIME_ERROR
         return ExecOutcome(status=status, error=str(exc), wall_time_s=time.monotonic() - started)
     finally:
-        if flagged or con.in_transaction:
-            _drop_held()
+        if held is None:
+            owner.close()
+        elif flagged or con.in_transaction:
+            owner.drop()
     return ExecOutcome(status=OK, rows=tuple(rows), wall_time_s=time.monotonic() - started)
 
 

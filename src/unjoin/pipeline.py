@@ -4,7 +4,7 @@ Each method is a short, strictly ordered stage sequence: build prompt,
 complete, extract SQL, repair identifiers; the multi-prompt variant
 runs it twice (flat-view query, then translation back). The four
 methods are small runners in one table, driven by ``run_method``
-through a per-run stage runner that owns the client and cache mode.
+through a stage runner that holds the client, cache mode and templates.
 
 The failure rule lives in that runner, once: a completion error or an
 extraction error fails the item at the stage the runner was told, and
@@ -42,6 +42,7 @@ from .evaluation import (
     RUNTIME_ERROR,
     EvalRecord,
     ExecOutcome,
+    HeldConnections,
     compare_results,
     execute,
     has_top_level_order_by,
@@ -120,7 +121,7 @@ class _StageFailure(Exception):
 
 
 class _Run:
-    """One method run on one item: the client, and what each stage obtained.
+    """One method run on one item: client, templates, and what each stage obtained.
 
     Runners call ``complete`` and ``extract`` with the stage name to
     charge a failure to, and store the intermediate query and warnings
@@ -128,10 +129,11 @@ class _Run:
     obtained before its failing stage.
     """
 
-    def __init__(self, method: str, client: LlmClient, cache_mode: str):
+    def __init__(self, method: str, client: LlmClient, cache_mode: str, templates):
         self.method = method
         self.client = client
         self.cache_mode = cache_mode
+        self.templates = templates
         self.completions: list[str] = []
         self.intermediate_sql: str | None = None
         self.intermediate_report: CorrectionReport | None = None
@@ -162,24 +164,24 @@ class _Run:
         )
 
 
-def _unjoin_mp(run: _Run, item: EvalItem, db: DatabaseSchema, templates, descriptions):
+def _unjoin_mp(run: _Run, item: EvalItem, db: DatabaseSchema, descriptions):
     simplified = simplify_schema(db, descriptions)
     question = item.prompt_question
-    prompt1 = build_mp_step1_prompt(simplified, question, templates)
+    prompt1 = build_mp_step1_prompt(simplified, question, run.templates)
     raw1 = run.extract(run.complete(prompt1, "step1-complete"), "step1-extract")
     run.intermediate_sql, run.intermediate_report = correct_identifiers_simplified(
         raw1, simplified
     )
     prompt2 = build_mp_step2_prompt(
-        simplified, run.intermediate_sql, question, db, templates
+        simplified, run.intermediate_sql, question, db, run.templates
     )
     raw2 = run.extract(run.complete(prompt2, "step2-complete"), "step2-extract")
     return correct_identifiers(raw2, db)
 
 
-def _unjoin_sp(run: _Run, item: EvalItem, db: DatabaseSchema, templates, descriptions):
+def _unjoin_sp(run: _Run, item: EvalItem, db: DatabaseSchema, descriptions):
     simplified = simplify_schema(db, descriptions)
-    prompt = build_sp_prompt(simplified, item.prompt_question, db, templates)
+    prompt = build_sp_prompt(simplified, item.prompt_question, db, run.templates)
     completion = run.complete(prompt, "complete")
     blocks = extract_sql_blocks(completion)
     if len(blocks) >= 2:
@@ -199,9 +201,9 @@ def _unjoin_sp(run: _Run, item: EvalItem, db: DatabaseSchema, templates, descrip
     return correct_identifiers(final_raw, db)
 
 
-def _baseline(run: _Run, item: EvalItem, db: DatabaseSchema, templates, descriptions):
+def _baseline(run: _Run, item: EvalItem, db: DatabaseSchema, descriptions):
     schema_block = baseline_schema_block(run.method, db)
-    prompt = build_baseline_prompt(run.method, schema_block, item.prompt_question, templates)
+    prompt = build_baseline_prompt(run.method, schema_block, item.prompt_question, run.templates)
     raw = run.extract(run.complete(prompt, "complete"), "extract")
     return correct_identifiers(raw, db)
 
@@ -231,9 +233,9 @@ def run_method(
     runner = _RUNNERS.get(method)
     if runner is None:
         raise DatasetError(f"unknown method {method!r}")
-    run = _Run(method, client, cache_mode)
+    run = _Run(method, client, cache_mode, templates)
     try:
-        final_sql, final_report = runner(run, item, db, templates, descriptions)
+        final_sql, final_report = runner(run, item, db, descriptions)
     except _StageFailure as exc:
         return run.predicted(failed=True, failure_stage=exc.stage, failure_reason=str(exc))
     return run.predicted(final_sql=final_sql, final_report=final_report)
@@ -321,6 +323,7 @@ def evaluate_item(
     pred_db: DatabaseSchema,
     db_file: Path | None,
     exec_timeout_s: float,
+    held: HeldConnections | None = None,
 ) -> EvalRecord:
     """Execute gold and prediction, extract references, score one item.
 
@@ -332,9 +335,9 @@ def evaluate_item(
     gold_exec, pred_exec = missing, None
     if db_file is not None:
         try:
-            gold_exec = execute(item.gold_sql, db_file, exec_timeout_s)
+            gold_exec = execute(item.gold_sql, db_file, exec_timeout_s, held)
             if prediction.final_sql:
-                pred_exec = execute(prediction.final_sql, db_file, exec_timeout_s)
+                pred_exec = execute(prediction.final_sql, db_file, exec_timeout_s, held)
         except FileNotFoundError:
             gold_exec, pred_exec = missing, None
     qe = pred_exec is not None and pred_exec.status == OK
@@ -381,9 +384,12 @@ def run_evaluation(
 
     The method's templates are read once, before the first item, and
     the recorded hashes come from the same bytes; a missing one raises
-    ``TemplateError`` before any endpoint call.
+    ``TemplateError`` before any endpoint call. The run holds one
+    read-only connection per thread and closes them all before it
+    returns or raises.
     """
     templates = TemplateSet(METHOD_TEMPLATES.get(config.method, ()), config.template_dir or None)
+    held = HeldConnections()
 
     def one(item: EvalItem) -> EvalRecord:
         home_db = pred_db = bundle.catalogue[item.db_id]
@@ -409,15 +415,18 @@ def run_evaluation(
             )
         return evaluate_item(
             item, prediction, home_db, pred_db,
-            bundle.db_paths.get(item.db_id), config.exec_timeout_s,
+            bundle.db_paths.get(item.db_id), config.exec_timeout_s, held,
         )
 
     workers = max(1, config.workers)
-    if workers == 1:
-        records = [one(item) for item in items]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(one, items))
+    try:
+        if workers == 1:
+            records = [one(item) for item in items]
+        else:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                records = list(pool.map(one, items))
+    finally:
+        held.close()
     meta = {
         "config": config.to_dict(),
         "template_hashes": templates.hashes,

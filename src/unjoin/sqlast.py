@@ -514,6 +514,7 @@ class _Roles:
         expect_alias = False
         with_mode = False
         expect_cte = False
+        cte_cols_depth: int | None = None  # depth inside "name(" of a CTE column list
         last_table_idx: int | None = None
         prev: Token | None = None
         i = 0
@@ -529,6 +530,8 @@ class _Roles:
                     if expect_table:
                         from_depths.add(depth)
                 elif tok.value == ")":
+                    if depth == cte_cols_depth:
+                        cte_cols_depth = None
                     from_depths.discard(depth)
                     cast_depths.pop(depth, None)
                     depth = max(0, depth - 1)
@@ -548,8 +551,30 @@ class _Roles:
                 prev = tok
                 i += 1
                 continue
+            # Identifier. Gather a dotted chain first, keyword or not: a
+            # keyword such as ROW may be an alias that qualifies a column.
+            j = chain_end(toks, i)
+            if j > i:
+                if expect_table:
+                    # "main.customer": the last name is the table.
+                    self.tables.append(j)
+                    last_table_idx = j
+                else:
+                    # Only the last two parts carry the (qualifier, column) pair.
+                    self.chains.append((i, j))
+                    self.qualifiers.append(j - 2)
+                    self.columns.append((j, j - 2))
+                expect_table = False
+                expect_alias = False
+                prev = toks[j]
+                i = j + 1
+                continue
             low = tok.lower
-            if tok.kind == IDENT and low in KEYWORDS:
+            # A keyword after AS or after a FROM table, such as ROW, is an
+            # alias, as ``parse`` reads it, and goes on as a name.
+            if tok.kind == IDENT and low in KEYWORDS and not (
+                expect_alias or (last_table_idx is not None and low not in _ALIAS_STOPS)
+            ):
                 if low == "as":
                     if depth in cast_depths:
                         cast_depths[depth] = True
@@ -579,22 +604,15 @@ class _Roles:
                 prev = tok
                 i += 1
                 continue
-            # Identifier. Gather a dotted chain first; only the last two
-            # parts carry the (qualifier, column) pair.
-            j = chain_end(toks, i)
-            if j > i:
-                self.chains.append((i, j))
-                self.qualifiers.append(j - 2)
-                self.columns.append((j, j - 2))
-                expect_table = False
-                expect_alias = False
-                prev = toks[j]
-                i = j + 1
-                continue
             nxt = toks[i + 1] if i + 1 < n else None
-            if expect_cte and with_mode:
+            if depth == cte_cols_depth:
+                # A CTE's column names are definitions, like aliases.
+                self.alias_defs[low] = None
+            elif expect_cte and with_mode:
                 self.cte_names.add(low)
                 expect_cte = False
+                if nxt is not None and nxt.kind == OP and nxt.value == "(":
+                    cte_cols_depth = depth + 1
             elif expect_alias:
                 self.alias_defs[low] = last_table_idx
                 expect_alias = False

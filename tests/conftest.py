@@ -449,6 +449,46 @@ def retail_sqlite(tmp_path_factory) -> Path:
     return path
 
 
+# ----- connection accounting -----
+
+
+class ConnectionCount:
+    """Every connection ``unjoin.evaluation`` opened, and those it closed."""
+
+    def __init__(self):
+        # Lists hold the connections alive, so their ids stay distinct.
+        self.opened: list = []
+        self.closed: list = []
+
+    @property
+    def still_open(self) -> int:
+        closed = {id(con) for con in self.closed}
+        return sum(id(con) not in closed for con in self.opened)
+
+
+@pytest.fixture
+def connection_count(monkeypatch) -> ConnectionCount:
+    """Counts opens and closes through a wrapping ``sqlite3.connect`` in ``unjoin.evaluation``."""
+    from types import SimpleNamespace
+
+    from unjoin import evaluation
+
+    count = ConnectionCount()
+
+    class Counted(sqlite3.Connection):
+        def close(self):
+            count.closed.append(self)
+            super().close()
+
+    def connect(*args, **kwargs):
+        con = sqlite3.connect(*args, factory=Counted, **kwargs)
+        count.opened.append(con)
+        return con
+
+    monkeypatch.setattr(evaluation, "sqlite3", SimpleNamespace(**{**vars(sqlite3), "connect": connect}))
+    return count
+
+
 # ----- oracle replay cache -----
 
 ORACLE_MODEL = "oracle"

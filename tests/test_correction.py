@@ -25,7 +25,7 @@ from unjoin.schema import ColumnDef, DatabaseSchema, TableDef, simplify_schema
 from unjoin.sqlref import extract_refs
 from unjoin.tokens import IDENT, KEYWORDS, QIDENT, tokenize
 
-from conftest import SPIDER_CASES, academic_schema, retail_schema
+from conftest import SPIDER_CASES, academic_schema, financial_schema, retail_schema
 from oracles import banded_levenshtein, slow_best, slow_levenshtein
 
 SEED = 20240814
@@ -252,6 +252,25 @@ def test_select_alias_not_corrected(retail_db):
 ])
 def test_names_outside_the_schema_left_alone(retail_db, sql):
     assert correct_identifiers(sql, retail_db) == (sql, CorrectionReport())
+
+
+@pytest.mark.parametrize("schema, sql", [
+    # A schema-qualified FROM name is a table, not a qualified column.
+    (retail_schema, "SELECT count(*) FROM main.customer"),
+    (retail_schema, "SELECT c.name FROM temp.customer AS c"),
+    # The names in a CTE column list are definitions, like aliases.
+    (financial_schema, "WITH t(x) AS (SELECT 1) SELECT x FROM t"),
+])
+def test_names_the_query_defines_left_alone(schema, sql):
+    assert correct_identifiers(sql, schema()) == (sql, CorrectionReport())
+
+
+@pytest.mark.parametrize("source", ["city AS {}", "city {}"])
+@pytest.mark.parametrize("alias", ["r", "row", "filter", "range"])
+def test_keyword_alias_qualifies_its_column(retail_db, source, alias):
+    # SQLite takes a keyword such as ROW as an alias; its column is city's.
+    sql = f"SELECT 1 FROM {source.format(alias)}, customer WHERE {alias}.gendr = 1"
+    assert correct_identifiers(sql, retail_db) == (sql, CorrectionReport(unresolved=("gendr",)))
 
 
 def test_unresolved_qualifier_tie_prefers_referenced_table():

@@ -14,6 +14,7 @@ from unjoin.evaluation import (
     TIMEOUT,
     EvalRecord,
     ExecOutcome,
+    HeldConnections,
     bucket_by_table_count,
     build_summary,
     compare_results,
@@ -127,6 +128,26 @@ def _seen(out):
     return out.status, out.rows, out.error
 
 
+@pytest.fixture
+def held():
+    """One owner across a test's calls, so they reuse its connection."""
+    owner = HeldConnections()
+    yield owner
+    owner.close()
+
+
+def test_owner_reuses_its_connection_and_execute_without_one_closes_its_own(
+        retail_sqlite, held, connection_count):
+    for _ in range(2):
+        assert execute("SELECT 1", retail_sqlite).status == OK
+    assert len(connection_count.opened) == 2 and connection_count.still_open == 0
+    for _ in range(2):
+        assert execute("SELECT 1", retail_sqlite, held=held).status == OK
+    assert len(connection_count.opened) == 3 and connection_count.still_open == 1
+    held.close()
+    assert connection_count.still_open == 0
+
+
 # (statement that leaves state on a connection, query that shows it)
 _STATEFUL = [
     ("CREATE TEMP TABLE customer AS SELECT 2, 'Bob'", "SELECT count(*) FROM customer"),
@@ -137,38 +158,39 @@ _STATEFUL = [
 
 
 @pytest.mark.parametrize("statement, probe", _STATEFUL, ids=["temp-table", "pragma", "begin", "attach"])
-def test_state_left_by_one_query_never_reaches_the_next(retail_sqlite, statement, probe):
-    assert execute(statement, retail_sqlite).status == OK
-    assert _seen(execute(probe, retail_sqlite)) == _fresh(probe, retail_sqlite)
-    assert execute("SELECT count(*) FROM customer", retail_sqlite).rows == ((5,),)
+def test_state_left_by_one_query_never_reaches_the_next(retail_sqlite, held, statement, probe):
+    assert execute(statement, retail_sqlite, held=held).status == OK
+    assert _seen(execute(probe, retail_sqlite, held=held)) == _fresh(probe, retail_sqlite)
+    assert execute("SELECT count(*) FROM customer", retail_sqlite, held=held).rows == ((5,),)
 
 
-def test_rewritten_database_file_is_read_again(tmp_path):
+def test_rewritten_database_file_is_read_again(tmp_path, held):
     path = tmp_path / "retail.sqlite"
     create_sqlite(path, retail_schema(), RETAIL_ROWS)
-    assert execute("SELECT count(*) FROM customer", path).rows == ((5,),)
+    assert execute("SELECT count(*) FROM customer", path, held=held).rows == ((5,),)
     path.unlink()
     create_sqlite(path, retail_schema(), {"customer": RETAIL_ROWS["customer"][:2]})
-    assert execute("SELECT count(*) FROM customer", path).rows == ((2,),)
+    assert execute("SELECT count(*) FROM customer", path, held=held).rows == ((2,),)
     replacement = tmp_path / "other.sqlite"
     create_sqlite(replacement, retail_schema(), {"customer": RETAIL_ROWS["customer"][:3]})
     os.replace(replacement, path)
-    assert execute("SELECT count(*) FROM customer", path).rows == ((3,),)
+    assert execute("SELECT count(*) FROM customer", path, held=held).rows == ((3,),)
 
 
-def test_call_after_a_timeout_runs_normally(retail_sqlite):
+def test_call_after_a_timeout_runs_normally(retail_sqlite, held):
     endless = "WITH RECURSIVE r(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM r) SELECT count(*) FROM r"
-    assert execute(endless, retail_sqlite, timeout_s=0.05).status == TIMEOUT
-    assert execute("SELECT count(*) FROM customer", retail_sqlite, timeout_s=5.0).rows == ((5,),)
+    assert execute(endless, retail_sqlite, timeout_s=0.05, held=held).status == TIMEOUT
+    rows = execute("SELECT count(*) FROM customer", retail_sqlite, timeout_s=5.0, held=held).rows
+    assert rows == ((5,),)
 
 
-def test_deleted_database_file_is_reported_missing(tmp_path):
+def test_deleted_database_file_is_reported_missing(tmp_path, held):
     path = tmp_path / "retail.sqlite"
     create_sqlite(path, retail_schema(), RETAIL_ROWS)
-    assert execute("SELECT 1", path).status == OK
+    assert execute("SELECT 1", path, held=held).status == OK
     path.unlink()
     with pytest.raises(FileNotFoundError):
-        execute("SELECT 1", path)
+        execute("SELECT 1", path, held=held)
 
 
 @pytest.mark.parametrize("method", METHODS)

@@ -451,8 +451,8 @@ def test_database_file_removed_after_gold_ran_costs_only_that_item(
     shutil.copyfile(retail_sqlite, db_file)
     real_execute = pipeline.execute
 
-    def execute_then_remove(sql, path, timeout_s):
-        outcome = real_execute(sql, path, timeout_s)
+    def execute_then_remove(sql, path, *args):
+        outcome = real_execute(sql, path, *args)
         db_file.unlink(missing_ok=True)
         return outcome
 
@@ -651,6 +651,34 @@ def test_concurrent_endpoint_calls_bounded_by_workers(mini_spider_root, tmp_path
     records, _ = run_evaluation(bundle, kept[:8], config, client)
     assert len(records) == 8
     assert 1 <= state["peak"] <= 2
+
+
+# ----- connections a run holds -----
+
+
+@pytest.mark.parametrize("fail", [False, True], ids=["returns", "raises"])
+@pytest.mark.parametrize("workers", [1, 4])
+def test_run_closes_every_connection_it_opens(
+        workers, fail, mini_spider_root, connection_count, tmp_path):
+    bundle = load_dataset(mini_spider_root, "spider")
+    kept, _ = filter_items(bundle.items, bundle.catalogue)
+    items = kept[:8]
+
+    def transport(prompt, cfg):
+        if fail and items[5].question in prompt:
+            raise RuntimeError("transport bug")  # not an LlmError, so it ends the run
+        return "```sql\nSELECT 1\n```", 1, 1
+
+    config = RunConfig(dataset="spider", root=str(mini_spider_root), method="cot",
+                       model="m", cache_mode="live", workers=workers, out_dir=str(tmp_path))
+    client = LlmClient(config.llm_config(), cache=None, transport=transport)
+    if fail:
+        with pytest.raises(RuntimeError, match="transport bug"):
+            run_evaluation(bundle, items, config, client)
+    else:
+        records, _ = run_evaluation(bundle, items, config, client)
+        assert [r.qe for r in records] == [True] * 8
+    assert connection_count.opened and connection_count.still_open == 0
 
 
 def test_template_rewritten_mid_run_changes_neither_prompts_nor_hash(
