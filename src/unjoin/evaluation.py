@@ -84,10 +84,6 @@ class HeldConnections:
         # Thread ident -> (key, connection, flagged actions); a thread touches only its own.
         self._by_thread: dict[int, tuple] = {}
 
-    def __repr__(self) -> str:
-        # Equal for every run, so equal calls to ``execute`` print alike.
-        return "HeldConnections()"
-
     def connection(self, path: Path) -> tuple[sqlite3.Connection, list]:
         """The calling thread's connection to ``path``; a replaced or rewritten file is reopened."""
         try:
@@ -160,9 +156,7 @@ def execute(
         status = TIMEOUT if timed_out else RUNTIME_ERROR
         return ExecOutcome(status=status, error=str(exc), wall_time_s=time.monotonic() - started)
     finally:
-        if held is None:
-            owner.close()
-        elif flagged or con.in_transaction:
+        if held is None or flagged or con.in_transaction:
             owner.drop()
     return ExecOutcome(status=OK, rows=tuple(rows), wall_time_s=time.monotonic() - started)
 

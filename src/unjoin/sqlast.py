@@ -512,7 +512,7 @@ class _Roles:
         cast_depths: dict[int, bool] = {}
         expect_table = False
         expect_alias = False
-        with_mode = False
+        with_depths: set[int] = set()  # depths of a WITH whose CTE list is open
         expect_cte = False
         cte_cols_depth: int | None = None  # depth inside "name(" of a CTE column list
         last_table_idx: int | None = None
@@ -533,6 +533,7 @@ class _Roles:
                     if depth == cte_cols_depth:
                         cte_cols_depth = None
                     from_depths.discard(depth)
+                    with_depths.discard(depth)
                     cast_depths.pop(depth, None)
                     depth = max(0, depth - 1)
                     expect_table = False
@@ -540,7 +541,7 @@ class _Roles:
                 elif tok.value == ",":
                     if depth in from_depths:
                         expect_table = True
-                    if with_mode and depth == 0:
+                    if depth in with_depths:
                         expect_cte = True
                 prev = tok
                 i += 1
@@ -570,10 +571,10 @@ class _Roles:
                 i = j + 1
                 continue
             low = tok.lower
-            # A keyword after AS or after a FROM table, such as ROW, is an
-            # alias, as ``parse`` reads it, and goes on as a name.
+            # A keyword after AS or right after a FROM table, such as ROW,
+            # is an alias, as ``parse`` reads it, and goes on as a name.
             if tok.kind == IDENT and low in KEYWORDS and not (
-                expect_alias or (last_table_idx is not None and low not in _ALIAS_STOPS)
+                expect_alias or (last_table_idx == i - 1 and low not in _ALIAS_STOPS)
             ):
                 if low == "as":
                     if depth in cast_depths:
@@ -588,14 +589,17 @@ class _Roles:
                 if low in ("from", "join"):
                     expect_table = True
                     from_depths.add(depth)
-                elif low == "with" and depth == 0:
-                    with_mode = True
+                elif low == "with":
+                    # "FROM (WITH k AS ...": k names a CTE, not a table.
+                    with_depths.add(depth)
                     expect_cte = True
+                    expect_table = False
+                    from_depths.discard(depth)
                 elif low in _CLAUSE_RESET:
                     expect_table = False
                     from_depths.discard(depth)
-                    if low == "select" and depth == 0:
-                        with_mode = False
+                    if low == "select":
+                        with_depths.discard(depth)
                 prev = tok
                 i += 1
                 continue
@@ -608,7 +612,7 @@ class _Roles:
             if depth == cte_cols_depth:
                 # A CTE's column names are definitions, like aliases.
                 self.alias_defs[low] = None
-            elif expect_cte and with_mode:
+            elif expect_cte and depth in with_depths:
                 self.cte_names.add(low)
                 expect_cte = False
                 if nxt is not None and nxt.kind == OP and nxt.value == "(":

@@ -260,6 +260,13 @@ def test_names_outside_the_schema_left_alone(retail_db, sql):
     (retail_schema, "SELECT c.name FROM temp.customer AS c"),
     # The names in a CTE column list are definitions, like aliases.
     (financial_schema, "WITH t(x) AS (SELECT 1) SELECT x FROM t"),
+    # A keyword after a comma-joined table opens a derived table; it is
+    # not an alias of the table before the comma.
+    (retail_schema, "SELECT c.name FROM customer, (SELECT name, city_id FROM city) AS c"),
+    (retail_schema,
+     "SELECT c.name FROM customer, (WITH k AS (SELECT name FROM city) SELECT name FROM k) AS c"),
+    (retail_schema, "SELECT c.name FROM (WITH k AS (SELECT name FROM city), "
+                    "j AS (SELECT name FROM k) SELECT name FROM j) AS c"),
 ])
 def test_names_the_query_defines_left_alone(schema, sql):
     assert correct_identifiers(sql, schema()) == (sql, CorrectionReport())

@@ -2,6 +2,7 @@ import json
 import os
 import random
 import sqlite3
+from contextlib import closing
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -102,7 +103,7 @@ def test_execute_cannot_modify_database(retail_sqlite):
     out = execute("INSERT INTO customer VALUES (99, 'X', 'F', 1)", retail_sqlite)
     assert out.status == RUNTIME_ERROR
     assert retail_sqlite.read_bytes() == before
-    with sqlite3.connect(retail_sqlite) as con:
+    with closing(sqlite3.connect(retail_sqlite)) as con:
         assert con.execute("SELECT count(*) FROM customer").fetchone() == (5,)
 
 
