@@ -11,7 +11,8 @@ in where a parenthesized SELECT appears. Reference extraction uses it.
 which part: FROM table, qualifier, column, alias, CTE name, dotted
 chain. Identifier repair and the flattened-view reads work on token
 positions, and keep working on model output the parser rejects, so they
-use the scan. Both share ``chain_end`` and ``implicit_alias_after``.
+use the scan. Both share ``chain_end``, ``qualified_star`` and
+``implicit_alias_after``.
 """
 
 from __future__ import annotations
@@ -41,10 +42,6 @@ class DerivedSource:
     alias: str | None = None
 
 
-# Expression content: raw tokens interleaved with nested statements.
-ExprItem = "Token | SelectStatement"
-
-
 @dataclass
 class SelectItem:
     expr: list = field(default_factory=list)
@@ -57,12 +54,9 @@ class SelectItem:
 class SelectBlock:
     items: list[SelectItem] = field(default_factory=list)
     sources: list = field(default_factory=list)  # TableSource | DerivedSource
-    join_exprs: list[list] = field(default_factory=list)  # ON / USING conditions
-    where: list | None = None
-    group_by: list | None = None
-    having: list | None = None
-    order_by: list | None = None
-    limit: list | None = None
+    # Runs of ON/USING, WHERE, GROUP BY, HAVING, ORDER BY and LIMIT/OFFSET,
+    # in text order: tokens with nested statements spliced in.
+    exprs: list[list] = field(default_factory=list)
 
 
 @dataclass
@@ -155,13 +149,8 @@ class _Parser:
                 if self.at_op("("):
                     # Optional explicit column list; skip it.
                     self.advance()
-                    depth = 1
-                    while depth and self.peek() is not None:
-                        tok = self.advance()
-                        if tok.kind == OP and tok.value == "(":
-                            depth += 1
-                        elif tok.kind == OP and tok.value == ")":
-                            depth -= 1
+                    self._parse_expr()
+                    self.expect_op(")")
                 if not self.at_keyword("as"):
                     raise SqlParseError("expected AS in WITH clause", self._here())
                 self.advance()
@@ -206,26 +195,19 @@ class _Parser:
         if self.at_keyword("from"):
             self.advance()
             self._parse_sources(block)
-        if self.at_keyword("where"):
-            self.advance()
-            block.where = self._parse_expr()
-        if self.at_keyword("group"):
-            self.advance()
-            self._expect_keyword("by")
-            block.group_by = self._parse_expr(commas=True)
-        if self.at_keyword("having"):
-            self.advance()
-            block.having = self._parse_expr()
-        if self.at_keyword("order"):
-            self.advance()
-            self._expect_keyword("by")
-            block.order_by = self._parse_expr(commas=True)
-        if self.at_keyword("limit"):
-            self.advance()
-            block.limit = self._parse_expr(commas=True)
-            if self.at_keyword("offset"):
+        # The clauses after FROM, in the order they may appear, with their BY.
+        for clause, by in (
+            ("where", None), ("group", "by"), ("having", None), ("order", "by"), ("limit", None)
+        ):
+            if self.at_keyword(clause):
                 self.advance()
-                block.limit.extend(self._parse_expr())
+                if by:
+                    self._expect_keyword(by)
+                run = self._parse_expr()
+                if clause == "limit" and self.at_keyword("offset"):
+                    self.advance()
+                    run.extend(self._parse_expr())
+                block.exprs.append(run)
         return block
 
     def _expect_keyword(self, name: str):
@@ -242,8 +224,6 @@ class _Parser:
                 self.advance()
                 continue
             break
-        if not items:
-            raise SqlParseError("empty select list", self._here())
         return items
 
     def _parse_one_item(self) -> SelectItem:
@@ -253,18 +233,7 @@ class _Parser:
         expr = self._parse_expr(commas=False)
         if not expr:
             raise SqlParseError("expected select expression", self._here())
-        # tbl.* shows up as three trailing tokens in the expression run.
-        if (
-            len(expr) == 3
-            and isinstance(expr[0], Token)
-            and expr[0].kind in (IDENT, QIDENT)
-            and isinstance(expr[1], Token)
-            and expr[1].kind == OP
-            and expr[1].value == "."
-            and isinstance(expr[2], Token)
-            and expr[2].kind == OP
-            and expr[2].value == "*"
-        ):
+        if len(expr) == 3 and qualified_star(expr, 0):
             return SelectItem(is_star=True, star_qualifier=expr[0].value)
         alias = None
         # Explicit alias: trailing "AS name".
@@ -297,7 +266,7 @@ class _Parser:
                 if self.at_keyword("on"):
                     self.advance()
                     # a top-level comma after ON starts the next source
-                    block.join_exprs.append(self._parse_expr(commas=False))
+                    block.exprs.append(self._parse_expr(commas=False))
                 elif self.at_keyword("using"):
                     self.advance()
                     self.expect_op("(")
@@ -307,7 +276,7 @@ class _Parser:
                         if tok.kind in (IDENT, QIDENT):
                             cols.append(tok)
                     self.expect_op(")")
-                    block.join_exprs.append(cols)
+                    block.exprs.append(cols)
                 continue
             break
 
@@ -475,6 +444,18 @@ def chain_end(items: list, i: int) -> int:
     return i
 
 
+def qualified_star(items: list, i: int) -> bool:
+    """Whether ``name . *`` starts at ``i`` in ``items`` (tokens and statements)."""
+    if i + 2 >= len(items):
+        return False
+    name, dot, star = items[i : i + 3]
+    return (
+        isinstance(star, Token) and star.kind == OP and star.value == "*"
+        and isinstance(dot, Token) and dot.kind == OP and dot.value == "."
+        and isinstance(name, Token) and name.kind in (IDENT, QIDENT)
+    )
+
+
 # ----- role scan -----
 
 _CLAUSE_RESET = frozenset(
@@ -627,7 +608,7 @@ class _Roles:
                 expect_table = False
             elif nxt is not None and nxt.kind == OP and nxt.value == ".":
                 # "name.*" or a dangling dot.
-                if i + 2 < n and toks[i + 2].kind == OP and toks[i + 2].value == "*":
+                if qualified_star(toks, i):
                     self.qualifiers.append(i)
                     prev = toks[i + 2]
                     i += 3

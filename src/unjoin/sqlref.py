@@ -23,6 +23,7 @@ from .sqlast import (
     _Roles,
     chain_end,
     parse,
+    qualified_star,
 )
 from .tokens import IDENT, KEYWORDS, OP, QIDENT, Token, tokenize
 
@@ -64,14 +65,12 @@ class _Scope:
     parent: "_Scope | None"
     ordered: list = field(default_factory=list)  # resolutions in FROM order
     select_aliases: set = field(default_factory=set)
+    by_key: dict = field(default_factory=dict, init=False)
 
     def add(self, key: str | None, res):
         self.ordered.append(res)
         if key:
             self.by_key[key] = res
-
-    def __post_init__(self):
-        self.by_key = {}
 
     def lookup(self, key: str):
         s = self
@@ -160,11 +159,8 @@ class _Analyzer:
                 else:
                     pairs = self.resolve_bare(name, scope)
             outputs.append((item.alias.lower() if item.alias else name, pairs))
-        for run in block.join_exprs:
+        for run in block.exprs:
             self.expr(run, scope, env)
-        for run in (block.where, block.group_by, block.having, block.order_by, block.limit):
-            if run:
-                self.expr(run, scope, env)
         return outputs
 
     # ----- reference resolution -----
@@ -253,12 +249,10 @@ class _Analyzer:
                 i += 1
                 continue
             nxt = items[i + 1] if i + 1 < n else None
-            op = nxt.value if isinstance(nxt, Token) and nxt.kind == OP else None
-            if op == "(":
+            if isinstance(nxt, Token) and nxt.kind == OP and nxt.value == "(":
                 i += 1  # function name
                 continue
-            star = items[i + 2] if i + 2 < n else None
-            if op == "." and isinstance(star, Token) and star.kind == OP and star.value == "*":
+            if qualified_star(items, i):
                 self.star(tok.lower, scope)
                 i += 3
                 continue
@@ -271,21 +265,13 @@ def _plain_ref(expr: list) -> tuple[str | None, str] | None:
 
     Returns the (qualifier, column) names in lower case.
     """
-    toks = [x for x in expr if isinstance(x, Token)]
-    if len(toks) != len(expr):
+    first = expr[0] if expr else None
+    if not isinstance(first, Token) or first.kind not in (IDENT, QIDENT):
         return None
-    if len(toks) == 1 and toks[0].kind in (IDENT, QIDENT):
-        if toks[0].kind == IDENT and toks[0].lower in KEYWORDS:
-            return None
-        return (None, toks[0].lower)
-    if (
-        len(toks) == 3
-        and toks[0].kind in (IDENT, QIDENT)
-        and toks[1].kind == OP
-        and toks[1].value == "."
-        and toks[2].kind in (IDENT, QIDENT)
-    ):
-        return (toks[0].lower, toks[2].lower)
+    if len(expr) == 3 and chain_end(expr, 0) == 2:
+        return (first.lower, expr[2].lower)
+    if len(expr) == 1 and not (first.kind == IDENT and first.lower in KEYWORDS):
+        return (None, first.lower)
     return None
 
 

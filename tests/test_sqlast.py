@@ -28,7 +28,7 @@ def test_explicit_and_implicit_aliases():
     assert [it.alias for it in block.items] == ["x", "y"]
     assert block.sources[0] == TableSource("t", "u")
     assert block.sources[1] == TableSource("v", "w")
-    assert len(block.join_exprs) == 1
+    assert len(block.exprs) == 1
 
 
 def test_star_items():
@@ -62,8 +62,14 @@ def test_where_group_having_order_limit_captured():
         "SELECT a, count(*) FROM t WHERE b > 1 GROUP BY a HAVING count(*) > 2 "
         "ORDER BY a DESC LIMIT 5 OFFSET 2"
     )
-    assert block.where and block.group_by and block.having and block.order_by
-    assert block.limit
+    # One run per clause in text order; OFFSET joins the LIMIT run.
+    assert [[t.value for t in run] for run in block.exprs] == [
+        ["b", ">", "1"],
+        ["a"],
+        ["count", "(", "*", ")", ">", "2"],
+        ["a", "DESC"],
+        ["5", "2"],
+    ]
 
 
 def test_join_chain_collects_all_sources():
@@ -71,13 +77,13 @@ def test_join_chain_collects_all_sources():
         "SELECT 1 FROM a JOIN b ON a.x = b.x LEFT OUTER JOIN c ON b.y = c.y, d"
     )
     assert [s.name for s in block.sources] == ["a", "b", "c", "d"]
-    assert len(block.join_exprs) == 2
+    assert len(block.exprs) == 2
 
 
 def test_using_columns_recorded_as_join_condition():
     block = only_block("SELECT 1 FROM a JOIN b USING (x, y)")
-    assert len(block.join_exprs) == 1
-    assert [t.value for t in block.join_exprs[0]] == ["x", "y"]
+    assert len(block.exprs) == 1
+    assert [t.value for t in block.exprs[0]] == ["x", "y"]
 
 
 def test_parenthesized_join_group_flattens_into_scope():
@@ -100,7 +106,7 @@ def test_db_qualified_table_keeps_table_part():
 
 def test_subquery_in_where_is_spliced_into_expr():
     block = only_block("SELECT a FROM t WHERE a IN (SELECT b FROM u)")
-    assert any(isinstance(piece, SelectStatement) for piece in block.where)
+    assert any(isinstance(piece, SelectStatement) for piece in block.exprs[0])
 
 
 def test_cte_parsed_and_named():
@@ -163,6 +169,6 @@ def test_order_by_inside_subquery_stays_inner():
     block = only_block(
         "SELECT x FROM (SELECT a AS x FROM t ORDER BY a LIMIT 3) AS d"
     )
-    assert not block.order_by
+    assert not block.exprs
     inner = block.sources[0].select.blocks[0]
-    assert inner.order_by
+    assert [[t.value for t in run] for run in inner.exprs] == [["a"], ["3"]]
