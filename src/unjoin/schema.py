@@ -34,7 +34,6 @@ class SchemaError(ValueError):
 class ColumnDef:
     name: str
     col_type: str = ""
-    description: str = ""
 
 
 @dataclass(frozen=True)
@@ -248,7 +247,7 @@ def _flatten(db: DatabaseSchema, descriptions: dict[str, str]) -> SimplifiedSche
     for t in db.tables:
         for c in t.columns:
             rendered = f"{t.name}.{c.name}"
-            text = c.description or desc.get(rendered.lower(), "")
+            text = desc.get(rendered.lower(), "")
             entries.append(SimplifiedEntry(rendered, t.name, c.name, text))
     simplified = SimplifiedSchema(db.db_id, tuple(entries))
     assert len(simplified.entries) == db.column_count()

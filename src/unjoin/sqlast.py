@@ -11,8 +11,8 @@ in where a parenthesized SELECT appears. Reference extraction uses it.
 which part: FROM table, qualifier, column, alias, CTE name, dotted
 chain. Identifier repair and the flattened-view reads work on token
 positions, and keep working on model output the parser rejects, so they
-use the scan. Both share ``chain_end``, ``qualified_star`` and
-``implicit_alias_after``.
+use the scan. Both share ``chain_end``, ``qualified_star``,
+``distinct_from``, ``index_hint`` and ``implicit_alias_after``.
 """
 
 from __future__ import annotations
@@ -308,7 +308,8 @@ class _Parser:
         last = chain_end(self.tokens, self.i - 1)
         name = self.tokens[last].value
         self.i = last + 1
-        alias = self._parse_alias()
+        alias = None if index_hint(self.tokens, self.i) else self._parse_alias()
+        self.i += index_hint(self.tokens, self.i)
         block.sources.append(TableSource(name, alias))
 
     def _parse_alias(self) -> str | None:
@@ -361,6 +362,12 @@ class _Parser:
                     break
                 if tok.lower == "cast":
                     out.extend(self._consume_cast())
+                    continue
+                if tok.lower == "is":
+                    # Its FROM, if any, compares: no clause starts there.
+                    end = self.i + max(distinct_from(toks, self.i), 1)
+                    out.extend(toks[self.i : end])
+                    self.i = end
                     continue
             out.append(tok)
             self.i += 1
@@ -456,10 +463,34 @@ def qualified_star(items: list, i: int) -> bool:
     )
 
 
+def _words(toks: list[Token], i: int, n: int) -> tuple:
+    """The lower-case text of up to ``n`` tokens from ``i``; None for any but a bare word."""
+    return tuple(t.lower if t.kind == IDENT else None for t in toks[i : i + n])
+
+
+def distinct_from(toks: list[Token], i: int) -> int:
+    """How many tokens ``IS [NOT] DISTINCT FROM`` at ``i`` spans; 0 if none starts there."""
+    words = _words(toks, i, 4)
+    if words[:3] == ("is", "distinct", "from"):
+        return 3
+    return 4 if words == ("is", "not", "distinct", "from") else 0
+
+
+def index_hint(toks: list[Token], i: int) -> int:
+    """How many tokens ``INDEXED BY name`` or ``NOT INDEXED`` at ``i`` spans; 0 if none."""
+    if i >= len(toks) or toks[i].lower not in ("not", "indexed"):
+        return 0
+    words = _words(toks, i, 2)
+    if words == ("not", "indexed"):
+        return 2
+    named = i + 2 < len(toks) and toks[i + 2].kind in (IDENT, QIDENT)
+    return 3 if words == ("indexed", "by") and named else 0
+
+
 # ----- role scan -----
 
 _CLAUSE_RESET = frozenset(
-    "on where select group having order limit offset union intersect except using values set".split()
+    "where select group having order limit offset union intersect except values set".split()
 )
 
 
@@ -497,6 +528,11 @@ class _Roles:
         expect_cte = False
         cte_cols_depth: int | None = None  # depth inside "name(" of a CTE column list
         last_table_idx: int | None = None
+        # The last token that may end a FROM source: a FROM table, the ")"
+        # closing a FROM subquery or join group, or an alias. A keyword
+        # alias or an index hint may follow it.
+        source_end: int | None = None
+        source_depths: set[int] = set()  # depths of a "(" opened where a source goes
         prev: Token | None = None
         i = 0
         while i < n:
@@ -510,9 +546,13 @@ class _Roles:
                     # "FROM (" keeps the table context on the new level.
                     if expect_table:
                         from_depths.add(depth)
+                        source_depths.add(depth)
                 elif tok.value == ")":
                     if depth == cte_cols_depth:
                         cte_cols_depth = None
+                    if depth in source_depths:
+                        source_depths.discard(depth)
+                        source_end = i
                     from_depths.discard(depth)
                     with_depths.discard(depth)
                     cast_depths.pop(depth, None)
@@ -540,7 +580,7 @@ class _Roles:
                 if expect_table:
                     # "main.customer": the last name is the table.
                     self.tables.append(j)
-                    last_table_idx = j
+                    last_table_idx = source_end = j
                 else:
                     # Only the last two parts carry the (qualifier, column) pair.
                     self.chains.append((i, j))
@@ -551,11 +591,17 @@ class _Roles:
                 prev = toks[j]
                 i = j + 1
                 continue
+            hint = index_hint(toks, i) if source_end == i - 1 else 0
+            if hint:
+                # The index a FROM table is read by is no reference.
+                prev = toks[i + hint - 1]
+                i += hint
+                continue
             low = tok.lower
-            # A keyword after AS or right after a FROM table, such as ROW,
+            # A keyword after AS or right after a FROM source, such as ROW,
             # is an alias, as ``parse`` reads it, and goes on as a name.
             if tok.kind == IDENT and low in KEYWORDS and not (
-                expect_alias or (last_table_idx == i - 1 and low not in _ALIAS_STOPS)
+                expect_alias or (source_end == i - 1 and low not in _ALIAS_STOPS)
             ):
                 if low == "as":
                     if depth in cast_depths:
@@ -576,12 +622,19 @@ class _Roles:
                     expect_cte = True
                     expect_table = False
                     from_depths.discard(depth)
+                elif low in ("on", "using"):
+                    # The FROM list goes on: a comma after the condition
+                    # starts the next source.
+                    expect_table = False
+                elif low == "is":
+                    # The FROM of IS [NOT] DISTINCT FROM opens no FROM list.
+                    i += max(distinct_from(toks, i), 1) - 1
                 elif low in _CLAUSE_RESET:
                     expect_table = False
                     from_depths.discard(depth)
                     if low == "select":
                         with_depths.discard(depth)
-                prev = tok
+                prev = toks[i]
                 i += 1
                 continue
             if cast_depths.get(depth):
@@ -602,9 +655,10 @@ class _Roles:
                 self.alias_defs[low] = last_table_idx
                 expect_alias = False
                 last_table_idx = None
+                source_end = i
             elif expect_table:
                 self.tables.append(i)
-                last_table_idx = i
+                last_table_idx = source_end = i
                 expect_table = False
             elif nxt is not None and nxt.kind == OP and nxt.value == ".":
                 # "name.*" or a dangling dot.
@@ -619,6 +673,7 @@ class _Roles:
                 # Implicit alias: "expr name", "table name", "CASE..END name".
                 self.alias_defs[low] = last_table_idx
                 last_table_idx = None
+                source_end = i
             else:
                 self.columns.append((i, None))
             prev = tok

@@ -280,6 +280,52 @@ def test_keyword_alias_qualifies_its_column(retail_db, source, alias):
     assert correct_identifiers(sql, retail_db) == (sql, CorrectionReport(unresolved=("gendr",)))
 
 
+# (sql, repaired): each repaired query runs on SQLite 3.40.1, given an index
+# named customer_name_idx.
+FRONT_END_REPAIRS = [
+    # A comma after a join condition starts the next FROM source.
+    ("SELECT item.quantity FROM orders JOIN customer ON orders.customer_id = "
+     "customer.customer_id, item WHERE item.order_id = orders.order_id",
+     "SELECT item.quantity FROM orders JOIN customer ON orders.customer_id = "
+     "customer.customer_id, item WHERE item.order_id = orders.order_id"),
+    ("SELECT city.name FROM orders JOIN customer ON orders.customer_id = "
+     "customer.customer_id, citys",
+     "SELECT city.name FROM orders JOIN customer ON orders.customer_id = "
+     "customer.customer_id, city"),
+    ("SELECT c.name FROM orders JOIN city USING (city_id), custmer c",
+     "SELECT c.name FROM orders JOIN city USING (city_id), customer c"),
+    # A keyword names a FROM subquery without AS.
+    ("SELECT row.name FROM (SELECT name FROM customer) row",
+     "SELECT row.name FROM (SELECT name FROM customer) row"),
+    # The FROM of IS [NOT] DISTINCT FROM is followed by a column.
+    ("SELECT name FROM customer WHERE gender IS DISTINCT FROM gendr",
+     "SELECT name FROM customer WHERE gender IS DISTINCT FROM gender"),
+    ("SELECT name FROM customer WHERE gender IS NOT DISTINCT FROM gendr",
+     "SELECT name FROM customer WHERE gender IS NOT DISTINCT FROM gender"),
+    # The index a table is read by is no reference.
+    ("SELECT name FROM customer INDEXED BY customer_name_idx WHERE gendr = 'F'",
+     "SELECT name FROM customer INDEXED BY customer_name_idx WHERE gender = 'F'"),
+    ("SELECT c.name FROM customer AS c NOT INDEXED WHERE c.gendr = 'F'",
+     "SELECT c.name FROM customer AS c NOT INDEXED WHERE c.gender = 'F'"),
+]
+
+
+@pytest.mark.parametrize("sql, repaired", FRONT_END_REPAIRS)
+def test_repair_reads_from_lists_as_sqlite_does(retail_db, sql, repaired):
+    fixed, report = correct_identifiers(sql, retail_db)
+    assert fixed == repaired
+    assert report.unresolved == ()
+
+
+def test_filter_after_a_call_is_no_alias(retail_db):
+    # ")" closes a call here, not a FROM subquery: FILTER stays a keyword.
+    fixed, report = correct_identifiers(
+        "SELECT count(*) FILTER (WHERE gendr = 'F') FROM customer", retail_db
+    )
+    assert fixed == "SELECT count(*) FILTER (WHERE gender = 'F') FROM customer"
+    assert report.unresolved == ()
+
+
 def test_unresolved_qualifier_tie_prefers_referenced_table():
     db = DatabaseSchema(
         "tie",

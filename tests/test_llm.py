@@ -343,9 +343,9 @@ def test_extraction_fixture_case_count():
 
 
 def test_keyword_fallback_never_shortens_an_unparsed_query():
-    # The parser rejects IS DISTINCT FROM; a line that starts with a
+    # The parser rejects a VALUES operand; a line that starts with a
     # keyword is read as part of the query, not as prose.
-    sql = "SELECT a\nFROM t\nWHERE a IS DISTINCT FROM b"
+    sql = "SELECT a\nFROM t\nUNION\nVALUES (1)"
     assert extract_sql("Answer:\n" + sql) == sql
     # No prefix parses: the whole suffix comes back, as before.
     assert extract_sql("SELECT FROM\nNothing here.") == "SELECT FROM\nNothing here."

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from unjoin.sqlast import (
@@ -5,8 +7,14 @@ from unjoin.sqlast import (
     SelectStatement,
     SqlParseError,
     TableSource,
+    _Roles,
     parse,
 )
+from unjoin.tokens import tokenize
+
+from conftest import BIRD_CASES, SPIDER_CASES
+from test_correction import FRONT_END_REPAIRS, SUITE
+from test_sqlref import CASES, SQLITE_FORMS
 
 
 def only_block(sql):
@@ -172,3 +180,72 @@ def test_order_by_inside_subquery_stays_inner():
     assert not block.exprs
     inner = block.sources[0].select.blocks[0]
     assert [[t.value for t in run] for run in inner.exprs] == [["a"], ["3"]]
+
+
+def test_is_distinct_from_stays_in_its_clause():
+    block = only_block("SELECT a FROM t WHERE a IS NOT DISTINCT FROM b ORDER BY a")
+    assert [[t.value for t in run] for run in block.exprs] == [
+        ["a", "IS", "NOT", "DISTINCT", "FROM", "b"],
+        ["a"],
+    ]
+
+
+@pytest.mark.parametrize("sql, alias", [
+    ("SELECT 1 FROM t INDEXED BY i", None),
+    ("SELECT 1 FROM t AS u INDEXED BY i", "u"),
+    ("SELECT 1 FROM t u NOT INDEXED", "u"),
+    # Without BY, INDEXED is an alias.
+    ("SELECT 1 FROM t indexed", "indexed"),
+])
+def test_index_hint_is_read_after_the_alias(sql, alias):
+    assert only_block(sql).sources == [TableSource("t", alias)]
+
+
+def _blocks(node):
+    """Every select block of a parsed statement, nested ones included."""
+    if isinstance(node, SelectStatement):
+        for _, body in node.ctes:
+            yield from _blocks(body)
+        for operand in node.blocks:
+            yield from _blocks(operand)
+        return
+    yield node
+    for src in node.sources:
+        if isinstance(src, DerivedSource):
+            yield from _blocks(src.select)
+    for run in [item.expr for item in node.items] + node.exprs:
+        for piece in run:
+            if isinstance(piece, SelectStatement):
+                yield from _blocks(piece)
+
+
+AGREEMENT_CORPUS = (
+    [case[1] for case in CASES]
+    + [sql for _, gold, broken in SUITE for sql in (gold, broken)]
+    + [case[2] for case in SPIDER_CASES] + [case[3] for case in SPIDER_CASES if case[3]]
+    + [case[3] for case in BIRD_CASES] + [case[4] for case in BIRD_CASES if case[4]]
+    + [sql for pair in FRONT_END_REPAIRS for sql in pair]
+    + SQLITE_FORMS
+)
+
+
+def test_parser_and_role_scan_agree_on_sources():
+    # Wherever the parser reads a query, the role scan finds the same FROM
+    # tables and defines every source alias the parser reads.
+    accepted, disagreements = 0, []
+    for sql in AGREEMENT_CORPUS:
+        try:
+            stmt = parse(sql)
+        except SqlParseError:
+            continue
+        accepted += 1
+        sources = [src for block in _blocks(stmt) for src in block.sources]
+        tables = Counter(src.name.lower() for src in sources if isinstance(src, TableSource))
+        aliases = {src.alias.lower() for src in sources if src.alias}
+        toks = tokenize(sql)
+        roles = _Roles(toks)
+        scanned = Counter(toks[i].lower for i in roles.tables)
+        if tables != scanned or not aliases <= set(roles.alias_defs):
+            disagreements.append(sql)
+    assert accepted >= 200
+    assert disagreements == []

@@ -265,6 +265,23 @@ def test_keyword_alias_qualifies_its_column(retail_db, alias):
     assert refs.ambiguous == frozenset()
 
 
+# Forms SQLite 3.40.1 runs (with an index named customer_name_idx).
+SQLITE_FORMS = [
+    "SELECT name FROM customer WHERE gender IS DISTINCT FROM 'F'",
+    "SELECT name FROM customer WHERE gender IS NOT DISTINCT FROM 'F'",
+    "SELECT name FROM customer INDEXED BY customer_name_idx WHERE gender = 'F'",
+    "SELECT c.name FROM customer AS c NOT INDEXED WHERE c.gender = 'F'",
+]
+
+
+@pytest.mark.parametrize("sql", SQLITE_FORMS)
+def test_distinct_from_and_index_hints_resolve(retail_db, sql):
+    refs = extract_refs(sql, retail_db)
+    assert refs.tables == frozenset({"customer"})
+    assert refs.columns == frozenset({"customer.name", "customer.gender"})
+    assert refs.ambiguous == frozenset()
+
+
 # ----- simplified-side extraction -----
 
 
