@@ -18,33 +18,31 @@ qualified by one, directly or through an alias; columns qualified by a
 derived table's alias; and aliases of tables, derived tables and select
 items. Double-quoted names are left alone too, since SQLite reads an
 unknown one as a string literal. Text that cannot be tokenized (an
-unterminated quote or block comment) is left whole for SQLite to judge.
+unterminated quote) is left whole for SQLite to judge; an unterminated
+block comment runs to the end of the text, as it does in SQLite.
 
 A candidate is eligible when the distance is at most
 max(2, ceil(0.4 * len(candidate))). Ties prefer a candidate from a
 table the query already references, then the lexicographically smallest
 name.
 
-The search is bounded: a candidate only matters if its distance is within
-both its own threshold and the best distance found so far, so candidates
-whose length differs by more than that are skipped outright. The rest
-are scored by ``levenshtein``, Myers' bit-vector edit distance (Myers,
-JACM 1999, in the global form Hyyrö 2001 gives): the name being
-repaired is the pattern, and each candidate character costs a few
-integer operations. A candidate is given up once its distance can no
-longer come back within the bound.
-The chosen candidate and its distance are identical to an exhaustive
-search, since ties with the best so far are still computed exactly.
+Each search is one pass: ``levenshtein`` scores the token against every
+candidate at once, with the candidates packed side by side as the lanes
+of one bit-parallel pattern (Myers, JACM 1999; Hyyrö, Fredriksson and
+Navarro, JEA 2005) and the token as the text, a few big-integer
+operations per token character. Every distance is exact, so the choice
+is the one an exhaustive search makes.
 
-The vocabulary that repair searches (lookup maps and sorted candidate
-lists) is computed once per schema object and held on it; see
-``DatabaseSchema`` and ``SimplifiedSchema``.
+The vocabulary that repair searches (lookup maps, sorted candidate
+lists and their packed names) is computed once per schema object and
+held on it; see ``DatabaseSchema`` and ``SimplifiedSchema``. Each
+character's lane mask is built the first time a search needs it.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from .schema import DatabaseSchema, SimplifiedSchema
@@ -66,55 +64,81 @@ class CorrectionReport:
     unresolved: tuple[str, ...] = ()
 
 
-def levenshtein(a: str, b: str, bound: int | None = None) -> int:
-    """Edit distance between ``a`` and ``b``, exact when ``bound`` is None.
+class PackedNames:
+    """Names packed side by side as the lanes of one bit-parallel pattern.
 
-    With a ``bound``, the result is exact when it is at most ``bound``
-    and ``bound + 1`` otherwise.
-
-    ``a`` is the pattern: ``peq`` maps each of its characters to the
-    bitmask of the positions where it occurs. Bit i of the vertical
-    delta vectors ``pv``/``mv`` says whether D[i+1][j] - D[i][j] is
-    +1/-1 in the current column j of ``b``, and ``score`` is D[m][j].
-    Python integers grow as needed, so one vector covers a pattern of
-    any length. Each remaining character of ``b`` lowers D[m][j] by at
-    most one, so the loop ends once ``score - remaining > bound``.
+    Lane k holds ``names[k]``, one bit per character, the first character
+    in the lane's lowest bit; lanes follow each other from the top bit
+    down, each below a split bit of its own that no name's character
+    occupies. The layout is fixed by the names' lengths alone, so any
+    character may appear in a name. ``mask(ch)`` has the bits of the positions that
+    hold ``ch``; each is built on first use and held. Threads racing on
+    one character each build the same value, and either is kept.
     """
-    if a == b:
-        return 0
-    m, remaining = len(a), len(b)
-    if bound is None:
-        bound = max(m, remaining)  # no distance exceeds this
-    if abs(m - remaining) > bound:
-        return bound + 1
-    if not m:
-        return remaining
-    peq: dict[str, int] = {}
-    bit = 1
-    for ch in a:
-        peq[ch] = peq.get(ch, 0) | bit
-        bit <<= 1
-    full = bit - 1
-    top = bit >> 1
-    pv, mv, score = full, 0, m
-    for ch in b:
-        eq = peq.get(ch, 0)
+
+    __slots__ = ("names", "_text", "_width", "_full", "_lows", "_spans", "_masks")
+
+    def __init__(self, names: Iterable[str]):
+        self.names = tuple(names)
+        # Each lane as ``format(bits, "0{width}b")`` prints it, top bit
+        # first: a split bit, then the name's characters, last one first.
+        # A mask bit at a split bit never reaches a lane, so the split
+        # character may be any character, one in a name included.
+        self._text = "".join(" " + name[::-1] for name in self.names)
+        self._width = len(self._text)
+        self._full = int("".join("0" + "1" * len(name) for name in self.names) or "0", 2)
+        self._lows = self._full & ~(self._full << 1)  # each lane's lowest bit
+        # Each lane's slice of the printed bits.
+        spans = []
+        start = 1
+        for name in self.names:
+            spans.append((start, start + len(name)))
+            start += len(name) + 1
+        self._spans = spans
+        self._masks: dict[str, int] = {}
+
+    def mask(self, ch: str) -> int:
+        bits = self._masks.get(ch)
+        if bits is None:
+            ones = "1".join(["0" * len(run) for run in self._text.split(ch)])
+            bits = self._masks[ch] = int(ones, 2)
+        return bits
+
+
+def levenshtein(token: str, names: Sequence[str] | PackedNames) -> list[int]:
+    """Edit distance from ``token`` to each of ``names``, in order.
+
+    One pass of Myers' bit-vector algorithm (Myers, JACM 1999, in the
+    global form Hyyrö 2001 gives) over the characters of ``token``,
+    with every name a lane of one pattern (Hyyrö, Fredriksson and
+    Navarro, JEA 2005); ``names`` is packed here unless it is a
+    ``PackedNames`` already. Bit i of a lane in ``pv``/``mv`` says
+    whether D[i+1][j] - D[i][j] is +1/-1 in the current column j of
+    ``token``. The split bit above each lane is zero in ``pv``, so it
+    stops the addition's carry, and it takes the shift out of the lane's
+    top; ``lows`` sets each lane's row 0 delta, D[0][j] - D[0][j-1] = +1.
+    What a split bit holds otherwise never reaches a lane. After the
+    pass, D[m][n] = n + (+1 deltas) - (-1 deltas) in each lane.
+    """
+    packed = names if isinstance(names, PackedNames) else PackedNames(names)
+    if not packed.names:
+        return []
+    full, lows, mask = packed._full, packed._lows, packed.mask
+    pv, mv = full, 0
+    for ch in token:
+        eq = mask(ch)
         xv = eq | mv
         xh = (((eq & pv) + pv) ^ pv) | eq
-        ph = mv | ~(xh | pv)
+        ph = mv | ((xh | pv) ^ full)
         mh = pv & xh
-        if ph & top:
-            score += 1
-        elif mh & top:
-            score -= 1
-        remaining -= 1
-        if score - remaining > bound:
-            return bound + 1
-        # Row 0 is D[0][j] = j, so its horizontal delta is always +1.
-        ph = (ph << 1) | 1
-        pv = ((mh << 1) | ~(xv | ph)) & full
+        ph = (ph << 1) | lows
+        pv = ((mh << 1) | ((xv | ph) ^ full)) & full
         mv = ph & xv
-    return score
+    width = f"0{packed._width}b"
+    plus = format(pv, width).count
+    minus = format(mv, width).count
+    n = len(token)
+    return [n + plus("1", a, b) - minus("1", a, b) for a, b in packed._spans]
 
 
 def _threshold(candidate: str) -> int:
@@ -122,25 +146,22 @@ def _threshold(candidate: str) -> int:
 
 
 def _best(
-    token_lower: str, candidates: Sequence[tuple[str, str, bool]]
+    token_lower: str,
+    candidates: Sequence[tuple[str, str, bool]],
+    names: PackedNames | None = None,
 ) -> tuple[str, int] | None:
     """Pick the closest eligible candidate.
 
-    ``candidates`` holds (lower, canonical, from_referenced) triples.
-    Returns (canonical, distance) or None when nothing is close enough.
+    ``candidates`` holds (lower, canonical, from_referenced) triples;
+    ``names`` packs their lower-case names when a schema holds them, and
+    they are packed here otherwise. Returns (canonical, distance) or
+    None when nothing is close enough.
     """
+    if names is None:
+        names = [lower for lower, _, _ in candidates]
     best = None
-    n = len(token_lower)
-    for lower, canonical, referenced in candidates:
-        # A candidate farther than the best so far cannot win; one at the
-        # same distance still can, on the tie-break.
-        limit = _threshold(lower)
-        if best is not None and best[0][0] < limit:
-            limit = best[0][0]
-        if abs(n - len(lower)) > limit:
-            continue
-        dist = levenshtein(token_lower, lower, limit)
-        if dist > limit:
+    for (lower, canonical, referenced), dist in zip(candidates, levenshtein(token_lower, names)):
+        if dist > _threshold(lower):
             continue
         key = (dist, not referenced, lower)
         if best is None or key < best[0]:
@@ -173,7 +194,7 @@ def correct_identifiers(sql: str, db: DatabaseSchema) -> tuple[str, CorrectionRe
     unresolved: list[tuple[int, str]] = []  # (offset, name)
     referenced: set[str] = set()
 
-    def repair(idx: int, candidates) -> str | None:
+    def repair(idx: int, candidates, names=None) -> str | None:
         """Substitute the closest candidate for token ``idx``, or report it.
 
         Returns the lower-case replacement, or None when the token stays.
@@ -183,7 +204,7 @@ def correct_identifiers(sql: str, db: DatabaseSchema) -> tuple[str, CorrectionRe
             # Double quotes are ambiguous with string literals here;
             # leave them alone rather than rewrite a value.
             return None
-        pick = _best(tok.lower, candidates)
+        pick = _best(tok.lower, candidates, names)
         if pick is None:
             unresolved.append((tok.start, tok.value))
             return None
@@ -196,7 +217,7 @@ def correct_identifiers(sql: str, db: DatabaseSchema) -> tuple[str, CorrectionRe
         """The lower-case name a FROM table or qualifier token stands for."""
         low = toks[idx].lower
         if low not in table_canon and low not in roles.cte_names:
-            low = repair(idx, db.table_candidates) or low
+            low = repair(idx, db.table_candidates, db.packed_tables) or low
         if low in table_canon:
             referenced.add(low)
         return low
@@ -235,7 +256,8 @@ def correct_identifiers(sql: str, db: DatabaseSchema) -> tuple[str, CorrectionRe
                     for t in sorted(within) for cl, canon in sorted(cols_by_table[t].items())
                 ])
         elif low not in db.column_name_set:
-            repair(idx, [(cl, canon, tl in referenced) for tl, cl, canon in db.flat_columns])
+            repair(idx, [(cl, canon, tl in referenced) for tl, cl, canon in db.flat_columns],
+                   db.packed_columns)
 
     return _apply(sql, subs, unresolved)
 
@@ -272,7 +294,7 @@ def correct_identifiers_simplified(
         if simplified.lookup(toks[last - 2].value + "." + toks[last].value) is not None:
             continue
         chain = ".".join(toks[k].value for k in range(first, last + 1, 2))
-        pick = _best(chain.lower(), simplified.entry_candidates)
+        pick = _best(chain.lower(), simplified.entry_candidates, simplified.packed_entries)
         start = toks[first].start
         if pick is None:
             unresolved.append((start, chain))

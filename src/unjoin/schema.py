@@ -19,6 +19,10 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .correction import PackedNames
 
 
 class SchemaError(ValueError):
@@ -129,6 +133,11 @@ class DatabaseSchema:
         return tuple((low, name, False) for low, name in sorted(self.table_names.items()))
 
     @cached_property
+    def packed_tables(self) -> PackedNames:
+        """The names of ``table_candidates``, packed for ``correction.levenshtein``."""
+        return _packed(low for low, _, _ in self.table_candidates)
+
+    @cached_property
     def flat_columns(self) -> tuple[tuple[str, str, str], ...]:
         """(lower table, lower column, declared column) for every column, sorted."""
         return tuple(sorted(
@@ -136,6 +145,11 @@ class DatabaseSchema:
             for tl, cols in self.columns_by_table.items()
             for cl, name in cols.items()
         ))
+
+    @cached_property
+    def packed_columns(self) -> PackedNames:
+        """The lower column names of ``flat_columns``, packed for ``correction.levenshtein``."""
+        return _packed(cl for _, cl, _ in self.flat_columns)
 
     @cached_property
     def column_name_set(self) -> frozenset[str]:
@@ -206,6 +220,11 @@ class SimplifiedSchema:
         return tuple(sorted((e.rendered.lower(), e.rendered, False) for e in self.entries))
 
     @cached_property
+    def packed_entries(self) -> PackedNames:
+        """The names of ``entry_candidates``, packed for ``correction.levenshtein``."""
+        return _packed(low for low, _, _ in self.entry_candidates)
+
+    @cached_property
     def block(self) -> str:
         """The prompt block: a "Table: <name>" header, then one line per entry.
 
@@ -224,6 +243,12 @@ class SimplifiedSchema:
         else:
             lines.extend(e.rendered for e in self.entries)
         return "\n".join(lines)
+
+
+def _packed(names) -> PackedNames:
+    from .correction import PackedNames  # correction imports this module
+
+    return PackedNames(names)
 
 
 def simplify_schema(db: DatabaseSchema, descriptions: dict[str, str] | None = None) -> SimplifiedSchema:

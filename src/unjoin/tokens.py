@@ -124,10 +124,9 @@ def tokenize(sql: str) -> list[Token]:
             i = n if nl < 0 else nl + 1
             continue
         if ch == "/" and sql.startswith("/*", i):
+            # Unterminated, the comment runs to the end, as in SQLite.
             close = sql.find("*/", i + 2)
-            if close < 0:
-                raise TokenizeError("unterminated block comment", i)
-            i = close + 2
+            i = n if close < 0 else close + 2
             continue
         if ch == "'":
             value, end = _scan_quoted(sql, i)

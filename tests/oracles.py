@@ -8,6 +8,8 @@ kept as a second, differently built oracle for the bit-vector one.
 token as a frozen dataclass and lowered its text on every read; it
 follows the same name rule (every character above U+007F is a name
 character), so the differential test compares token boundaries too.
+Like the package's, it reads an unterminated block comment to the end
+of the text, as SQLite does.
 """
 
 from dataclasses import dataclass
@@ -157,7 +159,7 @@ def slow_best(token: str, candidates) -> tuple[str, int] | None:
     return winner[1], winner[0][0]
 
 
-# ----- the former tokenizer, kept verbatim as a reference -----
+# ----- the former tokenizer, kept as a reference -----
 
 IDENT = "ident"
 QIDENT = "qident"
@@ -233,10 +235,9 @@ def slow_tokenize(sql: str) -> list[SlowToken]:
             i = n if nl < 0 else nl + 1
             continue
         if ch == "/" and sql.startswith("/*", i):
+            # Unterminated, the comment runs to the end, as in SQLite.
             close = sql.find("*/", i + 2)
-            if close < 0:
-                raise SlowTokenizeError("unterminated block comment", i)
-            i = close + 2
+            i = n if close < 0 else close + 2
             continue
         if ch == "'":
             value, end = _scan_quoted(sql, i)

@@ -9,12 +9,15 @@ nearer candidates, so the bar is 90%; the structural invariants
 
 import random
 import sqlite3
+import sys
+import threading
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from unjoin.correction import (
     CorrectionReport,
+    PackedNames,
     _best,
     correct_identifiers,
     correct_identifiers_simplified,
@@ -137,7 +140,7 @@ def test_reported_substitutions_match_the_input():
         _, report = correct_identifiers(broken, db)
         for sub in report.substitutions:
             assert broken[sub.position: sub.position + len(sub.original)] == sub.original
-            assert sub.distance == levenshtein(sub.original.lower(), sub.replacement.lower())
+            assert [sub.distance] == levenshtein(sub.original.lower(), [sub.replacement.lower()])
             assert sub.distance > 0
 
 
@@ -441,60 +444,78 @@ def test_open_book_pool_repairs_against_its_own_names():
 
 
 def test_levenshtein_known_values():
-    assert levenshtein("kitten", "sitting") == 3
-    assert levenshtein("", "abc") == 3
-    assert levenshtein("abc", "abc") == 0
+    assert levenshtein("kitten", ["sitting", "kitten", "", "sitten", "kitten"]) == [3, 0, 6, 1, 0]
+    assert levenshtein("", ["abc", ""]) == [3, 0]
+    assert levenshtein("abc", ["abc"]) == [0]
+    assert levenshtein("abc", []) == []
 
 
-# A small alphabet repeats characters; two of them are not ASCII. Long
-# strings (past 64 characters) take the bit vectors past one machine word.
-_CHARS = "ab_zé日"
-_strings = st.text(alphabet=_CHARS, max_size=8) | st.text(
-    alphabet=_CHARS, min_size=60, max_size=100
-)
+# A small alphabet repeats characters. Two of them are not ASCII; the
+# rest are characters a packed layout might take for a lane separator
+# or read back as a bit ("\n", "\0", " ", "0", "1"). Long strings (past
+# 64 characters) take a lane past one machine word.
+_CHARS = "ab_zé日\n\0 01"
+_short = st.text(alphabet=_CHARS, max_size=8)
+_strings = _short | st.text(alphabet=_CHARS, min_size=65, max_size=80)
+
+
+@st.composite
+def near(draw, word):
+    """``word`` after up to four random edits."""
+    chars = list(word)
+    for _ in range(draw(st.integers(0, 4))):
+        pos = draw(st.integers(0, len(chars)))
+        op = draw(st.sampled_from(("sub", "ins", "del")))
+        if op == "ins":
+            chars.insert(pos, draw(st.sampled_from(_CHARS)))
+        elif pos < len(chars):
+            if op == "sub":
+                chars[pos] = draw(st.sampled_from(_CHARS))
+            else:
+                del chars[pos]
+    return "".join(chars)
 
 
 @st.composite
 def distance_cases(draw):
-    """(a, b, bound), with b either independent of a or a few edits away."""
-    a = draw(_strings)
-    if draw(st.booleans()):
-        b = draw(_strings)
-    else:
-        chars = list(a)
-        for _ in range(draw(st.integers(0, 4))):
-            pos = draw(st.integers(0, len(chars)))
-            op = draw(st.sampled_from(("sub", "ins", "del")))
-            if op == "ins":
-                chars.insert(pos, draw(st.sampled_from(_CHARS)))
-            elif pos < len(chars):
-                if op == "sub":
-                    chars[pos] = draw(st.sampled_from(_CHARS))
-                else:
-                    del chars[pos]
-        b = "".join(chars)
-    bound = draw(st.none() | st.integers(0, max(len(a), len(b)) + 2))
-    return a, b, bound
+    """(token, names): 0, 1, a few or hundreds of names, each either
+    independent of the token or a few edits away from it, duplicates and
+    empty names included. With hundreds of names the token and names are
+    short, so the recursive oracle stays fast."""
+    size = draw(st.sampled_from((0, 1, 3, 8, 300)))
+    pool = _short if size > 8 else _strings
+    token = draw(pool)
+    names = draw(st.lists(pool | near(token), min_size=size, max_size=size))
+    if names and draw(st.booleans()):
+        names.append(draw(st.sampled_from(names)))
+    return token, names
 
 
+@settings(deadline=None)
 @given(distance_cases())
+@example(("", []))
+@example(("ab", [""]))
+@example(("a\nb", ["a\nb", "a\0b", "a b", "a", "", "a\nb"]))
+@example(("a" * 70, ["a" * 65, "b" * 70, "a" * 140, " " * 3]))
 def test_levenshtein_matches_recursive_oracle(case):
-    a, b, bound = case
-    exact = slow_levenshtein(a, b)
-    want = exact if bound is None or exact <= bound else bound + 1
-    assert levenshtein(a, b, bound) == want
-    assert banded_levenshtein(a, b, bound) == want
+    token, names = case
+    want = [slow_levenshtein(token, name) for name in names]
+    assert levenshtein(token, names) == want
+    assert levenshtein(token, PackedNames(names)) == want
+    assert [banded_levenshtein(token, name) for name in names] == want
 
 
-# ----- bounded candidate search against an exhaustive one -----
+# ----- candidate search against an exhaustive one -----
 
 # Names come from a small pool, so lists often hold several candidates
 # with the same lower-case name; canonical names are unique per entry, so
-# the test sees which of them was chosen.
+# the test sees which of them was chosen. Up to 60 entries of up to 100
+# characters span many machine words.
 candidate_lists = st.lists(
-    st.text(alphabet="abc_", min_size=1, max_size=7), min_size=1, max_size=5
+    st.text(alphabet=_CHARS, max_size=7) | st.text(alphabet=_CHARS, min_size=60, max_size=100),
+    min_size=1, max_size=5,
 ).flatmap(
-    lambda pool: st.lists(st.tuples(st.sampled_from(pool), st.booleans()), max_size=12)
+    lambda pool: st.lists(st.tuples(st.sampled_from(pool), st.booleans()), max_size=60)
 ).map(
     lambda entries: [
         (lower, f"{lower.upper()}#{i}", referenced)
@@ -503,9 +524,107 @@ candidate_lists = st.lists(
 )
 
 
-@given(st.text(alphabet="abc_", max_size=7), candidate_lists)
+@settings(deadline=None)
+@given(_strings, candidate_lists)
 def test_best_matches_exhaustive_search(token, candidates):
     assert _best(token, candidates) == slow_best(token, candidates)
+
+
+# ----- packed names held on the schema objects -----
+
+
+def _wide_schema():
+    """20 tables of 25 columns, names spread over many characters."""
+    rng = random.Random(SEED)
+    tables = []
+    for t in range(20):
+        words = {"".join(rng.choice(LETTERS + "_") for _ in range(rng.randint(4, 14)))
+                 for _ in range(40)}
+        columns = sorted(words)[:25]
+        tables.append(TableDef(f"table_{t}_" + columns[0], tuple(ColumnDef(c) for c in columns)))
+    return DatabaseSchema("wide", tuple(tables))
+
+
+def _wide_chain_queries(db, count):
+    """Near-miss "table.column" chains of ``db``, one per query."""
+    rng = random.Random(SEED + 1)
+    queries = []
+    for _ in range(count):
+        table = rng.choice(db.tables)
+        column = rng.choice(table.columns).name
+        chain = mutate(f"{table.name}.{column}", rng, rng.choice((1, 2)))
+        queries.append(f"SELECT {chain} FROM {db.db_id}")
+    return queries
+
+
+def test_repeated_searches_reuse_the_views_packed_names():
+    db = _wide_schema()
+    view = simplify_schema(db)
+    (query,) = _wide_chain_queries(db, 1)
+    chain = query.split()[1].lower()
+    first = correct_identifiers_simplified(query, view)
+    packed = view.packed_entries
+    held = {ch: packed.mask(ch) for ch in chain}
+    assert correct_identifiers_simplified(query, view) == first
+    assert view.packed_entries is packed
+    assert all(packed.mask(ch) is bits for ch, bits in held.items())
+    # The same view comes back for equal descriptions, packed names and all.
+    assert simplify_schema(db, {}).packed_entries is packed
+
+
+def test_other_views_and_schemas_pack_their_own_names():
+    db = _wide_schema()
+    packed = simplify_schema(db).packed_entries
+    described = simplify_schema(db, {db.tables[0].name + "." + db.tables[0].columns[0].name: "x"})
+    twin = DatabaseSchema(db.db_id, db.tables, db.foreign_keys)
+    assert described.packed_entries is not packed
+    assert simplify_schema(twin).packed_entries is not packed
+    assert twin.packed_tables is not db.packed_tables
+    assert twin.packed_columns is not db.packed_columns
+
+
+WIDE = _wide_schema()
+WIDE_VIEW = simplify_schema(WIDE)
+_TOKENS = st.text(alphabet=LETTERS + "_.0é", max_size=30)
+
+
+@settings(deadline=None)
+@given(st.lists(_TOKENS, min_size=1, max_size=5))
+def test_picks_from_held_masks_equal_picks_from_fresh_masks(tokens):
+    for token in tokens:
+        for candidates, held in ((WIDE_VIEW.entry_candidates, WIDE_VIEW.packed_entries),
+                                 (WIDE.table_candidates, WIDE.packed_tables)):
+            assert _best(token, candidates, held) == _best(token, candidates)
+        columns = [(cl, canon, False) for _, cl, canon in WIDE.flat_columns]
+        assert _best(token, columns, WIDE.packed_columns) == _best(token, columns)
+
+
+def test_threads_searching_one_view_pick_as_a_sequential_run():
+    db = _wide_schema()
+    queries = _wide_chain_queries(db, 40)
+    sequential = simplify_schema(_wide_schema())
+    want = [correct_identifiers_simplified(q, sequential) for q in queries]
+    assert sum(bool(report.substitutions) for _, report in want) >= 30
+    view = simplify_schema(db)  # no mask built yet: the threads race to build them
+    start = threading.Barrier(4)
+    got = [None] * 4
+
+    def search(k):
+        start.wait(timeout=30)
+        got[k] = [correct_identifiers_simplified(q, view) for q in queries]
+
+    threads = [threading.Thread(target=search, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [want] * 4
 
 
 # ----- repair rewrites identifier spans only, and is a fixed point -----

@@ -384,5 +384,7 @@ def test_semicolon_inside_literal_does_not_cut():
     # Nor does a ';' inside a comment.
     assert trim_sql("SELECT a -- pick a; not b\nFROM t;") == "SELECT a -- pick a; not b\nFROM t;"
     assert trim_sql("SELECT a /* x; */ FROM t;") == "SELECT a /* x; */ FROM t;"
+    # An unclosed comment runs to the end of the text, as in SQLite.
+    assert trim_sql("SELECT a /* x; FROM t") == "SELECT a /* x; FROM t"
     # Unreadable text before any unquoted ';' keeps the plain cut.
     assert trim_sql("SELECT 'a;b FROM t") == "SELECT 'a;"

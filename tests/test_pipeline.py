@@ -287,15 +287,14 @@ def test_retrieval_failure_is_the_items_first_stage(mini_spider_root, tmp_path, 
 
 
 
-@pytest.mark.parametrize("bad, runs", [
-    ("SELECT name FROM customer WHERE name = 'x", False),
-    ("SELECT name FROM customer /* note", True),  # SQLite runs this one
-], ids=["unterminated-quote", "unterminated-comment"])
-def test_query_that_cannot_be_tokenized_is_left_to_sqlite(mini_spider_root, tmp_path, bad, runs):
+def _replay_cot(mini_spider_root, tmp_path, first_sql):
+    """Record then replay a cot run of two retail items, the first answered
+    with ``first_sql`` and the second with its gold query; return the
+    records as written."""
     bundle = load_dataset(mini_spider_root, "spider")
     kept, _ = filter_items(bundle.items, bundle.catalogue)
     items = [item for item in kept if item.db_id == "retail"][:2]
-    answers = {items[0].question: bad, items[1].question: items[1].gold_sql}
+    answers = {items[0].question: first_sql, items[1].question: items[1].gold_sql}
 
     def transport(prompt, cfg):
         (sql,) = [sql for question, sql in answers.items() if question in prompt]
@@ -311,10 +310,28 @@ def test_query_that_cannot_be_tokenized_is_left_to_sqlite(mini_spider_root, tmp_
     write_records(records, tmp_path / "records.jsonl", meta)
     _, written = read_records(tmp_path / "records.jsonl")
     assert [r.item_id for r in written] == [item.item_id for item in items]
-    bad_record, good_record = written
+    return written
+
+
+@pytest.mark.parametrize("bad", [
+    "SELECT name FROM customer WHERE name = 'x",
+], ids=["unterminated-quote"])
+def test_query_that_cannot_be_tokenized_is_left_to_sqlite(mini_spider_root, tmp_path, bad):
+    bad_record, good_record = _replay_cot(mini_spider_root, tmp_path, bad)
     assert bad_record.prediction["final_sql"] == bad
     assert bad_record.prediction["final_report"] == {"substitutions": [], "unresolved": []}
-    assert bad_record.qe is runs
+    assert not bad_record.qe
+    assert good_record.qe and good_record.em
+
+
+def test_unterminated_comment_runs_to_the_end_of_the_query(mini_spider_root, tmp_path):
+    # SQLite reads an unclosed /* as a comment up to the end of the text,
+    # so the names before it are repaired and the query runs.
+    record, good_record = _replay_cot(mini_spider_root, tmp_path, "SELECT nmae FROM customer /* note")
+    assert record.prediction["final_sql"] == "SELECT name FROM customer /* note"
+    assert record.prediction["final_report"] == {
+        "substitutions": [["nmae", "name", 2, 7]], "unresolved": []}
+    assert record.qe
     assert good_record.qe and good_record.em
 
 

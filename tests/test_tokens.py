@@ -59,6 +59,14 @@ def test_comments_dropped():
     assert values(sql) == ["SELECT", "a", "FROM", "t", "WHERE", "b", "=", "2"]
 
 
+def test_unterminated_block_comment_runs_to_the_end():
+    # SQLite 3.40.1 runs "SELECT name FROM customer /* note" as if the
+    # comment were closed at the end of the text.
+    assert values("SELECT a FROM t /* note") == ["SELECT", "a", "FROM", "t"]
+    assert values("SELECT a /* x; FROM t") == ["SELECT", "a"]
+    assert values("SELECT a /*") == ["SELECT", "a"]
+
+
 def test_names_take_every_character_above_ascii():
     toks = tokenize("SELECT café, été1, 日本$x, a\u00a0b FROM t")
     names = [t.value for t in toks if t.kind == IDENT]
