@@ -33,16 +33,21 @@ Navarro, JEA 2005) and the token as the text, a few big-integer
 operations per token character. Every distance is exact, so the choice
 is the one an exhaustive search makes.
 
-The vocabulary that repair searches (lookup maps, sorted candidate
-lists and their packed names) is computed once per schema object and
-held on it; see ``DatabaseSchema`` and ``SimplifiedSchema``. Each
-character's lane mask is built the first time a search needs it.
+Every candidate list is one ``PackedNames``: the lower-case names a
+search compares, the names a repair writes, and the table whose columns
+it holds, if any. The lists are built once per schema object and held
+on it: the table names and one list per table's columns on
+``DatabaseSchema``, the flat view's name and entries on
+``SimplifiedSchema``. A column search walks the lists of the tables in
+reach in name order, so a search over several tables makes one kernel
+call per table. Each character's lane mask is built the first time a
+search needs it.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Container, Iterable
 from dataclasses import dataclass
 
 from .schema import DatabaseSchema, SimplifiedSchema
@@ -65,21 +70,29 @@ class CorrectionReport:
 
 
 class PackedNames:
-    """Names packed side by side as the lanes of one bit-parallel pattern.
+    """A candidate list, packed side by side as the lanes of one pattern.
 
-    Lane k holds ``names[k]``, one bit per character, the first character
-    in the lane's lowest bit; lanes follow each other from the top bit
-    down, each below a split bit of its own that no name's character
-    occupies. The layout is fixed by the names' lengths alone, so any
-    character may appear in a name. ``mask(ch)`` has the bits of the positions that
-    hold ``ch``; each is built on first use and held. Threads racing on
-    one character each build the same value, and either is kept.
+    Lane k holds ``names[k]``, a lower-case name, one bit per character,
+    the first character in the lane's lowest bit; ``canonical[k]`` is
+    the name a repair writes for it. ``owner`` is the lower-case table
+    whose columns the list holds, None for any other list. Lanes follow
+    each other from the top bit down, each below a split bit of its own
+    that no name's character occupies. The layout is fixed by the names'
+    lengths alone, so any character may appear in a name. ``mask(ch)``
+    has the bits of the positions that hold ``ch``; each is built on
+    first use and held. Threads racing on one character each build the
+    same value, and either is kept.
     """
 
-    __slots__ = ("names", "_text", "_width", "_full", "_lows", "_spans", "_masks")
+    __slots__ = ("names", "canonical", "owner", "_text", "_width", "_full", "_lows",
+                 "_spans", "_masks")
 
-    def __init__(self, names: Iterable[str]):
-        self.names = tuple(names)
+    def __init__(self, lanes: Iterable[tuple[str, str]], owner: str | None = None):
+        """``lanes`` holds one (lower, canonical) pair per name, in search order."""
+        lanes = tuple(lanes)
+        self.names = tuple(lower for lower, _ in lanes)
+        self.canonical = tuple(name for _, name in lanes)
+        self.owner = owner
         # Each lane as ``format(bits, "0{width}b")`` prints it, top bit
         # first: a split bit, then the name's characters, last one first.
         # A mask bit at a split bit never reaches a lane, so the split
@@ -105,14 +118,13 @@ class PackedNames:
         return bits
 
 
-def levenshtein(token: str, names: Sequence[str] | PackedNames) -> list[int]:
-    """Edit distance from ``token`` to each of ``names``, in order.
+def levenshtein(token: str, packed: PackedNames) -> list[int]:
+    """Edit distance from ``token`` to each of ``packed.names``, in order.
 
     One pass of Myers' bit-vector algorithm (Myers, JACM 1999, in the
     global form Hyyrö 2001 gives) over the characters of ``token``,
     with every name a lane of one pattern (Hyyrö, Fredriksson and
-    Navarro, JEA 2005); ``names`` is packed here unless it is a
-    ``PackedNames`` already. Bit i of a lane in ``pv``/``mv`` says
+    Navarro, JEA 2005). Bit i of a lane in ``pv``/``mv`` says
     whether D[i+1][j] - D[i][j] is +1/-1 in the current column j of
     ``token``. The split bit above each lane is zero in ``pv``, so it
     stops the addition's carry, and it takes the shift out of the lane's
@@ -120,7 +132,6 @@ def levenshtein(token: str, names: Sequence[str] | PackedNames) -> list[int]:
     What a split bit holds otherwise never reaches a lane. After the
     pass, D[m][n] = n + (+1 deltas) - (-1 deltas) in each lane.
     """
-    packed = names if isinstance(names, PackedNames) else PackedNames(names)
     if not packed.names:
         return []
     full, lows, mask = packed._full, packed._lows, packed.mask
@@ -146,26 +157,25 @@ def _threshold(candidate: str) -> int:
 
 
 def _best(
-    token_lower: str,
-    candidates: Sequence[tuple[str, str, bool]],
-    names: PackedNames | None = None,
+    token_lower: str, lists: Iterable[PackedNames], referenced: Container[str] = ()
 ) -> tuple[str, int] | None:
-    """Pick the closest eligible candidate.
+    """Pick the closest eligible name of ``lists``, searched in order.
 
-    ``candidates`` holds (lower, canonical, from_referenced) triples;
-    ``names`` packs their lower-case names when a schema holds them, and
-    they are packed here otherwise. Returns (canonical, distance) or
-    None when nothing is close enough.
+    The key is (distance, owner not in ``referenced``, lower name), and
+    the first of equal keys wins. Returns (canonical, distance) or None
+    when nothing is close enough.
     """
-    if names is None:
-        names = [lower for lower, _, _ in candidates]
     best = None
-    for (lower, canonical, referenced), dist in zip(candidates, levenshtein(token_lower, names)):
-        if dist > _threshold(lower):
-            continue
-        key = (dist, not referenced, lower)
-        if best is None or key < best[0]:
-            best = (key, canonical)
+    for packed in lists:
+        unowned = packed.owner not in referenced
+        for lower, canonical, dist in zip(
+            packed.names, packed.canonical, levenshtein(token_lower, packed)
+        ):
+            if dist > _threshold(lower):
+                continue
+            key = (dist, unowned, lower)
+            if best is None or key < best[0]:
+                best = (key, canonical)
     if best is None:
         return None
     return best[1], best[0][0]
@@ -194,7 +204,7 @@ def correct_identifiers(sql: str, db: DatabaseSchema) -> tuple[str, CorrectionRe
     unresolved: list[tuple[int, str]] = []  # (offset, name)
     referenced: set[str] = set()
 
-    def repair(idx: int, candidates, names=None) -> str | None:
+    def repair(idx: int, lists: list[PackedNames]) -> str | None:
         """Substitute the closest candidate for token ``idx``, or report it.
 
         Returns the lower-case replacement, or None when the token stays.
@@ -204,7 +214,7 @@ def correct_identifiers(sql: str, db: DatabaseSchema) -> tuple[str, CorrectionRe
             # Double quotes are ambiguous with string literals here;
             # leave them alone rather than rewrite a value.
             return None
-        pick = _best(tok.lower, candidates, names)
+        pick = _best(tok.lower, lists, referenced)
         if pick is None:
             unresolved.append((tok.start, tok.value))
             return None
@@ -217,7 +227,7 @@ def correct_identifiers(sql: str, db: DatabaseSchema) -> tuple[str, CorrectionRe
         """The lower-case name a FROM table or qualifier token stands for."""
         low = toks[idx].lower
         if low not in table_canon and low not in roles.cte_names:
-            low = repair(idx, db.table_candidates, db.packed_tables) or low
+            low = repair(idx, [db.packed_tables]) or low
         if low in table_canon:
             referenced.add(low)
         return low
@@ -249,15 +259,9 @@ def correct_identifiers(sql: str, db: DatabaseSchema) -> tuple[str, CorrectionRe
             else:
                 within = ()  # the qualifier names no known table
         # Candidates come from ``within``, or from every table when empty.
-        if within:
-            if not any(low in cols_by_table[t] for t in within):
-                repair(idx, [
-                    (cl, canon, True)
-                    for t in sorted(within) for cl, canon in sorted(cols_by_table[t].items())
-                ])
-        elif low not in db.column_name_set:
-            repair(idx, [(cl, canon, tl in referenced) for tl, cl, canon in db.flat_columns],
-                   db.packed_columns)
+        tables = sorted(within or cols_by_table)
+        if not any(low in cols_by_table[t] for t in tables):
+            repair(idx, [db.packed_columns[t] for t in tables])
 
     return _apply(sql, subs, unresolved)
 
@@ -285,7 +289,7 @@ def correct_identifiers_simplified(
         tok = toks[idx]
         if tok.lower == virtual_low or tok.lower in roles.cte_names or tok.quote == '"':
             continue
-        pick = _best(tok.lower, [(virtual_low, simplified.name, False)])
+        pick = _best(tok.lower, [simplified.packed_name])
         if pick is None:
             unresolved.append((tok.start, tok.value))
         else:
@@ -294,7 +298,7 @@ def correct_identifiers_simplified(
         if simplified.lookup(toks[last - 2].value + "." + toks[last].value) is not None:
             continue
         chain = ".".join(toks[k].value for k in range(first, last + 1, 2))
-        pick = _best(chain.lower(), simplified.entry_candidates, simplified.packed_entries)
+        pick = _best(chain.lower(), [simplified.packed_entries])
         start = toks[first].start
         if pick is None:
             unresolved.append((start, chain))

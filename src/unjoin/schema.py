@@ -7,9 +7,10 @@ original (table, column) pair is carried explicitly on each entry, so
 downstream code never has to split the rendered string and guess.
 
 What is derived from a schema object (lookup maps, rendered prompt
-blocks, identifier-repair vocabulary, the flattened view) is held by the
-object itself: it lives exactly as long as the schema does, and every
-caller shares it. Callers must treat these values as read-only.
+blocks, the flattened view, and the candidate lists of identifier
+repair, each a ``correction.PackedNames``) is held by the object itself:
+it lives exactly as long as the schema does, and every caller shares
+it. Callers must treat these values as read-only.
 """
 
 from __future__ import annotations
@@ -121,40 +122,18 @@ class DatabaseSchema:
                 return t
         return None
 
-    def column_count(self) -> int:
-        return sum(len(t.columns) for t in self.tables)
-
     # Derived data, computed on first use (frozen dataclasses without
     # slots keep a per-instance __dict__ that cached_property writes to).
 
     @cached_property
-    def table_candidates(self) -> tuple[tuple[str, str, bool], ...]:
-        """(lower, declared, False) per table, sorted: the repair candidates."""
-        return tuple((low, name, False) for low, name in sorted(self.table_names.items()))
-
-    @cached_property
     def packed_tables(self) -> PackedNames:
-        """The names of ``table_candidates``, packed for ``correction.levenshtein``."""
-        return _packed(low for low, _, _ in self.table_candidates)
+        """The table names, sorted: the candidates for a table name."""
+        return _packed(sorted(self.table_names.items()))
 
     @cached_property
-    def flat_columns(self) -> tuple[tuple[str, str, str], ...]:
-        """(lower table, lower column, declared column) for every column, sorted."""
-        return tuple(sorted(
-            (tl, cl, name)
-            for tl, cols in self.columns_by_table.items()
-            for cl, name in cols.items()
-        ))
-
-    @cached_property
-    def packed_columns(self) -> PackedNames:
-        """The lower column names of ``flat_columns``, packed for ``correction.levenshtein``."""
-        return _packed(cl for _, cl, _ in self.flat_columns)
-
-    @cached_property
-    def column_name_set(self) -> frozenset[str]:
-        """Every lower-case column name of every table."""
-        return frozenset(cl for _, cl, _ in self.flat_columns)
+    def packed_columns(self) -> dict[str, PackedNames]:
+        """Lower-case table name -> its column names, sorted, owned by the table."""
+        return {t: _packed(sorted(cols.items()), t) for t, cols in self.columns_by_table.items()}
 
     @cached_property
     def original_block(self) -> str:
@@ -180,7 +159,14 @@ class DatabaseSchema:
         """
         held = self.__dict__.get("_simplified_view")
         if held is None or held[0] != descriptions:
-            held = (dict(descriptions), _flatten(self, descriptions))
+            desc = {(k or "").lower(): v for k, v in descriptions.items()}
+            entries = []
+            for t in self.tables:
+                for c in t.columns:
+                    rendered = f"{t.name}.{c.name}"
+                    text = desc.get(rendered.lower(), "")
+                    entries.append(SimplifiedEntry(rendered, t.name, c.name, text))
+            held = (dict(descriptions), SimplifiedSchema(self.db_id, tuple(entries)))
             self.__dict__["_simplified_view"] = held
         return held[1]
 
@@ -215,14 +201,14 @@ class SimplifiedSchema:
         return self._by_rendered.get(rendered.lower())
 
     @cached_property
-    def entry_candidates(self) -> tuple[tuple[str, str, bool], ...]:
-        """(lower, rendered, False) per entry, sorted: the repair candidates."""
-        return tuple(sorted((e.rendered.lower(), e.rendered, False) for e in self.entries))
+    def packed_name(self) -> PackedNames:
+        """The virtual table's name: the candidate for a FROM table."""
+        return _packed([(self.name.lower(), self.name)])
 
     @cached_property
     def packed_entries(self) -> PackedNames:
-        """The names of ``entry_candidates``, packed for ``correction.levenshtein``."""
-        return _packed(low for low, _, _ in self.entry_candidates)
+        """The rendered entries, sorted: the candidates for a dotted chain."""
+        return _packed(sorted((e.rendered.lower(), e.rendered) for e in self.entries))
 
     @cached_property
     def block(self) -> str:
@@ -245,10 +231,10 @@ class SimplifiedSchema:
         return "\n".join(lines)
 
 
-def _packed(names) -> PackedNames:
+def _packed(lanes, owner: str | None = None) -> PackedNames:
     from .correction import PackedNames  # correction imports this module
 
-    return PackedNames(names)
+    return PackedNames(lanes, owner)
 
 
 def simplify_schema(db: DatabaseSchema, descriptions: dict[str, str] | None = None) -> SimplifiedSchema:
@@ -264,19 +250,6 @@ def simplify_schema(db: DatabaseSchema, descriptions: dict[str, str] | None = No
     empty).
     """
     return db._simplified(descriptions or {})
-
-
-def _flatten(db: DatabaseSchema, descriptions: dict[str, str]) -> SimplifiedSchema:
-    desc = {(k or "").lower(): v for k, v in descriptions.items()}
-    entries = []
-    for t in db.tables:
-        for c in t.columns:
-            rendered = f"{t.name}.{c.name}"
-            text = desc.get(rendered.lower(), "")
-            entries.append(SimplifiedEntry(rendered, t.name, c.name, text))
-    simplified = SimplifiedSchema(db.db_id, tuple(entries))
-    assert len(simplified.entries) == db.column_count()
-    return simplified
 
 
 def load_catalogue(path: str | Path) -> dict[str, DatabaseSchema]:

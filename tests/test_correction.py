@@ -140,7 +140,8 @@ def test_reported_substitutions_match_the_input():
         _, report = correct_identifiers(broken, db)
         for sub in report.substitutions:
             assert broken[sub.position: sub.position + len(sub.original)] == sub.original
-            assert [sub.distance] == levenshtein(sub.original.lower(), [sub.replacement.lower()])
+            replacement = _packed([sub.replacement.lower()])
+            assert [sub.distance] == levenshtein(sub.original.lower(), replacement)
             assert sub.distance > 0
 
 
@@ -443,11 +444,16 @@ def test_open_book_pool_repairs_against_its_own_names():
 # ----- edit distance against an independent implementation -----
 
 
+def _packed(names):
+    return PackedNames((name, name) for name in names)
+
+
 def test_levenshtein_known_values():
-    assert levenshtein("kitten", ["sitting", "kitten", "", "sitten", "kitten"]) == [3, 0, 6, 1, 0]
-    assert levenshtein("", ["abc", ""]) == [3, 0]
-    assert levenshtein("abc", ["abc"]) == [0]
-    assert levenshtein("abc", []) == []
+    assert levenshtein("kitten", _packed(["sitting", "kitten", "", "sitten", "kitten"])) == [
+        3, 0, 6, 1, 0]
+    assert levenshtein("", _packed(["abc", ""])) == [3, 0]
+    assert levenshtein("abc", _packed(["abc"])) == [0]
+    assert levenshtein("abc", _packed([])) == []
 
 
 # A small alphabet repeats characters. Two of them are not ASCII; the
@@ -500,8 +506,7 @@ def distance_cases(draw):
 def test_levenshtein_matches_recursive_oracle(case):
     token, names = case
     want = [slow_levenshtein(token, name) for name in names]
-    assert levenshtein(token, names) == want
-    assert levenshtein(token, PackedNames(names)) == want
+    assert levenshtein(token, _packed(names)) == want
     assert [banded_levenshtein(token, name) for name in names] == want
 
 
@@ -510,24 +515,32 @@ def test_levenshtein_matches_recursive_oracle(case):
 # Names come from a small pool, so lists often hold several candidates
 # with the same lower-case name; canonical names are unique per entry, so
 # the test sees which of them was chosen. Up to 60 entries of up to 100
-# characters span many machine words.
-candidate_lists = st.lists(
+# characters span many machine words. Each entry is (lower, owner): the
+# owner is the table of the list the entry falls in, None or a name that
+# the query may reference. Runs of one owner make the lists, in order.
+_OWNERS = (None, "a", "b")
+candidate_entries = st.lists(
     st.text(alphabet=_CHARS, max_size=7) | st.text(alphabet=_CHARS, min_size=60, max_size=100),
     min_size=1, max_size=5,
 ).flatmap(
-    lambda pool: st.lists(st.tuples(st.sampled_from(pool), st.booleans()), max_size=60)
-).map(
-    lambda entries: [
-        (lower, f"{lower.upper()}#{i}", referenced)
-        for i, (lower, referenced) in enumerate(entries)
-    ]
+    lambda pool: st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(_OWNERS)), max_size=60)
 )
 
 
 @settings(deadline=None)
-@given(_strings, candidate_lists)
-def test_best_matches_exhaustive_search(token, candidates):
-    assert _best(token, candidates) == slow_best(token, candidates)
+@given(_strings, candidate_entries, st.sets(st.sampled_from(_OWNERS[1:])))
+def test_best_matches_exhaustive_search(token, entries, referenced):
+    lists = []
+    for i, (lower, owner) in enumerate(entries):
+        lane = (lower, f"{lower.upper()}#{i}")
+        if lists and lists[-1][0] == owner:
+            lists[-1][1].append(lane)
+        else:
+            lists.append((owner, [lane]))
+    triples = [(lower, canonical, owner in referenced)
+               for owner, lanes in lists for lower, canonical in lanes]
+    packed = [PackedNames(lanes, owner) for owner, lanes in lists]
+    assert _best(token, packed, referenced) == slow_best(token, triples)
 
 
 # ----- packed names held on the schema objects -----
@@ -580,7 +593,7 @@ def test_other_views_and_schemas_pack_their_own_names():
     assert described.packed_entries is not packed
     assert simplify_schema(twin).packed_entries is not packed
     assert twin.packed_tables is not db.packed_tables
-    assert twin.packed_columns is not db.packed_columns
+    assert all(twin.packed_columns[t] is not db.packed_columns[t] for t in db.packed_columns)
 
 
 WIDE = _wide_schema()
@@ -591,12 +604,11 @@ _TOKENS = st.text(alphabet=LETTERS + "_.0é", max_size=30)
 @settings(deadline=None)
 @given(st.lists(_TOKENS, min_size=1, max_size=5))
 def test_picks_from_held_masks_equal_picks_from_fresh_masks(tokens):
+    held = [[WIDE_VIEW.packed_entries], [WIDE.packed_tables], list(WIDE.packed_columns.values())]
     for token in tokens:
-        for candidates, held in ((WIDE_VIEW.entry_candidates, WIDE_VIEW.packed_entries),
-                                 (WIDE.table_candidates, WIDE.packed_tables)):
-            assert _best(token, candidates, held) == _best(token, candidates)
-        columns = [(cl, canon, False) for _, cl, canon in WIDE.flat_columns]
-        assert _best(token, columns, WIDE.packed_columns) == _best(token, columns)
+        for lists in held:
+            fresh = [PackedNames(zip(p.names, p.canonical), p.owner) for p in lists]
+            assert _best(token, lists) == _best(token, fresh)
 
 
 def test_threads_searching_one_view_pick_as_a_sequential_run():
