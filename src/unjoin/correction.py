@@ -20,6 +20,9 @@ items. Double-quoted names are left alone too, since SQLite reads an
 unknown one as a string literal. Text that cannot be tokenized (an
 unterminated quote) is left whole for SQLite to judge; an unterminated
 block comment runs to the end of the text, as it does in SQLite.
+A misspelled clause keyword, such as FRMO in ``SELECT name FRMO
+customer``, reads as an alias; it is reported as unresolved and never
+rewritten (see ``_misspelled_keywords``).
 
 A candidate is eligible when the distance is at most
 max(2, ceil(0.4 * len(candidate))). Ties prefer a candidate from a
@@ -52,7 +55,7 @@ from dataclasses import dataclass
 
 from .schema import DatabaseSchema, SimplifiedSchema
 from .sqlast import _Roles
-from .tokens import TokenizeError, tokenize
+from .tokens import IDENT, KEYWORDS, NUMBER, STRING, TokenizeError, tokenize
 
 
 @dataclass(frozen=True)
@@ -181,6 +184,37 @@ def _best(
     return best[1], best[0][0]
 
 
+# The keywords that open a clause; a name that reads as one misspelled
+# is reported, never rewritten.
+_CLAUSE_KEYWORDS = PackedNames(
+    (k, k.upper())
+    for k in sorted("select from where group order having limit offset union intersect "
+                    "except join".split())
+)
+
+
+def _misspelled_keywords(toks, roles: _Roles) -> list[tuple[int, str]]:
+    """(offset, name) of each implicit alias that reads as a misspelled
+    clause keyword, such as FRMO in ``SELECT name FRMO customer``.
+
+    The alias must be an unquoted name that is no keyword, followed by
+    a bare name, a number, a string or BY, and within ``_threshold`` of
+    a clause keyword.
+    """
+    found = []
+    for idx in roles.implicit_aliases:
+        tok = toks[idx]
+        nxt = toks[idx + 1] if idx + 1 < len(toks) else None
+        if tok.kind != IDENT or tok.lower in KEYWORDS or nxt is None:
+            continue
+        if nxt.kind in (NUMBER, STRING) or (
+            nxt.kind == IDENT and (nxt.lower == "by" or nxt.lower not in KEYWORDS)
+        ):
+            if _best(tok.lower, [_CLAUSE_KEYWORDS]) is not None:
+                found.append((tok.start, tok.value))
+    return found
+
+
 # ----- repair -----
 
 
@@ -263,7 +297,7 @@ def correct_identifiers(sql: str, db: DatabaseSchema) -> tuple[str, CorrectionRe
         if not any(low in cols_by_table[t] for t in tables):
             repair(idx, [db.packed_columns[t] for t in tables])
 
-    return _apply(sql, subs, unresolved)
+    return _apply(sql, subs, unresolved + _misspelled_keywords(toks, roles))
 
 
 def correct_identifiers_simplified(
@@ -304,7 +338,7 @@ def correct_identifiers_simplified(
             unresolved.append((start, chain))
         else:
             subs.append((Substitution(chain, pick[0], pick[1], start), toks[last].end, pick[0]))
-    return _apply(sql, subs, unresolved)
+    return _apply(sql, subs, unresolved + _misspelled_keywords(toks, roles))
 
 
 def _apply(

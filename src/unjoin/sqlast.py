@@ -512,6 +512,7 @@ class _Roles:
         # Alias lower -> token index of its FROM table; None for a derived
         # table or a select item.
         self.alias_defs: dict[str, int | None] = {}
+        self.implicit_aliases: list[int] = []  # aliases defined without AS
         self.cte_names: set[str] = set()
         self._classify()
 
@@ -672,6 +673,7 @@ class _Roles:
             elif prev is not None and implicit_alias_after(prev):
                 # Implicit alias: "expr name", "table name", "CASE..END name".
                 self.alias_defs[low] = last_table_idx
+                self.implicit_aliases.append(i)
                 last_table_idx = None
                 source_end = i
             else:

@@ -8,6 +8,7 @@ nearer candidates, so the bar is 90%; the structural invariants
 """
 
 import random
+import re
 import sqlite3
 import sys
 import threading
@@ -178,6 +179,46 @@ def test_unresolved_names_in_text_order(retail_db):
     assert report.unresolved == ("zzzzzz", "qqqqqq")
     _, report = correct_identifiers("SELECT wwwwww.zzzzzz FROM qqqqqq", retail_db)
     assert report.unresolved == ("wwwwww", "zzzzzz", "qqqqqq")
+
+
+# (query, the misspelled keyword repair reports); each query is written
+# for the retail schema and its flat view, named "retail".
+MISSPELLED_KEYWORDS = [
+    ("SELECT customer.name FRMO customer", "FRMO"),
+    ("SELECT customer.name FROM customer GROPU BY customer.name", "GROPU"),
+    ("SELECT customer.name FROM customer WHER customer.gender = 'F'", "WHER"),
+    ("SELECT customer.name FROM customer LIMT 5", "LIMT"),
+    ("SELECT customer.name FROM customer ORDER BY customer.name LIMIT 5 OFSET 'x'", "OFSET"),
+]
+
+# (query, an implicit alias in it): a word near a keyword, a short alias
+# or an alias no keyword is near. None is reported.
+KEYWORD_LOOKALIKES = [
+    ("SELECT name FROM customer ORDER BY name NULLS FIRST", "NULLS"),
+    ("SELECT name FROM customer WHERE name MATCH gender", "MATCH"),
+    ("SELECT name FROM customer WHERE name REGEXP 'x'", "REGEXP"),
+    ("SELECT name FROM customer WINDOW w AS (PARTITION BY gender)", "WINDOW"),
+    ("SELECT c.name FROM customer c WHERE c.gender = 'F'", "c"),
+    ("SELECT t1.name FROM customer t1 JOIN city c ON t1.city_id = c.city_id", "t1"),
+    ("SELECT count(*) n FROM customer", "n"),
+]
+
+
+@pytest.mark.parametrize("sql, keyword", MISSPELLED_KEYWORDS)
+def test_misspelled_clause_keyword_reported_never_rewritten(retail_db, sql, keyword):
+    fixed, report = correct_identifiers(sql, retail_db)
+    assert (fixed, report.unresolved) == (sql, (keyword,))
+    flat = re.sub(r"\bcustomer\b(?!\.)", "retail", sql)  # the FROM table, not a qualifier
+    fixed, report = correct_identifiers_simplified(flat, simplify_schema(retail_db))
+    assert (fixed, report.unresolved) == (flat, (keyword,))
+
+
+@pytest.mark.parametrize("sql, alias", KEYWORD_LOOKALIKES)
+def test_keyword_lookalikes_not_reported(retail_db, sql, alias):
+    _, report = correct_identifiers(sql, retail_db)
+    assert report.unresolved == ()
+    _, report = correct_identifiers_simplified(sql, simplify_schema(retail_db))
+    assert alias not in report.unresolved
 
 
 def test_distance_beyond_threshold_left_alone(retail_db):

@@ -94,9 +94,9 @@ def repair_results() -> dict[str, list]:
 
 
 PINNED = {
-    "correct_identifiers": "49e2a1f244db2e4fb02b9bd09c582c77f505415d5309e34795c797748368940a",
+    "correct_identifiers": "8de255f61a11bc7f2cfdbdf996e9753e758292c4f8058e539cba16495738852b",
     "correct_identifiers_simplified":
-        "f0eb33e39c909e400eb4da64854dbd8ff2c6cb988154055df308dacbe95d5c67",
+        "16ce04187220499e1f7052cdc9c15aeca8e8540c81dd3066bdce3495aa7d1b40",
     "extract_refs_simplified": "b619d25fde686938f37839528c8c897d00044dd8f2bf4d5b816a9e6a427927b6",
 }
 
