@@ -4,7 +4,8 @@ Both supported benchmarks ship a table catalogue (tables.json), a dev
 split of natural-language questions with gold SQL, and one SQLite file
 per database. Items get stable ids "{db_id}:{index}" since the source
 files carry none. Filtering keeps only items whose gold SQL touches at
-least two tables; unparseable gold is dropped with a logged reason.
+least two tables; an item without gold SQL or a question, or with
+unparseable gold, is dropped with a logged reason.
 """
 
 from __future__ import annotations
@@ -128,6 +129,10 @@ def filter_items(
         if not item.gold_sql:
             dropped.append((item, "missing gold SQL"))
             log.warning("dropping %s: missing gold SQL", item.item_id)
+            continue
+        if not item.question.strip():
+            dropped.append((item, "missing question"))
+            log.warning("dropping %s: missing question", item.item_id)
             continue
         try:
             refs = extract_refs(item.gold_sql, db)

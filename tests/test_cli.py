@@ -1,4 +1,5 @@
 import json
+import shutil
 import subprocess
 import sys
 
@@ -172,6 +173,25 @@ def test_diff_prints_deltas(tmp_path, capsys):
     assert "em: 80.0" in lines
     assert "qe: 90.0 -> 95.5 (+5.50)" in lines
     assert "n: 10" in lines
+
+
+@pytest.mark.parametrize("method", ["unjoin-mp", "unjoin-sp", "cot"])
+def test_run_drops_an_item_without_a_question(
+        mini_spider_root, oracle_cache_dir, tmp_path, capsys, method):
+    root = tmp_path / "root"
+    shutil.copytree(mini_spider_root, root)
+    dev = json.loads((root / "dev.json").read_text())
+    dev[0]["question"] = "   "  # retail:0 joins two tables
+    (root / "dev.json").write_text(json.dumps(dev))
+    code, out, _ = run_cli(
+        capsys, "run", "--dataset", "spider", "--root", str(root), "--method", method,
+        "--model", ORACLE_MODEL, "--cache", "replay", "--cache-dir", str(oracle_cache_dir),
+        "--workers", "1", "--out", str(tmp_path / "out"),
+    )
+    assert code == 0
+    assert out.startswith("24 items")
+    records = (tmp_path / "out" / "records.jsonl").read_text()
+    assert '"retail:0"' not in records
 
 
 # ----- error handling -----

@@ -78,6 +78,7 @@ def test_filter_drop_reasons(mini_spider_root):
         EvalItem("retail:1", "retail", "q", ""),
         EvalItem("retail:2", "retail", "q", "SELEC name FRM customer"),
         EvalItem("retail:3", "retail", "q", "SELECT name FROM customer"),
+        EvalItem("retail:4", "retail", " \n", "SELECT 1 FROM customer, city"),
     ]
     kept, dropped = filter_items(items, catalogue)
     assert kept == []
@@ -86,6 +87,7 @@ def test_filter_drop_reasons(mini_spider_root):
     assert reasons["retail:1"] == "missing gold SQL"
     assert reasons["retail:2"].startswith("unparseable gold SQL")
     assert reasons["retail:3"] == "single-table query"
+    assert reasons["retail:4"] == "missing question"
 
 
 def test_filter_bird_counts(mini_bird_root):
