@@ -7,6 +7,7 @@ nearer candidates, so the bar is 90%; the structural invariants
 (idempotence, only identifier tokens touched) must hold on all of them.
 """
 
+import itertools
 import random
 import re
 import sqlite3
@@ -571,17 +572,11 @@ candidate_entries = st.lists(
 @settings(deadline=None)
 @given(_strings, candidate_entries, st.sets(st.sampled_from(_OWNERS[1:])))
 def test_best_matches_exhaustive_search(token, entries, referenced):
-    lists = []
-    for i, (lower, owner) in enumerate(entries):
-        lane = (lower, f"{lower.upper()}#{i}")
-        if lists and lists[-1][0] == owner:
-            lists[-1][1].append(lane)
-        else:
-            lists.append((owner, [lane]))
-    triples = [(lower, canonical, owner in referenced)
-               for owner, lanes in lists for lower, canonical in lanes]
-    packed = [PackedNames(lanes, owner) for owner, lanes in lists]
-    assert _best(token, packed, referenced) == slow_best(token, triples)
+    lanes = [(lower, f"{lower.upper()}#{i}", owner) for i, (lower, owner) in enumerate(entries)]
+    lists = [PackedNames([(lower, canonical) for lower, canonical, _ in run], owner)
+             for owner, run in itertools.groupby(lanes, key=lambda lane: lane[2])]
+    triples = [(lower, canonical, owner in referenced) for lower, canonical, owner in lanes]
+    assert _best(token, lists, referenced) == slow_best(token, triples)
 
 
 # ----- packed names held on the schema objects -----
