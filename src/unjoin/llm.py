@@ -18,8 +18,6 @@ import time
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
-import requests
-
 from .sqlast import parse
 from .tokens import KEYWORDS, OP, TokenizeError, tokenize
 
@@ -129,7 +127,14 @@ class ExchangeCache:
 
 
 def default_transport(prompt: str, cfg: LlmConfig) -> tuple[str, int | None, int | None]:
-    """POST an OpenAI-style chat request; return (text, token counts)."""
+    """POST an OpenAI-style chat request; return (text, token counts).
+
+    ``requests`` is imported here, not at module level: its HTTP stack is
+    about 250 modules and 9 MB that replay runs and injected transports
+    never use.
+    """
+    import requests
+
     headers = {"Content-Type": "application/json"}
     token = os.environ.get(API_KEY_ENV, "")
     if token:
@@ -148,10 +153,10 @@ def default_transport(prompt: str, cfg: LlmConfig) -> tuple[str, int | None, int
         raise TransportError(f"server error {resp.status_code}")
     if resp.status_code != 200:
         raise LlmError(f"request rejected: {resp.status_code} {resp.text[:200]}")
-    body = resp.json()
     try:
+        body = resp.json()
         text = body["choices"][0]["message"]["content"]
-    except (KeyError, IndexError, TypeError) as exc:
+    except (ValueError, KeyError, IndexError, TypeError) as exc:
         raise LlmError(f"malformed completion response: {exc}") from exc
     usage = body.get("usage") or {}
     return text, usage.get("prompt_tokens"), usage.get("completion_tokens")

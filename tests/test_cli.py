@@ -1,7 +1,9 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -135,6 +137,18 @@ def test_run_replay_twice_is_byte_identical(oracle_run_args, tmp_path, capsys):
     assert summaries[0] == summaries[1]
 
 
+@pytest.mark.parametrize("limit", ["0", "-1"])
+def test_run_rejects_a_limit_below_one(oracle_run_args, tmp_path, capsys, limit):
+    out_dir = tmp_path / "run"
+    code, _, err = run_cli(
+        capsys, "run", "--config", str(oracle_run_args), "--out", str(out_dir),
+        "--limit", limit,
+    )
+    assert code == 1
+    assert "--limit must be >= 1" in err
+    assert not out_dir.exists()
+
+
 def test_score_reemits_identical_summary(oracle_run_args, tmp_path, capsys):
     out_dir = tmp_path / "run"
     run_cli(capsys, "run", "--config", str(oracle_run_args),
@@ -232,3 +246,47 @@ def test_installed_entry_point(mini_spider_root):
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "25 items, 2 databases"
+
+
+# Runs every command that sends no request, then asserts that none of
+# them loaded ``requests``. The last step is the control: a call to the
+# default transport loads it, with an endpoint that has no URL scheme so
+# ``requests`` rejects it before opening any connection.
+_NO_REQUESTS_SCRIPT = """
+import sys
+from unjoin.cli import main
+from unjoin.llm import LlmConfig, TransportError, default_transport
+
+root, cache, out, model = sys.argv[1:]
+for argv in (
+    ["run", "--dataset", "spider", "--root", root, "--method", "unjoin-mp",
+     "--model", model, "--cache", "replay", "--cache-dir", cache, "--out", out],
+    ["score", "--records", out + "/records.jsonl"],
+    ["filter", "--dataset", "spider", "--root", root],
+    ["simplify", "--dataset", "spider", "--root", root, "--db", "retail"],
+    ["diff", "--a", out + "/summary.json", "--b", out + "/summary.json"],
+):
+    assert main(argv) == 0, argv
+print("after commands:", "requests" in sys.modules)
+try:
+    default_transport("p", LlmConfig(model=model, endpoint="no-scheme"))
+except TransportError:
+    pass
+print("after transport:", "requests" in sys.modules)
+"""
+
+
+def test_commands_without_a_request_never_load_requests(
+    mini_spider_root, oracle_cache_dir, tmp_path
+):
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_REQUESTS_SCRIPT, str(mini_spider_root),
+         str(oracle_cache_dir), str(tmp_path / "run"), ORACLE_MODEL],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "after commands: False" in lines
+    assert lines[-1] == "after transport: True"

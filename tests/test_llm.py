@@ -1,8 +1,10 @@
 import json
 
 import pytest
+import requests
 
 from unjoin.llm import (
+    API_KEY_ENV,
     CorruptCacheError,
     ExchangeCache,
     ExtractionError,
@@ -12,6 +14,7 @@ from unjoin.llm import (
     LlmExchange,
     ReplayMissError,
     TransportError,
+    default_transport,
     exchange_key,
     extract_sql,
     extract_sql_blocks,
@@ -271,6 +274,114 @@ def test_non_transport_errors_not_retried(tmp_path):
     with pytest.raises(LlmError):
         client.complete("p", "live")
     assert len(attempts) == 1
+
+
+# ----- default transport -----
+
+LIVE_CFG = LlmConfig(model="m", endpoint="http://llm.invalid/v1/chat", temperature=0.2,
+                     max_output_tokens=64, timeout_s=7.0)
+
+
+def response(status: int, body) -> requests.Response:
+    """A real ``requests.Response`` holding ``body``: JSON, or raw text for a str."""
+    resp = requests.Response()
+    resp.status_code = status
+    resp.encoding = "utf-8"
+    resp._content = (body if isinstance(body, str) else json.dumps(body)).encode()
+    return resp
+
+
+@pytest.fixture()
+def post(monkeypatch):
+    """Replaces ``requests.post``; set ``post.reply`` to a response or an exception."""
+
+    class Post:
+        def __init__(self):
+            self.reply = None
+            self.calls = []
+
+        def __call__(self, url, **kwargs):
+            self.calls.append((url, kwargs))
+            if isinstance(self.reply, Exception):
+                raise self.reply
+            return self.reply
+
+    fake = Post()
+    monkeypatch.setattr(requests, "post", fake)
+    monkeypatch.delenv(API_KEY_ENV, raising=False)
+    return fake
+
+
+def completion_body(text, usage=None):
+    body = {"choices": [{"message": {"role": "assistant", "content": text}}]}
+    if usage is not None:
+        body["usage"] = usage
+    return body
+
+
+def test_default_transport_returns_text_and_token_counts(post):
+    post.reply = response(200, completion_body(
+        "SELECT 1", {"prompt_tokens": 12, "completion_tokens": 3}))
+    assert default_transport("the prompt", LIVE_CFG) == ("SELECT 1", 12, 3)
+    ((url, kwargs),) = post.calls
+    assert url == LIVE_CFG.endpoint
+    assert kwargs["json"] == {
+        "model": "m",
+        "messages": [{"role": "user", "content": "the prompt"}],
+        "temperature": 0.2,
+        "max_tokens": 64,
+    }
+    assert kwargs["timeout"] == 7.0
+
+
+def test_default_transport_without_usage_gives_no_counts(post):
+    post.reply = response(200, completion_body("SELECT 1"))
+    assert default_transport("p", LIVE_CFG) == ("SELECT 1", None, None)
+
+
+@pytest.mark.parametrize("status", [500, 502, 503])
+def test_default_transport_server_error_is_retryable(post, status):
+    post.reply = response(status, {"error": "busy"})
+    with pytest.raises(TransportError, match=str(status)):
+        default_transport("p", LIVE_CFG)
+
+
+@pytest.mark.parametrize("status", [400, 401, 404, 429])
+def test_default_transport_rejection_is_not_retryable(post, status):
+    post.reply = response(status, {"error": "no"})
+    with pytest.raises(LlmError, match=str(status)) as info:
+        default_transport("p", LIVE_CFG)
+    assert not isinstance(info.value, TransportError)
+
+
+@pytest.mark.parametrize("exc", [
+    requests.ConnectionError("refused"),
+    requests.Timeout("slow"),
+    requests.RequestException("other"),
+])
+def test_default_transport_request_exception_is_retryable(post, exc):
+    post.reply = exc
+    with pytest.raises(TransportError):
+        default_transport("p", LIVE_CFG)
+
+
+@pytest.mark.parametrize("body", [{}, {"choices": []}, {"choices": [{}]}, [1, 2], "not json"])
+def test_default_transport_malformed_body_is_an_llm_error(post, body):
+    post.reply = response(200, body)
+    with pytest.raises(LlmError, match="malformed") as info:
+        default_transport("p", LIVE_CFG)
+    assert not isinstance(info.value, TransportError)
+
+
+def test_default_transport_sends_bearer_token_only_when_set(post, monkeypatch):
+    post.reply = response(200, completion_body("SELECT 1"))
+    default_transport("p", LIVE_CFG)
+    monkeypatch.setenv(API_KEY_ENV, "secret")
+    default_transport("p", LIVE_CFG)
+    (_, without), (_, with_key) = post.calls
+    assert "Authorization" not in without["headers"]
+    assert with_key["headers"]["Authorization"] == "Bearer secret"
+    assert without["headers"]["Content-Type"] == with_key["headers"]["Content-Type"]
 
 
 # ----- completion post-processing -----
