@@ -21,8 +21,9 @@ unknown one as a string literal. Text that cannot be tokenized (an
 unterminated quote) is left whole for SQLite to judge; an unterminated
 block comment runs to the end of the text, as it does in SQLite.
 A misspelled clause keyword, such as FRMO in ``SELECT name FRMO
-customer``, reads as an alias; it is reported as unresolved and never
-rewritten (see ``_misspelled_keywords``).
+customer``, reads as an alias, or before ``(`` as a call where none can
+stand (WHER in ``FROM customer WHER (...)``); it is reported as
+unresolved and never rewritten (see ``_misspelled_keywords``).
 
 A candidate is eligible when the distance is at most
 max(2, ceil(0.4 * len(candidate))). Ties prefer a candidate from a
@@ -55,7 +56,7 @@ from dataclasses import dataclass
 
 from .schema import DatabaseSchema, SimplifiedSchema
 from .sqlast import _Roles
-from .tokens import IDENT, KEYWORDS, NUMBER, STRING, TokenizeError, tokenize
+from .tokens import IDENT, KEYWORDS, NUMBER, OP, STRING, TokenizeError, tokenize
 
 
 @dataclass(frozen=True)
@@ -194,20 +195,21 @@ _CLAUSE_KEYWORDS = PackedNames(
 
 
 def _misspelled_keywords(toks, roles: _Roles) -> list[tuple[int, str]]:
-    """(offset, name) of each implicit alias that reads as a misspelled
-    clause keyword, such as FRMO in ``SELECT name FRMO customer``.
+    """(offset, name) of each implicit alias or stray call name that
+    reads as a misspelled clause keyword, such as FRMO in ``SELECT name
+    FRMO customer`` or WHER in ``FROM customer WHER (gender = 'F')``.
 
-    The alias must be an unquoted name that is no keyword, followed by
-    a bare name, a number, a string or BY, and within ``_threshold`` of
-    a clause keyword.
+    The name must be unquoted and no keyword, followed by a bare name, a
+    number, a string, BY or ``(``, and within ``_threshold`` of a clause
+    keyword.
     """
     found = []
-    for idx in roles.implicit_aliases:
+    for idx in roles.implicit_aliases + roles.stray_calls:
         tok = toks[idx]
         nxt = toks[idx + 1] if idx + 1 < len(toks) else None
         if tok.kind != IDENT or tok.lower in KEYWORDS or nxt is None:
             continue
-        if nxt.kind in (NUMBER, STRING) or (
+        if nxt.kind in (NUMBER, STRING) or (nxt.kind == OP and nxt.value == "(") or (
             nxt.kind == IDENT and (nxt.lower == "by" or nxt.lower not in KEYWORDS)
         ):
             if _best(tok.lower, [_CLAUSE_KEYWORDS]) is not None:

@@ -513,6 +513,9 @@ class _Roles:
         # table or a select item.
         self.alias_defs: dict[str, int | None] = {}
         self.implicit_aliases: list[int] = []  # aliases defined without AS
+        # Names before "(" where no call can stand, such as WHER in
+        # "FROM customer WHER (...)": after a FROM source or an expression.
+        self.stray_calls: list[int] = []
         self.cte_names: set[str] = set()
         self._classify()
 
@@ -669,7 +672,9 @@ class _Roles:
                     i += 3
                     continue
             elif nxt is not None and nxt.kind == OP and nxt.value == "(":
-                pass  # function name
+                # A function name, unless it stands where an alias would.
+                if prev is not None and implicit_alias_after(prev):
+                    self.stray_calls.append(i)
             elif prev is not None and implicit_alias_after(prev):
                 # Implicit alias: "expr name", "table name", "CASE..END name".
                 self.alias_defs[low] = last_table_idx

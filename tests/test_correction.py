@@ -190,6 +190,10 @@ MISSPELLED_KEYWORDS = [
     ("SELECT customer.name FROM customer WHER customer.gender = 'F'", "WHER"),
     ("SELECT customer.name FROM customer LIMT 5", "LIMT"),
     ("SELECT customer.name FROM customer ORDER BY customer.name LIMIT 5 OFSET 'x'", "OFSET"),
+    # Before "(", where no call can stand: after a FROM source or an expression.
+    ("SELECT name FROM customer WHER (gender = 'F')", "WHER"),
+    ("SELECT customer.name FROM customer WHERE (customer.gender = 'F') GROPU (customer.name)",
+     "GROPU"),
 ]
 
 # (query, an implicit alias in it): a word near a keyword, a short alias
@@ -202,6 +206,18 @@ KEYWORD_LOOKALIKES = [
     ("SELECT c.name FROM customer c WHERE c.gender = 'F'", "c"),
     ("SELECT t1.name FROM customer t1 JOIN city c ON t1.city_id = c.city_id", "t1"),
     ("SELECT count(*) n FROM customer", "n"),
+    # Calls and keywords before "(": none stands where an alias would.
+    ("SELECT count(*), coalesce(name, 'x'), max(city_id) FROM customer", "max"),
+    ("SELECT 1 + max(city_id) - min(city_id) FROM customer", "min"),
+    ("SELECT name FROM customer WHERE coalesce(gender, 'x') = 'F'", "coalesce"),
+    ("SELECT name FROM customer WHERE city_id IN (SELECT city_id FROM city)", "IN"),
+    ("SELECT name FROM customer WHERE EXISTS (SELECT 1 FROM city)", "EXISTS"),
+    ("SELECT gender FROM customer JOIN city USING (city_id)", "USING"),
+    ("SELECT count(*) FILTER (WHERE gender = 'F') FROM customer", "FILTER"),
+    ("SELECT rank() OVER (ORDER BY name) FROM customer", "OVER"),
+    ("WITH t(x) AS (SELECT name FROM customer) SELECT x FROM t", "t"),
+    ("SELECT name FROM customer WHERE name REGEXP ('x')", "REGEXP"),
+    ("SELECT name FROM customer WHERE name MATCH ('x')", "MATCH"),
 ]
 
 
