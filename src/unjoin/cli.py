@@ -149,9 +149,11 @@ def cmd_run(args) -> int:
     config.validate()
     if not config.root:
         raise DatasetError("missing --root (or root in the config file)")
+    if args.limit is not None and args.limit < 1:
+        raise DatasetError("--limit must be >= 1")
     bundle = load_dataset(config.root, config.dataset)
     kept, _dropped = filter_items(bundle.items, bundle.catalogue)
-    if args.limit:
+    if args.limit is not None:
         kept = kept[: args.limit]
     if not kept:
         raise DatasetError("no items left after filtering")

@@ -215,6 +215,15 @@ class RunConfig:
             raise DatasetError("workers must be >= 1")
         if self.topk < 1:
             raise DatasetError("topk must be >= 1")
+        if self.max_output_tokens < 1:
+            raise DatasetError("max_output_tokens must be >= 1")
+        if self.retries < 0:
+            raise DatasetError("retries must be >= 0")
+        # "not > 0" rejects NaN too.
+        if not self.request_timeout_s > 0:
+            raise DatasetError("request_timeout_s must be > 0")
+        if not self.exec_timeout_s > 0:
+            raise DatasetError("exec_timeout_s must be > 0")
 
     def to_dict(self) -> dict:
         raw = asdict(self)

@@ -172,6 +172,28 @@ def test_validate_rejects_bad_enum_values(tmp_path):
                   cache_mode="sometimes").validate()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("exec_timeout_s", 0.0),
+    ("exec_timeout_s", -1.0),
+    ("exec_timeout_s", float("nan")),
+    ("request_timeout_s", 0.0),
+    ("request_timeout_s", -5.0),
+    ("retries", -1),
+    ("max_output_tokens", 0),
+])
+def test_validate_rejects_out_of_range_settings(field, value):
+    cfg = RunConfig(dataset="spider", root=".", method="cot", model="m",
+                    cache_mode="live", **{field: value})
+    with pytest.raises(DatasetError, match=field):
+        cfg.validate()
+
+
+def test_validate_accepts_smallest_settings():
+    RunConfig(dataset="spider", root=".", method="cot", model="m", cache_mode="live",
+              exec_timeout_s=0.001, request_timeout_s=0.001, retries=0,
+              max_output_tokens=1).validate()
+
+
 def test_llm_config_mapping():
     cfg = RunConfig(dataset="spider", root=".", method="cot", model="m",
                     endpoint="http://x", temperature=0.3, max_output_tokens=77,
