@@ -158,7 +158,12 @@ def default_transport(prompt: str, cfg: LlmConfig) -> tuple[str, int | None, int
         text = body["choices"][0]["message"]["content"]
     except (ValueError, KeyError, IndexError, TypeError) as exc:
         raise LlmError(f"malformed completion response: {exc}") from exc
-    usage = body.get("usage") or {}
+    if not isinstance(text, str):
+        raise LlmError(f"malformed completion response: content is {type(text).__name__}")
+    # Token counts are optional: a missing or odd usage field gives None.
+    usage = body.get("usage")
+    if not isinstance(usage, dict):
+        usage = {}
     return text, usage.get("prompt_tokens"), usage.get("completion_tokens")
 
 

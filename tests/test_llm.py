@@ -334,8 +334,9 @@ def test_default_transport_returns_text_and_token_counts(post):
     assert kwargs["timeout"] == 7.0
 
 
-def test_default_transport_without_usage_gives_no_counts(post):
-    post.reply = response(200, completion_body("SELECT 1"))
+@pytest.mark.parametrize("usage", [None, {}, [1, 2]])
+def test_default_transport_without_usage_gives_no_counts(post, usage):
+    post.reply = response(200, completion_body("SELECT 1", usage))
     assert default_transport("p", LIVE_CFG) == ("SELECT 1", None, None)
 
 
@@ -365,7 +366,10 @@ def test_default_transport_request_exception_is_retryable(post, exc):
         default_transport("p", LIVE_CFG)
 
 
-@pytest.mark.parametrize("body", [{}, {"choices": []}, {"choices": [{}]}, [1, 2], "not json"])
+@pytest.mark.parametrize("body", [
+    {}, {"choices": []}, {"choices": [{}]}, [1, 2], "not json",
+    {"choices": [{"message": {"content": None}}]},
+])
 def test_default_transport_malformed_body_is_an_llm_error(post, body):
     post.reply = response(200, body)
     with pytest.raises(LlmError, match="malformed") as info:
