@@ -347,7 +347,7 @@ def test_default_transport_server_error_is_retryable(post, status):
         default_transport("p", LIVE_CFG)
 
 
-@pytest.mark.parametrize("status", [400, 401, 404, 429])
+@pytest.mark.parametrize("status", [400, 401, 404])
 def test_default_transport_rejection_is_not_retryable(post, status):
     post.reply = response(status, {"error": "no"})
     with pytest.raises(LlmError, match=str(status)) as info:
