@@ -196,8 +196,9 @@ MISSPELLED_KEYWORDS = [
      "GROPU"),
 ]
 
-# (query, an implicit alias in it): a word near a keyword, a short alias
-# or an alias no keyword is near. None is reported.
+# (query, a name in it): an implicit alias that is a word near a keyword,
+# a short alias or an alias no keyword is near, or a call or keyword
+# before "(". None is reported.
 KEYWORD_LOOKALIKES = [
     ("SELECT name FROM customer ORDER BY name NULLS FIRST", "NULLS"),
     ("SELECT name FROM customer WHERE name MATCH gender", "MATCH"),
