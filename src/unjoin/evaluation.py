@@ -161,78 +161,47 @@ def execute(
     return ExecOutcome(status=OK, rows=tuple(rows), wall_time_s=time.monotonic() - started)
 
 
-def has_top_level_order_by(sql: str) -> bool:
-    """ORDER BY outside any parenthesized subquery.
-
-    Without the substring "order" there is no ORDER token, so such a
-    string returns False untokenized (even one the tokenizer rejects).
-    """
-    if "order" not in sql.lower():
-        return False
-    from .tokens import IDENT, OP, tokenize
-
-    depth = 0
-    for tok in tokenize(sql):
-        if tok.kind == OP:
-            if tok.value == "(":
-                depth += 1
-            elif tok.value == ")":
-                depth = max(0, depth - 1)
-        elif tok.kind == IDENT and depth == 0 and tok.lower == "order":
-            return True
-    return False
-
-
 # ----- result comparison -----
 
 
-def _value_key(v):
+def _key(v) -> tuple:
     if v is None:
-        return (0, "")
+        return (0,)
     if isinstance(v, (int, float)):
         return (1, float(v))
     if isinstance(v, str):
-        return (2, v)
-    if isinstance(v, bytes):
-        return (3, v.hex())
-    return (4, repr(v))
+        return (2, v.rstrip())
+    return (3, v)
 
 
-def _row_key(row):
-    return tuple(_value_key(v) for v in row)
-
-
-def _values_equal(a, b) -> bool:
-    if a is None or b is None:
-        return a is None and b is None
-    a_num = isinstance(a, (int, float)) and not isinstance(a, bool)
-    b_num = isinstance(b, (int, float)) and not isinstance(b, bool)
-    if a_num and b_num:
-        return abs(float(a) - float(b)) <= NUMERIC_ABS_TOL
-    if isinstance(a, str) and isinstance(b, str):
-        return a.rstrip() == b.rstrip()
-    if type(a) is not type(b):
-        return False
-    return a == b
-
-
-def _rows_equal(a, b) -> bool:
-    if len(a) != len(b):
-        return False
-    return all(_values_equal(x, y) for x, y in zip(a, b))
+def _rows_match(a: tuple, b: tuple) -> bool:
+    return len(a) == len(b) and all(
+        x == y or (x[0] == y[0] == 1 and abs(x[1] - y[1]) <= NUMERIC_ABS_TOL)
+        for x, y in zip(a, b)
+    )
 
 
 def compare_results(gold: ExecOutcome, pred: ExecOutcome, gold_has_order_by: bool) -> bool:
-    if gold.status != OK or pred.status != OK:
+    """Whether the prediction's rows match the gold's, as ``COMPARISON_SEMANTICS`` states.
+
+    Each value maps once to the key it is both sorted and compared by:
+    NULL first, then a number as a float, then text with trailing
+    whitespace trimmed, then a blob. So NULL equals only NULL, text
+    never equals a number, and text compares case-sensitively. Two rows
+    match when their keys are equal, or differ only in numbers within
+    ``NUMERIC_ABS_TOL``. When the gold orders its rows they match as a
+    sequence; otherwise both sides are sorted by key first, so they
+    match as a multiset, duplicates counted. A failed execution on
+    either side never matches.
+    """
+    if gold.status != OK or pred.status != OK or len(gold.rows) != len(pred.rows):
         return False
-    grows = list(gold.rows)
-    prows = list(pred.rows)
-    if len(grows) != len(prows):
-        return False
+    gkeys = [tuple(map(_key, row)) for row in gold.rows]
+    pkeys = [tuple(map(_key, row)) for row in pred.rows]
     if not gold_has_order_by:
-        grows.sort(key=_row_key)
-        prows.sort(key=_row_key)
-    return all(_rows_equal(a, b) for a, b in zip(grows, prows))
+        gkeys.sort()
+        pkeys.sort()
+    return all(map(_rows_match, gkeys, pkeys))
 
 
 # ----- per-query scoring -----

@@ -45,7 +45,6 @@ from .evaluation import (
     HeldConnections,
     compare_results,
     execute,
-    has_top_level_order_by,
     precision_recall,
 )
 from .llm import (
@@ -66,7 +65,8 @@ from .prompting import (
     build_sp_prompt,
 )
 from .schema import DatabaseSchema, SchemaError, TableDef, simplify_schema
-from .sqlref import RefSet, extract_refs
+from .sqlast import parse
+from .sqlref import RefSet, resolve_refs
 
 log = logging.getLogger(__name__)
 
@@ -307,13 +307,18 @@ def assemble_pool(
 _NO_REFS = RefSet(frozenset(), frozenset())
 
 
-def _safe_refs(sql: str | None, db: DatabaseSchema) -> RefSet:
+def _safe_refs(sql: str | None, db: DatabaseSchema) -> tuple[RefSet, bool]:
+    """The references of ``sql`` and whether it orders its rows, from one parse.
+
+    Text the parser rejects has no references and no order.
+    """
     if not sql:
-        return _NO_REFS
+        return _NO_REFS, False
     try:
-        return extract_refs(sql, db)
+        stmt = parse(sql)
+        return resolve_refs(stmt, db), stmt.ordered
     except ValueError:
-        return _NO_REFS
+        return _NO_REFS, False
 
 
 def evaluate_item(
@@ -326,6 +331,10 @@ def evaluate_item(
     held: HeldConnections | None = None,
 ) -> EvalRecord:
     """Execute gold and prediction, extract references, score one item.
+
+    The gold is parsed once: its references and whether it orders its
+    rows both come from that parse. A gold the parser rejects has no
+    references, and its rows compare as a multiset.
 
     Without its database file, whether absent from the start or gone
     before the prediction ran, the item's gold outcome is a runtime error
@@ -340,12 +349,10 @@ def evaluate_item(
                 pred_exec = execute(prediction.final_sql, db_file, exec_timeout_s, held)
         except FileNotFoundError:
             gold_exec, pred_exec = missing, None
+    gold_refs, gold_ordered = _safe_refs(item.gold_sql, home_db)
+    pred_refs, _ = _safe_refs(prediction.final_sql, pred_db)
     qe = pred_exec is not None and pred_exec.status == OK
-    em = qe and compare_results(
-        gold_exec, pred_exec, has_top_level_order_by(item.gold_sql)
-    )
-    gold_refs = _safe_refs(item.gold_sql, home_db)
-    pred_refs = _safe_refs(prediction.final_sql, pred_db)
+    em = qe and compare_results(gold_exec, pred_exec, gold_ordered)
     t_prec, t_rec = precision_recall(pred_refs.tables, gold_refs.tables)
     c_prec, c_rec = precision_recall(pred_refs.columns, gold_refs.columns)
     return EvalRecord(

@@ -5,7 +5,8 @@ the benchmarks. Its goal is structural, not semantic: enough shape (FROM
 sources, aliases, subqueries, set operations, clause boundaries) to
 resolve which tables and columns a query touches, scope by scope.
 Expressions are kept as flat token runs with nested statements spliced
-in where a parenthesized SELECT appears. Reference extraction uses it.
+in where a parenthesized SELECT appears. Reference extraction uses it,
+and scoring reads from it whether a gold query orders its rows.
 
 ``_Roles`` reads the token stream once and says which token index plays
 which part: FROM table, qualifier, column, alias, CTE name, dotted
@@ -57,6 +58,7 @@ class SelectBlock:
     # Runs of ON/USING, WHERE, GROUP BY, HAVING, ORDER BY and LIMIT/OFFSET,
     # in text order: tokens with nested statements spliced in.
     exprs: list[list] = field(default_factory=list)
+    ordered: bool = False  # the block has its own ORDER BY
 
 
 @dataclass
@@ -64,6 +66,14 @@ class SelectStatement:
     ctes: list[tuple[str, "SelectStatement"]] = field(default_factory=list)
     # Compound operands; parenthesized operands may themselves be statements.
     blocks: list = field(default_factory=list)
+
+    @property
+    def ordered(self) -> bool:
+        """Whether an operand that is a plain select block has its own ORDER BY.
+
+        A parenthesized operand, a CTE body and a subquery do not count.
+        """
+        return any(isinstance(b, SelectBlock) and b.ordered for b in self.blocks)
 
 
 _CLAUSE_STOPS = frozenset(
@@ -208,6 +218,7 @@ class _Parser:
                     self.advance()
                     run.extend(self._parse_expr())
                 block.exprs.append(run)
+                block.ordered |= clause == "order"
         return block
 
     def _expect_keyword(self, name: str):

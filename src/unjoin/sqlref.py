@@ -32,6 +32,7 @@ __all__ = [
     "SqlParseError",
     "extract_refs",
     "extract_refs_simplified",
+    "resolve_refs",
 ]
 
 
@@ -54,7 +55,11 @@ def extract_refs(sql: str, db: DatabaseSchema) -> RefSet:
 
     Raises SqlParseError when the statement cannot be parsed.
     """
-    stmt = parse(sql)
+    return resolve_refs(parse(sql), db)
+
+
+def resolve_refs(stmt: SelectStatement, db: DatabaseSchema) -> RefSet:
+    """Resolve every table and column reference in a parsed statement against ``db``."""
     an = _Analyzer(db)
     an.statement(stmt, None, {})
     return RefSet(frozenset(an.tables), frozenset(an.columns), frozenset(an.ambiguous))

@@ -9,7 +9,10 @@ token as a frozen dataclass and lowered its text on every read; it
 follows the same name rule (every character above U+007F is a name
 character), so the differential test compares token boundaries too.
 Like the package's, it reads an unterminated block comment to the end
-of the text, as SQLite does.
+of the text, as SQLite does. ``tokenizing_order_by`` is the package's
+former test for a gold query that orders its rows, a paren-depth scan
+for an ORDER token, run on ``slow_tokenize``; the parser's flag is
+compared against it.
 """
 
 from dataclasses import dataclass
@@ -282,3 +285,14 @@ def slow_tokenize(sql: str) -> list[SlowToken]:
         tokens.append(SlowToken(OP, ch, i, i + 1))
         i += 1
     return tokens
+
+
+def tokenizing_order_by(sql: str) -> bool:
+    """Whether an ORDER token stands outside every parenthesis."""
+    depth = 0
+    for tok in slow_tokenize(sql):
+        if tok.kind == OP and tok.value in ("(", ")"):
+            depth = depth + 1 if tok.value == "(" else max(0, depth - 1)
+        elif tok.kind == IDENT and depth == 0 and tok.lower == "order":
+            return True
+    return False

@@ -22,12 +22,12 @@ from unjoin.evaluation import (
     bucket_by_table_count,
     compare_results,
     execute,
-    has_top_level_order_by,
     score_run,
 )
 from unjoin.llm import ExchangeCache, LlmClient
 from unjoin.pipeline import run_evaluation
 from unjoin.schema import simplify_schema
+from unjoin.sqlast import parse
 from unjoin.sqlref import extract_refs
 
 from conftest import ORACLE_MODEL, financial_schema, synthetic_6x10_schema
@@ -144,7 +144,7 @@ def test_criterion_4_perturbed_identifiers_restored(verdict, mini_spider_root):
             want = execute(gold, db_file)
             got = execute(fixed, db_file)
             assert want.status == got.status == "ok"
-            assert compare_results(want, got, has_top_level_order_by(gold)), \
+            assert compare_results(want, got, parse(gold).ordered), \
                 f"result drift on {broken!r}"
         assert restored >= 45, f"restored {restored}/50, need >= 45 (90%)"
 

@@ -5,7 +5,7 @@ import sqlite3
 from contextlib import closing
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from unjoin.evaluation import (
     COMPARISON_SEMANTICS,
@@ -20,7 +20,6 @@ from unjoin.evaluation import (
     build_summary,
     compare_results,
     execute,
-    has_top_level_order_by,
     precision_recall,
     read_records,
     score_run,
@@ -31,7 +30,6 @@ from unjoin.evaluation import (
 from unjoin.dataset import METHODS, RunConfig, filter_items, load_dataset
 from unjoin.llm import ExchangeCache, LlmClient
 from unjoin.pipeline import run_evaluation
-from unjoin.tokens import IDENT, OP, TokenizeError, tokenize
 
 from conftest import ORACLE_MODEL, RETAIL_ROWS, create_sqlite, retail_schema
 from oracles import naive_buckets, naive_precision_recall, naive_score
@@ -234,55 +232,6 @@ def test_exec_outcome_serialization_drops_wall_time():
     assert back.wall_time_s == 0.0
 
 
-# ----- ordering detection -----
-
-
-def test_top_level_order_by_detected():
-    assert has_top_level_order_by("SELECT a FROM t ORDER BY a")
-    assert has_top_level_order_by("SELECT a FROM t UNION SELECT b FROM u ORDER BY 1")
-
-
-def test_nested_order_by_ignored():
-    assert not has_top_level_order_by(
-        "SELECT x FROM (SELECT a AS x FROM t ORDER BY a LIMIT 3) AS d"
-    )
-    assert not has_top_level_order_by("SELECT a FROM t")
-
-
-def _tokenizing_order_by(sql):
-    """The order-by check with no substring shortcut: every string is tokenized."""
-    depth = 0
-    for tok in tokenize(sql):
-        if tok.kind == OP and tok.value in ("(", ")"):
-            depth = depth + 1 if tok.value == "(" else max(0, depth - 1)
-        elif tok.kind == IDENT and depth == 0 and tok.lower == "order":
-            return True
-    return False
-
-
-_SQL_PARTS = st.sampled_from([
-    "SELECT", "a", "FROM", "t", "(", ")", ",", "ORDER", "order", "oRdEr", "BY", "orders",
-    "border", "'order'", '"order"', "[order]", "-- order\n", "/* ORDER */", "LIMIT 1",
-    "UNION", "'unterminated", "x.order_id",
-])
-
-
-@settings(max_examples=300)
-@given(st.lists(_SQL_PARTS, max_size=12))
-def test_order_by_shortcut_matches_tokenizing_path(parts):
-    sql = " ".join(parts)
-    try:
-        expected = _tokenizing_order_by(sql)
-    except TokenizeError:
-        if "order" in sql.lower():
-            with pytest.raises(TokenizeError):
-                has_top_level_order_by(sql)
-        else:
-            assert has_top_level_order_by(sql) is False
-        return
-    assert has_top_level_order_by(sql) == expected
-
-
 # ----- result comparison -----
 
 
@@ -353,9 +302,12 @@ def test_comparison_is_symmetric(rows_a, rows_b, ordered):
 
 
 @settings(max_examples=100)
+# Text sorts as it compares, trimmed, so ("a ", 1) pairs with ("a", 1).
+@example(rows=[("a ", 1), ("a", 2)], rng=random.Random(0))
 @given(_rows, st.randoms(use_true_random=False))
 def test_unordered_comparison_invariant_to_permutation(rows, rng):
-    shuffled = list(rows)
+    # The shuffled side also has trailing whitespace trimmed from its text.
+    shuffled = [tuple(v.rstrip() if isinstance(v, str) else v for v in row) for row in rows]
     rng.shuffle(shuffled)
     assert compare_results(ok(*rows), ok(*shuffled), gold_has_order_by=False)
 

@@ -491,7 +491,41 @@ def test_evaluate_item_counts_tables_when_item_lacks_count(retail_db, retail_sql
     assert rec.gold_table_count == 2
 
 
+def test_evaluate_item_parses_the_gold_once(retail_db, retail_sqlite, monkeypatch):
+    seen = []
+
+    def counting(sql):
+        seen.append(sql)
+        return tokenize(sql)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("unjoin") and getattr(module, "tokenize", None) is tokenize:
+            monkeypatch.setattr(module, "tokenize", counting)
+    item = EvalItem("retail:0", "retail", "q", "SELECT name FROM customer ORDER BY name")
+    pred = PredictedQuery(method="cot", final_sql="SELECT name FROM customer ORDER BY name DESC")
+    rec = evaluate_item(item, pred, retail_db, retail_db, retail_sqlite, 10.0)
+    assert seen.count(item.gold_sql) == 1
+    # The same parse says the gold orders its rows, so reversed rows differ.
+    assert rec.qe and not rec.em
+    assert rec.gold_columns == ("customer.name",)
+
+
 # ----- whole-run orchestration -----
+
+
+def test_gold_that_cannot_be_tokenized_costs_only_its_item(mini_spider_root, tmp_path):
+    bundle = load_dataset(mini_spider_root, "spider")
+    # Unfiltered: filter_items would drop this gold.
+    item = EvalItem("retail:bad-gold", "retail", "q", "SELECT name FROM customer ORDER BY 'x")
+    config = RunConfig(dataset="spider", root=str(mini_spider_root), method="cot",
+                       model="m", cache_mode="live", workers=1, out_dir=str(tmp_path))
+    client = LlmClient(config.llm_config(), cache=None,
+                       transport=lambda prompt, cfg: ("```sql\nSELECT name FROM customer\n```", 1, 1))
+    records, _ = run_evaluation(bundle, [item], config, client)
+    (record,) = records
+    assert record.gold_exec.status == "runtime_error"
+    assert record.qe and not record.em
+    assert record.gold_tables == () and record.pred_tables == ("customer",)
 
 
 def test_run_evaluation_preserves_item_order(mini_spider_root, tmp_path):
