@@ -25,6 +25,8 @@ import urllib.parse
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from .sqlast import SelectBlock, SelectStatement
+
 OK = "ok"
 RUNTIME_ERROR = "runtime_error"
 TIMEOUT = "timeout"
@@ -159,6 +161,14 @@ def execute(
         if held is None or flagged or con.in_transaction:
             owner.drop()
     return ExecOutcome(status=OK, rows=tuple(rows), wall_time_s=time.monotonic() - started)
+
+
+def has_top_level_order_by(stmt: SelectStatement) -> bool:
+    """Whether a top-level select block of ``stmt`` has its own ORDER BY.
+
+    A parenthesized compound operand, a CTE body and a subquery do not count.
+    """
+    return any(isinstance(b, SelectBlock) and b.ordered for b in stmt.blocks)
 
 
 # ----- result comparison -----

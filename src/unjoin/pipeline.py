@@ -45,6 +45,7 @@ from .evaluation import (
     HeldConnections,
     compare_results,
     execute,
+    has_top_level_order_by,
     precision_recall,
 )
 from .llm import (
@@ -66,7 +67,7 @@ from .prompting import (
 )
 from .schema import DatabaseSchema, SchemaError, TableDef, simplify_schema
 from .sqlast import parse
-from .sqlref import RefSet, resolve_refs
+from .sqlref import RefSet, extract_refs, resolve_refs
 
 log = logging.getLogger(__name__)
 
@@ -307,18 +308,13 @@ def assemble_pool(
 _NO_REFS = RefSet(frozenset(), frozenset())
 
 
-def _safe_refs(sql: str | None, db: DatabaseSchema) -> tuple[RefSet, bool]:
-    """The references of ``sql`` and whether it orders its rows, from one parse.
-
-    Text the parser rejects has no references and no order.
-    """
+def _safe_refs(sql: str | None, db: DatabaseSchema) -> RefSet:
     if not sql:
-        return _NO_REFS, False
+        return _NO_REFS
     try:
-        stmt = parse(sql)
-        return resolve_refs(stmt, db), stmt.ordered
+        return extract_refs(sql, db)
     except ValueError:
-        return _NO_REFS, False
+        return _NO_REFS
 
 
 def evaluate_item(
@@ -349,8 +345,13 @@ def evaluate_item(
                 pred_exec = execute(prediction.final_sql, db_file, exec_timeout_s, held)
         except FileNotFoundError:
             gold_exec, pred_exec = missing, None
-    gold_refs, gold_ordered = _safe_refs(item.gold_sql, home_db)
-    pred_refs, _ = _safe_refs(prediction.final_sql, pred_db)
+    try:
+        gold_stmt = parse(item.gold_sql)
+        gold_refs = resolve_refs(gold_stmt, home_db)
+        gold_ordered = has_top_level_order_by(gold_stmt)
+    except ValueError:
+        gold_refs, gold_ordered = _NO_REFS, False
+    pred_refs = _safe_refs(prediction.final_sql, pred_db)
     qe = pred_exec is not None and pred_exec.status == OK
     em = qe and compare_results(gold_exec, pred_exec, gold_ordered)
     t_prec, t_rec = precision_recall(pred_refs.tables, gold_refs.tables)

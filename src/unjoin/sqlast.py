@@ -67,14 +67,6 @@ class SelectStatement:
     # Compound operands; parenthesized operands may themselves be statements.
     blocks: list = field(default_factory=list)
 
-    @property
-    def ordered(self) -> bool:
-        """Whether an operand that is a plain select block has its own ORDER BY.
-
-        A parenthesized operand, a CTE body and a subquery do not count.
-        """
-        return any(isinstance(b, SelectBlock) and b.ordered for b in self.blocks)
-
 
 _CLAUSE_STOPS = frozenset(
     "where group having order limit offset union intersect except on using "

@@ -20,6 +20,7 @@ from unjoin.evaluation import (
     build_summary,
     compare_results,
     execute,
+    has_top_level_order_by,
     precision_recall,
     read_records,
     score_run,
@@ -30,9 +31,11 @@ from unjoin.evaluation import (
 from unjoin.dataset import METHODS, RunConfig, filter_items, load_dataset
 from unjoin.llm import ExchangeCache, LlmClient
 from unjoin.pipeline import run_evaluation
+from unjoin.sqlast import SqlParseError, parse
+from unjoin.tokens import IDENT, OP, TokenizeError, tokenize
 
 from conftest import ORACLE_MODEL, RETAIL_ROWS, create_sqlite, retail_schema
-from oracles import naive_buckets, naive_precision_recall, naive_score
+from oracles import naive_buckets, naive_precision_recall, naive_score, tokenizing_order_by
 
 
 def ok(*rows):
@@ -230,6 +233,67 @@ def test_exec_outcome_serialization_drops_wall_time():
     back = ExecOutcome.from_dict(raw)
     assert back.rows == ((1, "a"),)
     assert back.wall_time_s == 0.0
+
+
+# ----- ordering detection -----
+
+
+@pytest.mark.parametrize("sql", [
+    "SELECT a FROM t ORDER BY a",
+    "SELECT a FROM t UNION SELECT b FROM u ORDER BY 1",
+    "WITH r AS (SELECT a FROM t) SELECT a FROM r ORDER BY a DESC LIMIT 3",
+], ids=["top-level", "last-compound-operand", "after-cte"])
+def test_top_level_order_by_detected(sql):
+    assert has_top_level_order_by(parse(sql))
+
+
+@pytest.mark.parametrize("sql", [
+    "SELECT a FROM t",
+    "SELECT x FROM (SELECT a AS x FROM t ORDER BY a LIMIT 3) AS d",
+    "SELECT a FROM t WHERE a IN (SELECT b FROM u ORDER BY b LIMIT 1)",
+    "WITH r AS (SELECT a FROM t ORDER BY a LIMIT 2) SELECT a FROM r",
+    "(SELECT a FROM t ORDER BY a) UNION SELECT b FROM u",
+    "SELECT a, rank() OVER (ORDER BY a) FROM t",
+], ids=["none", "derived-table", "subquery", "cte-body", "parenthesized-operand", "window"])
+def test_nested_order_by_ignored(sql):
+    assert not has_top_level_order_by(parse(sql))
+
+
+def _order_names_renamed(sql):
+    """``sql`` with each ``order`` that names a FROM table (after FROM or ``.``) renamed ``t``."""
+    toks = tokenize(sql)
+    out, last = [], 0
+    for prev, tok in zip(toks, toks[1:]):
+        if tok.kind == IDENT and tok.lower == "order" and (
+            prev.is_keyword("from") or (prev.kind == OP and prev.value == ".")
+        ):
+            out.append(sql[last:tok.start] + "t")
+            last = tok.end
+    return "".join(out) + sql[last:]
+
+
+_SQL_PARTS = st.sampled_from([
+    "SELECT", "a", "FROM", "t", "(", ")", ",", "ORDER", "order", "oRdEr", "BY", "orders",
+    "border", "'order'", '"order"', "[order]", "-- order\n", "/* ORDER */", "LIMIT 1",
+    "UNION", "'unterminated", "x.order_id", "x.order",
+])
+
+
+@settings(max_examples=300)
+@example(["SELECT", "1", "FROM", "oRdEr", "a", "LIMIT 1", "SELECT"])
+@given(st.lists(_SQL_PARTS, max_size=12))
+def test_order_by_flag_matches_the_depth_scan(parts):
+    sql = " ".join(parts)
+    try:
+        stmt = parse(sql)
+    except (SqlParseError, TokenizeError):
+        return
+    scanned = tokenizing_order_by(sql)
+    flag = has_top_level_order_by(stmt)
+    if flag != scanned:
+        # The one known difference: the scan takes ``order`` naming a FROM
+        # table (``FROM oRdEr a``, ``FROM x.order``) for the ORDER keyword.
+        assert scanned and tokenizing_order_by(_order_names_renamed(sql)) == flag, sql
 
 
 # ----- result comparison -----

