@@ -3,21 +3,25 @@
 Both supported benchmarks ship a table catalogue (tables.json), a dev
 split of natural-language questions with gold SQL, and one SQLite file
 per database. Items get stable ids "{db_id}:{index}" since the source
-files carry none. Filtering keeps only items whose gold SQL touches at
-least two tables; an item without gold SQL or a question, or with
-unparseable gold, is dropped with a logged reason.
+files carry none. A malformed entry (not an object, or a field that is
+not text) loads as an item with that field blank, so it costs one item,
+not the load. Filtering keeps only items whose gold SQL touches at
+least two tables; an item without a known database, gold SQL or a
+question, or with unparseable gold, is dropped with a logged reason.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from .llm import CACHE_MODES, LlmConfig
 from .schema import DatabaseSchema, load_catalogue, load_descriptions
-from .sqlref import extract_refs
+from .sqlast import SelectStatement, parse
+from .sqlref import resolve_refs
 
 log = logging.getLogger(__name__)
 
@@ -65,6 +69,17 @@ def _pick(root: Path, names: list[str]) -> Path:
     )
 
 
+def _text(value, index: int, name: str) -> str:
+    """A dev entry's text field. Anything else is logged and read as blank,
+    so ``filter_items`` drops the item with a reason instead of the load
+    failing."""
+    if isinstance(value, str):
+        return value
+    what = "missing" if value is None else f"a {type(value).__name__}, not text"
+    log.warning("dev entry %d: %s is %s; read as blank", index, name, what)
+    return ""
+
+
 def load_dataset(root: str | Path, flavor: str) -> DatasetBundle:
     """Load a benchmark root into schemas, items, and database paths."""
     if flavor not in FLAVORS:
@@ -84,17 +99,24 @@ def load_dataset(root: str | Path, flavor: str) -> DatasetBundle:
     with open(items_path, encoding="utf-8") as fh:
         raw_items = json.load(fh)
 
+    if not isinstance(raw_items, list):
+        raise DatasetError(f"{items_path} does not hold a list of entries")
+
     items = []
     for i, raw in enumerate(raw_items):
-        db_id = raw["db_id"]
-        gold = raw.get("query") or raw.get("SQL") or ""
+        if not isinstance(raw, dict):
+            log.warning("dev entry %d is not a JSON object; read as blank", i)
+            items.append(EvalItem(f":{i}", "", "", ""))
+            continue
+        db_id = _text(raw.get("db_id"), i, "db_id")
+        gold = _text(raw.get("query") or raw.get("SQL") or "", i, "gold SQL")
         items.append(
             EvalItem(
                 item_id=f"{db_id}:{i}",
                 db_id=db_id,
-                question=raw.get("question", ""),
+                question=_text(raw.get("question", ""), i, "question"),
                 gold_sql=gold.strip(),
-                evidence=(raw.get("evidence") or "").strip(),
+                evidence=_text(raw.get("evidence") or "", i, "evidence").strip(),
             )
         )
 
@@ -116,17 +138,27 @@ def filter_items(
 ) -> tuple[list[EvalItem], list[tuple[EvalItem, str]]]:
     """Keep multi-table items; return (kept, dropped-with-reason).
 
-    Kept items carry their gold table count for later bucketing.
+    Kept items carry their gold table count for later bucketing. Each
+    distinct gold text is parsed once per call, and its parse (or parse
+    error) is shared by every item that carries it; each item's tables
+    are still resolved against its own database's schema.
     """
     kept: list[EvalItem] = []
     dropped: list[tuple[EvalItem, str]] = []
+    # Items still to come per gold text: a parse is held only until the
+    # last item that carries its text.
+    pending = Counter(item.gold_sql for item in items)
+    parses: dict[str, SelectStatement | str] = {}
     for item in items:
+        gold = item.gold_sql
+        pending[gold] -= 1
+        parsed = parses.pop(gold, None) if not pending[gold] else parses.get(gold)
         db = catalogue.get(item.db_id)
         if db is None:
             dropped.append((item, f"unknown database {item.db_id!r}"))
             log.warning("dropping %s: unknown database %s", item.item_id, item.db_id)
             continue
-        if not item.gold_sql:
+        if not gold:
             dropped.append((item, "missing gold SQL"))
             log.warning("dropping %s: missing gold SQL", item.item_id)
             continue
@@ -134,13 +166,21 @@ def filter_items(
             dropped.append((item, "missing question"))
             log.warning("dropping %s: missing question", item.item_id)
             continue
+        if parsed is None:
+            try:
+                parsed = parse(gold)
+            except ValueError as exc:
+                parsed = str(exc)
+            if pending[gold]:
+                parses[gold] = parsed
         try:
-            refs = extract_refs(item.gold_sql, db)
+            if isinstance(parsed, str):
+                raise ValueError(parsed)
+            count = len(resolve_refs(parsed, db).tables)
         except ValueError as exc:
             dropped.append((item, f"unparseable gold SQL: {exc}"))
             log.warning("dropping %s: unparseable gold SQL: %s", item.item_id, exc)
             continue
-        count = len(refs.tables)
         if count < 2:
             dropped.append((item, "single-table query"))
             continue

@@ -56,9 +56,12 @@ class ExecOutcome:
             raise ValueError("rows must be present exactly when status is ok")
 
     def to_dict(self) -> dict:
+        """JSON-ready form; a BLOB value is written as ``{"blob": "<hex>"}``."""
         out = {"status": self.status}
         if self.rows is not None:
-            out["rows"] = [list(r) for r in self.rows]
+            out["rows"] = [
+                [{"blob": v.hex()} if isinstance(v, bytes) else v for v in r] for r in self.rows
+            ]
         if self.error is not None:
             out["error"] = self.error
         return out
@@ -66,11 +69,13 @@ class ExecOutcome:
     @classmethod
     def from_dict(cls, raw: dict) -> "ExecOutcome":
         rows = raw.get("rows")
-        return cls(
-            status=raw["status"],
-            rows=tuple(tuple(r) for r in rows) if rows is not None else None,
-            error=raw.get("error"),
-        )
+        if rows is not None:
+            # SQLite values are never JSON objects, so an object is a BLOB.
+            rows = tuple(
+                tuple(bytes.fromhex(v["blob"]) if isinstance(v, dict) else v for v in r)
+                for r in rows
+            )
+        return cls(status=raw["status"], rows=rows, error=raw.get("error"))
 
 
 # Authorizer actions a plain query needs. Anything else (a TEMP table,

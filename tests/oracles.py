@@ -13,10 +13,21 @@ of the text, as SQLite does. ``tokenizing_order_by`` is the package's
 former test for a gold query that orders its rows, a paren-depth scan
 for an ORDER token, run on ``slow_tokenize``; the parser's flag is
 compared against it.
+
+``per_item_filter`` is the one oracle that calls into the package: it is
+the former ``filter_items`` loop, which ran ``extract_refs`` on every
+item's gold. Against it, the package's filter shows that sharing one
+parse among the items that carry the same gold text changes no kept
+item, drop reason or warning.
 """
 
-from dataclasses import dataclass
+import logging
+from dataclasses import dataclass, replace
 from functools import lru_cache
+
+from unjoin.sqlref import extract_refs
+
+log = logging.getLogger(__name__)
 
 
 def naive_precision_recall(pred: frozenset, gold: frozenset) -> tuple[float, float]:
@@ -296,3 +307,35 @@ def tokenizing_order_by(sql: str) -> bool:
         elif tok.kind == IDENT and depth == 0 and tok.lower == "order":
             return True
     return False
+
+
+def per_item_filter(items, catalogue):
+    """The former ``filter_items``: every item's gold parsed on its own."""
+    kept = []
+    dropped = []
+    for item in items:
+        db = catalogue.get(item.db_id)
+        if db is None:
+            dropped.append((item, f"unknown database {item.db_id!r}"))
+            log.warning("dropping %s: unknown database %s", item.item_id, item.db_id)
+            continue
+        if not item.gold_sql:
+            dropped.append((item, "missing gold SQL"))
+            log.warning("dropping %s: missing gold SQL", item.item_id)
+            continue
+        if not item.question.strip():
+            dropped.append((item, "missing question"))
+            log.warning("dropping %s: missing question", item.item_id)
+            continue
+        try:
+            refs = extract_refs(item.gold_sql, db)
+        except ValueError as exc:
+            dropped.append((item, f"unparseable gold SQL: {exc}"))
+            log.warning("dropping %s: unparseable gold SQL: %s", item.item_id, exc)
+            continue
+        count = len(refs.tables)
+        if count < 2:
+            dropped.append((item, "single-table query"))
+            continue
+        kept.append(replace(item, gold_table_count=count))
+    return kept, dropped

@@ -1,7 +1,13 @@
 import json
+import logging
+import sys
+import weakref
+from collections import Counter
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import unjoin.dataset
 from unjoin.dataset import (
     DatasetError,
     EvalItem,
@@ -11,6 +17,12 @@ from unjoin.dataset import (
     load_retrieval_lists,
 )
 from unjoin.schema import load_catalogue
+from unjoin.sqlast import parse
+from unjoin.sqlref import resolve_refs
+from unjoin.tokens import tokenize
+
+from conftest import BIRD_CASES, SPIDER_CASES, academic_schema, retail_schema
+from oracles import per_item_filter
 
 
 def test_load_spider_root(mini_spider_root):
@@ -95,6 +107,205 @@ def test_filter_bird_counts(mini_bird_root):
     kept, dropped = filter_items(bundle.items, bundle.catalogue)
     assert len(kept) == 3
     assert len(dropped) == 1
+
+
+# ----- one parse per distinct gold text -----
+
+
+FIXTURE_GOLDS = sorted({case[2] for case in SPIDER_CASES} | {case[3] for case in BIRD_CASES})
+UNPARSEABLE = "SELEC name FRM customer"
+
+
+def two_schemas() -> dict:
+    return {"retail": retail_schema(), "academic": academic_schema()}
+
+
+def filtered_with_warnings(fn, items, catalogue, caplog):
+    caplog.clear()
+    with caplog.at_level(logging.WARNING):
+        kept, dropped = fn(items, catalogue)
+    return kept, dropped, [(r.levelname, r.getMessage()) for r in caplog.records]
+
+
+def assert_matches_per_item_filter(items, catalogue, caplog):
+    got = filtered_with_warnings(filter_items, items, catalogue, caplog)
+    want = filtered_with_warnings(per_item_filter, items, catalogue, caplog)
+    assert got == want
+
+
+def test_filter_matches_the_per_item_reference_on_the_fixtures(
+    mini_spider_root, mini_bird_root, caplog
+):
+    for root, flavor in ((mini_spider_root, "spider"), (mini_bird_root, "bird")):
+        bundle = load_dataset(root, flavor)
+        assert_matches_per_item_filter(bundle.items, bundle.catalogue, caplog)
+
+
+@st.composite
+def item_lists(draw):
+    # A few gold texts from a small pool, so texts repeat across items and
+    # databases, plus one unparseable text and an empty gold.
+    pool = draw(st.lists(st.sampled_from(FIXTURE_GOLDS), min_size=1, max_size=4))
+    rows = draw(st.lists(
+        st.tuples(
+            st.sampled_from(["retail", "academic", "ghost"]),
+            st.sampled_from(["Which ones?", " \n", ""]),
+            st.sampled_from(pool + [UNPARSEABLE, ""]),
+        ),
+        max_size=30,
+    ))
+    return [EvalItem(f"{db_id}:{i}", db_id, q, gold) for i, (db_id, q, gold) in enumerate(rows)]
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(items=item_lists())
+@example(items=[
+    EvalItem("retail:0", "retail", "q", SPIDER_CASES[0][2]),
+    EvalItem("academic:1", "academic", "q", SPIDER_CASES[0][2]),
+    EvalItem("retail:2", "retail", "q", UNPARSEABLE),
+    EvalItem("academic:3", "academic", "q", UNPARSEABLE),
+    EvalItem("retail:4", "retail", " ", SPIDER_CASES[0][2]),
+    EvalItem("ghost:5", "ghost", "q", SPIDER_CASES[0][2]),
+    EvalItem("retail:6", "retail", "q", ""),
+    EvalItem("retail:7", "retail", "q", UNPARSEABLE),
+])
+def test_filter_matches_the_per_item_reference_on_mixed_items(items, caplog):
+    assert_matches_per_item_filter(items, two_schemas(), caplog)
+
+
+def test_shared_gold_is_resolved_against_each_items_own_schema(monkeypatch, caplog):
+    catalogue = two_schemas()
+    gold = SPIDER_CASES[0][2]
+    items = [EvalItem("retail:0", "retail", "q", gold),
+             EvalItem("academic:1", "academic", "q", gold),
+             EvalItem("retail:2", "retail", "q", gold)]
+    schemas = []
+
+    def recording(stmt, db):
+        schemas.append(db.db_id)
+        return resolve_refs(stmt, db)
+
+    monkeypatch.setattr(unjoin.dataset, "resolve_refs", recording)
+    assert_matches_per_item_filter(items, catalogue, caplog)
+    assert schemas == ["retail", "academic", "retail"]
+    kept, _ = filter_items(items, catalogue)
+    assert [item.gold_table_count for item in kept] == [2, 2, 2]
+
+
+def count_calls(monkeypatch, fn) -> list:
+    """Wrap ``fn`` in every unjoin module that holds it; return the texts it is called on."""
+    seen = []
+
+    def counting(sql):
+        seen.append(sql)
+        return fn(sql)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("unjoin") and getattr(module, fn.__name__, None) is fn:
+            monkeypatch.setattr(module, fn.__name__, counting)
+    return seen
+
+
+def test_filter_parses_each_distinct_gold_text_once(monkeypatch):
+    parsed = count_calls(monkeypatch, parse)
+    tokenized = count_calls(monkeypatch, tokenize)
+    first, second = SPIDER_CASES[0][2], SPIDER_CASES[3][2]
+    golds = [first, first, second, UNPARSEABLE, first, UNPARSEABLE, second]
+    items = [EvalItem(f"{db_id}:{i}", db_id, "q", gold)
+             for i, (db_id, gold) in enumerate(zip(["retail", "academic"] * 4, golds))]
+    kept, dropped = filter_items(items, two_schemas())
+    assert len(kept) == 5 and len(dropped) == 2
+    assert Counter(parsed) == {first: 1, second: 1, UNPARSEABLE: 1}
+    assert Counter(tokenized) == {first: 1, second: 1, UNPARSEABLE: 1}
+
+
+def test_filter_parses_nothing_for_items_dropped_before_the_parse(monkeypatch):
+    parsed = count_calls(monkeypatch, parse)
+    only_dropped, shared = SPIDER_CASES[0][2], SPIDER_CASES[3][2]
+    items = [
+        EvalItem("ghost:0", "ghost", "q", only_dropped),
+        EvalItem("retail:1", "retail", " ", only_dropped),
+        EvalItem("retail:2", "retail", "q", ""),
+        EvalItem("retail:3", "retail", " ", shared),
+        EvalItem("academic:4", "academic", "q", shared),
+        EvalItem("ghost:5", "ghost", "q", shared),
+        EvalItem("retail:6", "retail", "q", shared),
+    ]
+    kept, dropped = filter_items(items, two_schemas())
+    assert [item.item_id for item in kept] == ["academic:4", "retail:6"]
+    assert parsed == [shared]
+
+
+def test_filter_holds_a_parse_only_until_its_last_item(monkeypatch):
+    labels = {SPIDER_CASES[0][2]: "a", SPIDER_CASES[1][2]: "b", SPIDER_CASES[3][2]: "c"}
+    golds = [SPIDER_CASES[i][2] for i in (0, 1, 0, 3, 3)]
+    items = [EvalItem(f"retail:{i}", "retail", "q", gold) for i, gold in enumerate(golds)]
+    statements = {}
+    live = []
+
+    def parsing(sql):
+        stmt = parse(sql)
+        statements[labels[sql]] = weakref.ref(stmt)
+        return stmt
+
+    def resolving(stmt, db):
+        live.append("".join(sorted(k for k, ref in statements.items() if ref() is not None)))
+        return resolve_refs(stmt, db)
+
+    monkeypatch.setattr(unjoin.dataset, "parse", parsing)
+    monkeypatch.setattr(unjoin.dataset, "resolve_refs", resolving)
+    filter_items(items, two_schemas())
+    # "b" is gone once its only item is done, "a" once its second one is.
+    assert live == ["a", "ab", "a", "c", "c"]
+
+
+# ----- malformed dev entries -----
+
+
+def test_malformed_dev_entries_cost_one_item_each(mini_spider_root, tmp_path, caplog):
+    good = json.loads((mini_spider_root / "dev.json").read_text(encoding="utf-8"))[:3]
+    gold = good[0]["query"]
+    bad = [
+        {"question": "Which ones?", "query": gold},
+        {"db_id": "retail", "question": "Which ones?", "query": ["SELECT", "1"]},
+        {"db_id": "retail", "question": None, "query": gold},
+        "not an object",
+        None,
+    ]
+    (tmp_path / "tables.json").write_bytes((mini_spider_root / "tables.json").read_bytes())
+    (tmp_path / "dev.json").write_text(json.dumps(good + bad), encoding="utf-8")
+    with caplog.at_level(logging.WARNING):
+        bundle = load_dataset(tmp_path, "spider")
+    assert len(caplog.records) == 5
+    assert "dev entry 3: db_id is missing" in caplog.text
+    assert "dev entry 4: gold SQL is a list, not text" in caplog.text
+    assert "dev entry 5: question is missing" in caplog.text
+    assert "dev entry 6 is not a JSON object" in caplog.text
+    assert "dev entry 7 is not a JSON object" in caplog.text
+    assert bundle.items[:3] == load_dataset(mini_spider_root, "spider").items[:3]
+    assert [item.item_id for item in bundle.items[3:]] == [":3", "retail:4", "retail:5", ":6", ":7"]
+
+    caplog.clear()
+    with caplog.at_level(logging.WARNING):
+        kept, dropped = filter_items(bundle.items, bundle.catalogue)
+    assert [item.item_id for item in kept] == ["retail:0", "retail:1"]
+    assert [(item.item_id, reason) for item, reason in dropped] == [
+        ("retail:2", "single-table query"),
+        (":3", "unknown database ''"),
+        ("retail:4", "missing gold SQL"),
+        ("retail:5", "missing question"),
+        (":6", "unknown database ''"),
+        (":7", "unknown database ''"),
+    ]
+    assert len(caplog.records) == 5
+
+
+def test_dev_file_that_is_not_a_list_is_rejected(mini_spider_root, tmp_path):
+    (tmp_path / "tables.json").write_bytes((mini_spider_root / "tables.json").read_bytes())
+    (tmp_path / "dev.json").write_text(json.dumps({"db_id": "retail"}), encoding="utf-8")
+    with pytest.raises(DatasetError, match="list of entries"):
+        load_dataset(tmp_path, "spider")
 
 
 def test_load_retrieval_lists(tmp_path):

@@ -3,6 +3,7 @@ import os
 import random
 import sqlite3
 from contextlib import closing
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -465,6 +466,33 @@ def test_write_and_read_records(tmp_path):
     got_meta, got_records = read_records(path)
     assert got_meta == meta
     assert got_records == records
+
+
+def test_blob_rows_survive_the_records_file(tmp_path):
+    db_file = tmp_path / "blobs.sqlite"
+    with closing(sqlite3.connect(db_file)) as con:
+        con.execute("CREATE TABLE t (b BLOB, n INTEGER)")
+        con.execute("INSERT INTO t VALUES (x'00ff41', 7)")
+        con.commit()
+    gold = execute("SELECT b, n FROM t", db_file)
+    pred = execute("SELECT b, n FROM t WHERE n = 7", db_file)
+    other = execute("SELECT x'00ff', n FROM t", db_file)
+    assert gold.rows == ((b"\x00\xffA", 7),)
+    assert gold.to_dict()["rows"] == [[{"blob": "00ff41"}, 7]]
+    base = make_record()
+    records = [replace(base, item_id="db:0", gold_exec=gold, pred_exec=pred),
+               replace(base, item_id="db:1", gold_exec=gold, pred_exec=other, em=False)]
+    path = tmp_path / "records.jsonl"
+    write_records(records, path, {"n_items": 2})
+    _, back = read_records(path)
+    # Wall time is not written, so compare what is.
+    assert [r.to_dict() for r in back] == [r.to_dict() for r in records]
+    assert back[0].gold_exec.rows == gold.rows
+    assert score_run(back) == score_run(records)
+    assert [compare_results(r.gold_exec, r.pred_exec, False) for r in back] == [True, False]
+    assert [compare_results(r.gold_exec, r.pred_exec, False) for r in records] == [True, False]
+    # Rows without a BLOB keep their plain form.
+    assert ok((1, "a", None, 2.5)).to_dict() == {"status": OK, "rows": [[1, "a", None, 2.5]]}
 
 
 def test_records_file_is_deterministic(tmp_path):

@@ -11,9 +11,10 @@ from unjoin.sqlast import (
     _Roles,
     parse,
 )
+from unjoin.sqlref import resolve_refs
 from unjoin.tokens import tokenize
 
-from conftest import BIRD_CASES, SPIDER_CASES
+from conftest import BIRD_CASES, SPIDER_CASES, academic_schema, retail_schema
 from oracles import tokenizing_order_by
 from test_correction import FRONT_END_REPAIRS, SUITE
 from test_sqlref import CASES, SQLITE_FORMS
@@ -264,3 +265,21 @@ def test_order_by_flag_matches_the_depth_scan_on_the_corpus():
         assert flag == tokenizing_order_by(sql), sql
         ordered += flag
     assert ordered >= 20
+
+
+def test_resolving_a_statement_leaves_it_unchanged():
+    # filter_items shares one parse among the items that carry the same
+    # gold text, each resolved against its own schema; that is sound only
+    # while resolution reads the statement and never writes it.
+    schemas = (retail_schema(), academic_schema())
+    resolved = 0
+    for sql in AGREEMENT_CORPUS:
+        try:
+            stmt = parse(sql)
+        except SqlParseError:
+            continue
+        for db in schemas:
+            resolve_refs(stmt, db)
+        assert stmt == parse(sql), sql
+        resolved += 1
+    assert resolved >= 200
