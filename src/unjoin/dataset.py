@@ -6,8 +6,9 @@ per database. Items get stable ids "{db_id}:{index}" since the source
 files carry none. A malformed entry (not an object, or a field that is
 not text) loads as an item with that field blank, so it costs one item,
 not the load. Filtering keeps only items whose gold SQL touches at
-least two tables; an item without a known database, gold SQL or a
-question, or with unparseable gold, is dropped with a logged reason.
+least two tables of the item's database; an item without a known
+database, gold SQL or a question, with unparseable gold, or whose gold
+names a table its database lacks, is dropped with a logged reason.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from .llm import CACHE_MODES, LlmConfig
+from .prompting import METHOD_TEMPLATES
 from .schema import DatabaseSchema, load_catalogue, load_descriptions
 from .sqlast import SelectStatement, parse
 from .sqlref import resolve_refs
@@ -26,7 +28,7 @@ from .sqlref import resolve_refs
 log = logging.getLogger(__name__)
 
 FLAVORS = ("spider", "bird")
-METHODS = ("unjoin-sp", "unjoin-mp", "cot", "cot-ss")
+METHODS = tuple(METHOD_TEMPLATES)
 
 
 class DatasetError(RuntimeError):
@@ -138,7 +140,9 @@ def filter_items(
 ) -> tuple[list[EvalItem], list[tuple[EvalItem, str]]]:
     """Keep multi-table items; return (kept, dropped-with-reason).
 
-    Kept items carry their gold table count for later bucketing. Each
+    Kept items carry their gold table count for later bucketing. Every
+    table the gold names must be one of its own database's; the
+    reference extraction that scores predictions credits any FROM name. Each
     distinct gold text is parsed once per call, and its parse (or parse
     error) is shared by every item that carries it; each item's tables
     are still resolved against its own database's schema.
@@ -176,11 +180,18 @@ def filter_items(
         try:
             if isinstance(parsed, str):
                 raise ValueError(parsed)
-            count = len(resolve_refs(parsed, db).tables)
+            tables = resolve_refs(parsed, db).tables
         except ValueError as exc:
             dropped.append((item, f"unparseable gold SQL: {exc}"))
             log.warning("dropping %s: unparseable gold SQL: %s", item.item_id, exc)
             continue
+        lacking = sorted(tables - db.table_names.keys())
+        if lacking:
+            reason = f"gold names tables its database lacks: {', '.join(lacking)}"
+            dropped.append((item, reason))
+            log.warning("dropping %s: %s", item.item_id, reason)
+            continue
+        count = len(tables)
         if count < 2:
             dropped.append((item, "single-table query"))
             continue

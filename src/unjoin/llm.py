@@ -45,7 +45,6 @@ class CorruptCacheError(LlmError, ValueError):
 
     def __init__(self, path: Path, reason: str):
         super().__init__(f"corrupt cache file {path}: {reason}")
-        self.path = path
 
 
 class ExtractionError(ValueError):

@@ -9,10 +9,12 @@ about a fictional bank_data schema and never about evaluation data.
 
 Template text reaches a prompt only through a ``TemplateSet``: the
 texts of the templates a method uses, and the sha256 of every shipped
-template file, both taken from the same bytes. A run reads its set
-once; a ``build_*_prompt`` call given ``None`` reads the shipped
-templates of its method for that call. Schema text comes only from the
-schema objects' own blocks.
+template file, both taken from the same bytes. ``TemplateSet.render``
+fills one template's slots, with a second template as its examples
+block. A run reads its set once; a ``build_*_prompt`` call given
+``None`` reads, for that call, a set of the two shipped templates it
+renders (hashing every shipped file, as any set does). Schema text
+comes only from the schema objects' own blocks.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from __future__ import annotations
 import hashlib
 import re
 from collections.abc import Iterable
-from dataclasses import dataclass
 from pathlib import Path
 
 from .schema import DatabaseSchema, SimplifiedSchema, simplify_schema
@@ -37,18 +38,6 @@ _SLOT_RE = re.compile("{(" + "|".join(SLOT_NAMES) + ")}")
 
 DEFAULT_TEMPLATE_DIR = Path(__file__).parent / "templates"
 
-TEMPLATE_FILES = (
-    "sp.txt",
-    "mp_step1.txt",
-    "mp_step2.txt",
-    "cot.txt",
-    "cot_ss.txt",
-    "examples_generation.txt",
-    "examples_translation.txt",
-    "examples_baseline.txt",
-)
-
-
 # The templates each method's prompts are built from.
 METHOD_TEMPLATES = {
     "unjoin-sp": ("sp", "examples_translation"),
@@ -57,35 +46,11 @@ METHOD_TEMPLATES = {
     "cot-ss": ("cot_ss", "examples_baseline"),
 }
 
+TEMPLATE_FILES = tuple(sorted({f"{t}.txt" for ids in METHOD_TEMPLATES.values() for t in ids}))
+
 
 class TemplateError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class PromptTemplate:
-    template_id: str
-    text: str
-
-    def slots(self) -> tuple[str, ...]:
-        seen = []
-        for m in _SLOT_RE.finditer(self.text):
-            if m.group(1) not in seen:
-                seen.append(m.group(1))
-        return tuple(seen)
-
-    def render(self, **values: str) -> str:
-        required = self.slots()
-        missing = [s for s in required if s not in values]
-        if missing:
-            raise TemplateError(
-                f"template {self.template_id!r} missing slot values: {', '.join(missing)}"
-            )
-
-        def repl(m: re.Match) -> str:
-            return values[m.group(1)]
-
-        return _SLOT_RE.sub(repl, self.text)
 
 
 class TemplateSet:
@@ -101,7 +66,7 @@ class TemplateSet:
     def __init__(self, template_ids: Iterable[str], template_dir: str | Path | None = None):
         directory = Path(template_dir) if template_dir else DEFAULT_TEMPLATE_DIR
         self.hashes: dict[str, str] = {}
-        self._templates: dict[str, PromptTemplate] = {}
+        self._templates: dict[str, str] = {}
         wanted = set(template_ids)
         for name in TEMPLATE_FILES:
             try:
@@ -115,30 +80,41 @@ class TemplateSet:
             if template_id in wanted:
                 # Universal newlines, as text-mode reading gives.
                 text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
-                self._templates[template_id] = PromptTemplate(template_id, text)
+                self._templates[template_id] = text
         missing = sorted(wanted - self._templates.keys())
         if missing:
             names = ", ".join(repr(m) for m in missing)
             raise TemplateError(f"cannot load template {names}: not found in {directory}")
 
-    def __getitem__(self, template_id: str) -> PromptTemplate:
+    def __getitem__(self, template_id: str) -> str:
         try:
             return self._templates[template_id]
         except KeyError:
             raise TemplateError(f"template {template_id!r} was not loaded") from None
 
+    def render(self, template_id: str, examples_id: str, **values: str) -> str:
+        """Template ``template_id`` with ``examples_id`` as its examples block.
+
+        Only the named slots are substituted, in one pass; a slot the
+        template uses without a value raises ``TemplateError``.
+        """
+        text = self[template_id]
+        values["examples_block"] = self[examples_id].rstrip("\n")
+        missing = [s for s in dict.fromkeys(_SLOT_RE.findall(text)) if s not in values]
+        if missing:
+            raise TemplateError(
+                f"template {template_id!r} missing slot values: {', '.join(missing)}"
+            )
+        return _SLOT_RE.sub(lambda m: values[m.group(1)], text)
+
 
 def _render(
-    method: str, template_id: str, examples_id: str, templates: TemplateSet | None, **values: str
+    template_id: str, examples_id: str, templates: TemplateSet | None, **values: str
 ) -> str:
-    """Render ``template_id`` with ``examples_id`` as its examples block.
-
-    ``templates`` None reads the shipped templates of ``method``.
-    """
+    """``templates.render``; None reads the two shipped templates for this call."""
     if templates is None:
-        templates = TemplateSet(METHOD_TEMPLATES[method])
-    template = templates[template_id]
-    return template.render(examples_block=templates[examples_id].text.rstrip("\n"), **values)
+        templates = TemplateSet((template_id, examples_id))
+    return templates.render(template_id, examples_id, **values)
 
 
 def build_sp_prompt(
@@ -151,7 +127,7 @@ def build_sp_prompt(
     if not simplified.entries or not question.strip():
         raise ValueError("simplified schema and question must be non-empty")
     return _render(
-        "unjoin-sp", "sp", "examples_translation", templates,
+        "sp", "examples_translation", templates,
         schema_block=simplified.block,
         original_schema_block=db.original_block,
         question=question,
@@ -167,7 +143,7 @@ def build_mp_step1_prompt(
     if not simplified.entries or not question.strip():
         raise ValueError("simplified schema and question must be non-empty")
     return _render(
-        "unjoin-mp", "mp_step1", "examples_generation", templates,
+        "mp_step1", "examples_generation", templates,
         schema_block=simplified.block,
         question=question,
     )
@@ -184,7 +160,7 @@ def build_mp_step2_prompt(
     if not simplified_sql.strip():
         raise ValueError("simplified_sql must be non-empty")
     return _render(
-        "unjoin-mp", "mp_step2", "examples_translation", templates,
+        "mp_step2", "examples_translation", templates,
         schema_block=simplified.block,
         simplified_query=simplified_sql,
         original_schema_block=db.original_block,
@@ -207,7 +183,7 @@ def build_baseline_prompt(
     if kind not in ("cot", "cot-ss"):
         raise TemplateError(f"unknown baseline kind {kind!r}; expected one of ['cot', 'cot-ss']")
     template_id, examples_id = METHOD_TEMPLATES[kind]
-    return _render(kind, template_id, examples_id, templates,
+    return _render(template_id, examples_id, templates,
                    schema_block=schema_block, question=question)
 
 

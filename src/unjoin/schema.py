@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -25,14 +26,11 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     from .correction import PackedNames
 
+log = logging.getLogger(__name__)
+
 
 class SchemaError(ValueError):
     """Raised when a schema violates a structural invariant."""
-
-    def __init__(self, message: str, db_id: str = "", names: tuple[str, ...] = ()):
-        super().__init__(message)
-        self.db_id = db_id
-        self.names = names
 
 
 @dataclass(frozen=True)
@@ -64,36 +62,30 @@ class DatabaseSchema:
         if not self.db_id:
             raise SchemaError("schema requires a non-empty db_id")
         if not self.tables:
-            raise SchemaError(f"schema {self.db_id!r} has no tables", self.db_id)
+            raise SchemaError(f"schema {self.db_id!r} has no tables")
         seen: dict[str, str] = {}
         by_table: dict[str, dict[str, str]] = {}
         for t in self.tables:
             if not t.name:
-                raise SchemaError(f"schema {self.db_id!r} has an unnamed table", self.db_id)
+                raise SchemaError(f"schema {self.db_id!r} has an unnamed table")
             low = t.name.lower()
             if low in seen:
                 raise SchemaError(
                     f"schema {self.db_id!r}: table name collision between "
-                    f"{seen[low]!r} and {t.name!r}",
-                    self.db_id,
-                    (seen[low], t.name),
+                    f"{seen[low]!r} and {t.name!r}"
                 )
             seen[low] = t.name
             cols = by_table[low] = {}
             for c in t.columns:
                 if not c.name:
                     raise SchemaError(
-                        f"schema {self.db_id!r}: table {t.name!r} has an unnamed column",
-                        self.db_id,
-                        (t.name,),
+                        f"schema {self.db_id!r}: table {t.name!r} has an unnamed column"
                     )
                 cl = c.name.lower()
                 if cl in cols:
                     raise SchemaError(
                         f"schema {self.db_id!r}: column name collision in table "
-                        f"{t.name!r} between {cols[cl]!r} and {c.name!r}",
-                        self.db_id,
-                        (t.name, cols[cl], c.name),
+                        f"{t.name!r} between {cols[cl]!r} and {c.name!r}"
                     )
                 cols[cl] = c.name
         object.__setattr__(self, "table_names", seen)
@@ -103,16 +95,12 @@ class DatabaseSchema:
                 cols = by_table.get(tname.lower())
                 if cols is None:
                     raise SchemaError(
-                        f"schema {self.db_id!r}: foreign key references unknown table {tname!r}",
-                        self.db_id,
-                        (tname,),
+                        f"schema {self.db_id!r}: foreign key references unknown table {tname!r}"
                     )
                 if cname.lower() not in cols:
                     raise SchemaError(
                         f"schema {self.db_id!r}: foreign key references unknown column "
-                        f"{tname!r}.{cname!r}",
-                        self.db_id,
-                        (tname, cname),
+                        f"{tname!r}.{cname!r}"
                     )
 
     def find_table(self, name: str) -> TableDef | None:
@@ -259,34 +247,58 @@ def load_catalogue(path: str | Path) -> dict[str, DatabaseSchema]:
     entries as [table_index, name] pairs where index -1 marks the
     placeholder star column, and foreign keys as pairs of global column
     indices into that same list.
+
+    A malformed record (not an object, a missing field, an index out of
+    range, or a schema that breaks an invariant) is skipped with a
+    logged warning that names its index and db_id, so it costs its own
+    database, not the load. A file that does not hold a list raises
+    ``SchemaError``.
     """
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
+    if not isinstance(raw, list):
+        raise SchemaError(f"{path} does not hold a list of entries")
     catalogue: dict[str, DatabaseSchema] = {}
-    for entry in raw:
-        db_id = entry["db_id"]
-        table_names = entry["table_names_original"]
-        col_pairs = entry["column_names_original"]
-        col_types = entry.get("column_types") or [""] * len(col_pairs)
-        per_table: list[list[ColumnDef]] = [[] for _ in table_names]
-        owner: list[tuple[str, str] | None] = []
-        for (tidx, cname), ctype in zip(col_pairs, col_types):
-            if tidx < 0:
-                owner.append(None)
-                continue
-            per_table[tidx].append(ColumnDef(cname, ctype))
-            owner.append((table_names[tidx], cname))
-        fks = []
-        for ci, cj in entry.get("foreign_keys") or []:
-            a, b = owner[ci], owner[cj]
-            if a is None or b is None:
-                continue
-            fks.append((a[0], a[1], b[0], b[1]))
-        tables = tuple(
-            TableDef(name, tuple(cols)) for name, cols in zip(table_names, per_table)
-        )
-        catalogue[db_id] = DatabaseSchema(db_id, tables, tuple(fks))
+    for i, entry in enumerate(raw):
+        try:
+            db = _catalogue_entry(entry)
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+            db_id = entry.get("db_id") if isinstance(entry, dict) else None
+            named = f" ({db_id!r})" if isinstance(db_id, str) and db_id else ""
+            log.warning("%s entry %d%s skipped: %s: %s",
+                        Path(path).name, i, named, type(exc).__name__, exc)
+            continue
+        catalogue[db.db_id] = db
     return catalogue
+
+
+def _catalogue_entry(entry) -> DatabaseSchema:
+    if not isinstance(entry, dict):
+        raise TypeError("not a JSON object")
+    db_id = entry["db_id"]
+    if not isinstance(db_id, str):
+        raise TypeError("db_id is not text")
+    table_names = entry["table_names_original"]
+    col_pairs = entry["column_names_original"]
+    col_types = entry.get("column_types") or [""] * len(col_pairs)
+    per_table: list[list[ColumnDef]] = [[] for _ in table_names]
+    owner: list[tuple[str, str] | None] = []
+    for (tidx, cname), ctype in zip(col_pairs, col_types):
+        if tidx < 0:
+            owner.append(None)
+            continue
+        per_table[tidx].append(ColumnDef(cname, ctype))
+        owner.append((table_names[tidx], cname))
+    fks = []
+    for ci, cj in entry.get("foreign_keys") or []:
+        if not (0 <= ci < len(owner) and 0 <= cj < len(owner)):
+            raise IndexError(f"foreign key [{ci}, {cj}] out of range")
+        a, b = owner[ci], owner[cj]
+        if a is None or b is None:
+            continue
+        fks.append((a[0], a[1], b[0], b[1]))
+    tables = tuple(TableDef(name, tuple(cols)) for name, cols in zip(table_names, per_table))
+    return DatabaseSchema(db_id, tables, tuple(fks))
 
 
 def load_descriptions(db_dir: str | Path) -> dict[str, str]:

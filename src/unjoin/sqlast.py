@@ -28,7 +28,6 @@ class SqlParseError(ValueError):
         if offset >= 0:
             message = f"{message} (offset {offset})"
         super().__init__(message)
-        self.offset = offset
 
 
 @dataclass

@@ -16,7 +16,8 @@ compared against it.
 
 ``per_item_filter`` is the one oracle that calls into the package: it is
 the former ``filter_items`` loop, which ran ``extract_refs`` on every
-item's gold. Against it, the package's filter shows that sharing one
+item's gold, with the same rule for a gold that names a table its
+database lacks. Against it, the package's filter shows that sharing one
 parse among the items that carry the same gold text changes no kept
 item, drop reason or warning.
 """
@@ -332,6 +333,12 @@ def per_item_filter(items, catalogue):
         except ValueError as exc:
             dropped.append((item, f"unparseable gold SQL: {exc}"))
             log.warning("dropping %s: unparseable gold SQL: %s", item.item_id, exc)
+            continue
+        lacking = sorted(t for t in refs.tables if t not in db.table_names)
+        if lacking:
+            reason = f"gold names tables its database lacks: {', '.join(lacking)}"
+            dropped.append((item, reason))
+            log.warning("dropping %s: %s", item.item_id, reason)
             continue
         count = len(refs.tables)
         if count < 2:

@@ -91,10 +91,12 @@ def test_filter_drop_reasons(mini_spider_root):
         EvalItem("retail:2", "retail", "q", "SELEC name FRM customer"),
         EvalItem("retail:3", "retail", "q", "SELECT name FROM customer"),
         EvalItem("retail:4", "retail", " \n", "SELECT 1 FROM customer, city"),
+        EvalItem("retail:5", "retail", "q", "SELECT 1 FROM customer, Ghost, city AS g"),
     ]
     kept, dropped = filter_items(items, catalogue)
     assert kept == []
     reasons = {item.item_id: reason for item, reason in dropped}
+    assert reasons["retail:5"] == "gold names tables its database lacks: ghost"
     assert reasons["ghost:0"].startswith("unknown database")
     assert reasons["retail:1"] == "missing gold SQL"
     assert reasons["retail:2"].startswith("unparseable gold SQL")
@@ -189,8 +191,11 @@ def test_shared_gold_is_resolved_against_each_items_own_schema(monkeypatch, capl
     monkeypatch.setattr(unjoin.dataset, "resolve_refs", recording)
     assert_matches_per_item_filter(items, catalogue, caplog)
     assert schemas == ["retail", "academic", "retail"]
-    kept, _ = filter_items(items, catalogue)
-    assert [item.gold_table_count for item in kept] == [2, 2, 2]
+    kept, dropped = filter_items(items, catalogue)
+    assert [(item.item_id, item.gold_table_count) for item in kept] == [
+        ("retail:0", 2), ("retail:2", 2)]
+    assert [(item.item_id, reason) for item, reason in dropped] == [
+        ("academic:1", "gold names tables its database lacks: customer, orders")]
 
 
 def count_calls(monkeypatch, fn) -> list:
@@ -215,7 +220,8 @@ def test_filter_parses_each_distinct_gold_text_once(monkeypatch):
     items = [EvalItem(f"{db_id}:{i}", db_id, "q", gold)
              for i, (db_id, gold) in enumerate(zip(["retail", "academic"] * 4, golds))]
     kept, dropped = filter_items(items, two_schemas())
-    assert len(kept) == 5 and len(dropped) == 2
+    # academic:1 is dropped after its parse: academic lacks the retail tables.
+    assert len(kept) == 4 and len(dropped) == 3
     assert Counter(parsed) == {first: 1, second: 1, UNPARSEABLE: 1}
     assert Counter(tokenized) == {first: 1, second: 1, UNPARSEABLE: 1}
 
@@ -233,7 +239,9 @@ def test_filter_parses_nothing_for_items_dropped_before_the_parse(monkeypatch):
         EvalItem("retail:6", "retail", "q", shared),
     ]
     kept, dropped = filter_items(items, two_schemas())
-    assert [item.item_id for item in kept] == ["academic:4", "retail:6"]
+    assert [item.item_id for item in kept] == ["retail:6"]
+    assert dropped[4][0].item_id == "academic:4"
+    assert dropped[4][1].startswith("gold names tables its database lacks")
     assert parsed == [shared]
 
 
@@ -261,6 +269,27 @@ def test_filter_holds_a_parse_only_until_its_last_item(monkeypatch):
 
 
 # ----- malformed dev entries -----
+
+
+def test_items_of_a_malformed_catalogue_entry_drop_as_unknown_database(
+        mini_spider_root, tmp_path, caplog):
+    tables = json.loads((mini_spider_root / "tables.json").read_text(encoding="utf-8"))
+    academic = next(entry for entry in tables if entry["db_id"] == "academic")
+    del academic["column_names_original"]
+    (tmp_path / "tables.json").write_text(json.dumps(tables), encoding="utf-8")
+    (tmp_path / "dev.json").write_bytes((mini_spider_root / "dev.json").read_bytes())
+    with caplog.at_level(logging.WARNING):
+        bundle = load_dataset(tmp_path, "spider")
+        kept, dropped = filter_items(bundle.items, bundle.catalogue)
+    assert "tables.json entry 1 ('academic') skipped" in caplog.text
+    assert sorted(bundle.catalogue) == ["retail"]
+    full = load_dataset(mini_spider_root, "spider")
+    want, _ = filter_items(full.items, full.catalogue)
+    assert kept == [item for item in want if item.db_id == "retail"]
+    academic_items = [item for item in bundle.items if item.db_id == "academic"]
+    assert academic_items
+    assert [(item, "unknown database 'academic'") for item in academic_items] == [
+        (item, reason) for item, reason in dropped if item.db_id == "academic"]
 
 
 def test_malformed_dev_entries_cost_one_item_each(mini_spider_root, tmp_path, caplog):

@@ -4,6 +4,7 @@ import shutil
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -32,7 +33,13 @@ from unjoin.pipeline import (
     run_evaluation,
     run_method,
 )
-from unjoin.evaluation import read_records, write_records
+from unjoin.evaluation import (
+    build_summary,
+    read_records,
+    write_bucket_csv,
+    write_records,
+    write_summary,
+)
 from unjoin.prompting import (
     DEFAULT_TEMPLATE_DIR,
     METHOD_TEMPLATES,
@@ -214,7 +221,7 @@ def test_run_method_dispatch(retail_db):
 
 
 def test_every_method_has_a_runner():
-    assert tuple(pipeline._RUNNERS) == METHODS
+    assert tuple(pipeline._RUNNERS) == METHODS == tuple(METHOD_TEMPLATES)
 
 
 # ----- the failure rule: first failing stage, everything obtained before it -----
@@ -730,6 +737,71 @@ def test_run_closes_every_connection_it_opens(
         records, _ = run_evaluation(bundle, items, config, client)
         assert [r.qe for r in records] == [True] * 8
     assert connection_count.opened and connection_count.still_open == 0
+
+
+# ----- a rerun of a record-mode run is its resume -----
+
+
+class GoldEndpoint:
+    """Answers each prompt with its item's gold, fenced; raises once ``limit`` calls were answered.
+
+    The item is the one whose question is the longest found in the prompt.
+    """
+
+    def __init__(self, items, limit=None):
+        self.golds = sorted(((i.question, i.gold_sql) for i in items), key=lambda g: -len(g[0]))
+        self.limit = limit
+        self.requested: list[str] = []
+        self.answered: list[str] = []
+        self._lock = threading.Lock()
+
+    def __call__(self, prompt, cfg):
+        with self._lock:
+            self.requested.append(prompt)
+            if self.limit is not None and len(self.answered) >= self.limit:
+                raise RuntimeError("endpoint gone")  # not an LlmError, so it ends the run
+            self.answered.append(prompt)
+        gold = next(g for q, g in self.golds if q in prompt)
+        return f"```sql\n{gold}\n```", 1, 1
+
+
+def _record_run(bundle, items, config, endpoint) -> bytes:
+    """One record-mode run written as ``unjoin run`` writes it; the three files' bytes."""
+    client = LlmClient(config.llm_config(), ExchangeCache(config.cache_dir), endpoint)
+    records, meta = run_evaluation(bundle, items, config, client)
+    out = Path(config.out_dir)
+    write_records(records, out / "records.jsonl", meta)
+    summary = build_summary(meta, records)
+    write_summary(summary, out / "summary.json")
+    write_bucket_csv(summary["buckets"], out / "buckets.csv")
+    return b"\0".join((out / name).read_bytes()
+                      for name in ("records.jsonl", "summary.json", "buckets.csv"))
+
+
+@pytest.mark.parametrize("method", ["unjoin-mp", "cot"])
+@pytest.mark.parametrize("workers", [1, 4])
+def test_rerun_of_an_interrupted_record_run_resumes_it(
+        workers, method, mini_spider_root, tmp_path):
+    bundle = load_dataset(mini_spider_root, "spider")
+    items, _ = filter_items(bundle.items, bundle.catalogue)
+    config = RunConfig(dataset="spider", root=str(mini_spider_root), method=method,
+                       model="m", cache_mode="record", cache_dir=str(tmp_path / "cache"),
+                       workers=workers, out_dir=str(tmp_path / "out"))
+
+    interrupted = GoldEndpoint(items, limit=7)
+    with pytest.raises(RuntimeError, match="endpoint gone"):
+        _record_run(bundle, items, config, interrupted)
+    rerun = GoldEndpoint(items)
+    resumed = _record_run(bundle, items, config, rerun)
+
+    shutil.rmtree(tmp_path / "cache")
+    shutil.rmtree(tmp_path / "out")
+    whole = GoldEndpoint(items)
+    assert _record_run(bundle, items, config, whole) == resumed
+    assert len(interrupted.answered) == 7 and len(set(whole.requested)) == len(whole.requested)
+    unanswered = set(whole.requested) - set(interrupted.answered)
+    assert sorted(rerun.requested) == sorted(unanswered)
+    assert b'"em": false' not in resumed
 
 
 def test_template_rewritten_mid_run_changes_neither_prompts_nor_hash(

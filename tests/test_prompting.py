@@ -8,7 +8,6 @@ from unjoin.prompting import (
     DEFAULT_TEMPLATE_DIR,
     METHOD_TEMPLATES,
     TEMPLATE_FILES,
-    PromptTemplate,
     TemplateError,
     TemplateSet,
     baseline_schema_block,
@@ -126,11 +125,13 @@ def test_empty_question_rejected(simp, retail_db):
         build_mp_step2_prompt(simp, "", QUESTION, retail_db)
 
 
-def test_missing_slot_value_raises():
-    template = PromptTemplate("sp", "before {question} after")
-    with pytest.raises(TemplateError):
-        template.render(schema_block="x")
-    assert template.render(question="q") == "before q after"
+def test_missing_slot_value_raises(tmp_path):
+    (tmp_path / "sp.txt").write_text("before {question} after", encoding="utf-8")
+    (tmp_path / "examples_translation.txt").write_text("", encoding="utf-8")
+    templates = TemplateSet(METHOD_TEMPLATES["unjoin-sp"], tmp_path)
+    with pytest.raises(TemplateError, match="missing slot values: question"):
+        templates.render("sp", "examples_translation", schema_block="x")
+    assert templates.render("sp", "examples_translation", question="q") == "before q after"
 
 
 def test_template_load_unknown_id():
@@ -175,7 +176,7 @@ def test_custom_template_dir_used(simp, retail_db, tmp_path):
 def test_template_set_holds_only_what_it_was_asked_for(simp, retail_db):
     loaded = TemplateSet(METHOD_TEMPLATES["cot"])
     shipped = (DEFAULT_TEMPLATE_DIR / "cot.txt").read_text(encoding="utf-8")
-    assert loaded["cot"] == PromptTemplate("cot", shipped)
+    assert loaded["cot"] == shipped
     with pytest.raises(TemplateError):
         build_sp_prompt(simp, QUESTION, retail_db, loaded)
 

@@ -1,3 +1,6 @@
+import json
+import logging
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -164,6 +167,43 @@ def test_load_catalogue_skips_star_placeholder(mini_spider_root):
     for db in catalogue.values():
         for table in db.tables:
             assert "*" not in {c.name for c in table.columns}
+
+
+# (entry, what its warning must say) for each way a tables.json record breaks.
+BAD_CATALOGUE_ENTRIES = [
+    ({"db_id": "x", "table_names_original": ["t"]},
+     "entry 2 ('x') skipped: KeyError: 'column_names_original'"),
+    ({"db_id": "y", "table_names_original": [], "column_names_original": [[-1, "*"]]},
+     "entry 3 ('y') skipped: SchemaError: schema 'y' has no tables"),
+    ("not an object", "entry 4 skipped: TypeError: not a JSON object"),
+    ({"db_id": "z", "table_names_original": ["t"], "column_names_original": [[3, "a"]]},
+     "entry 5 ('z') skipped: IndexError"),
+    ({"db_id": "w", "table_names_original": ["t"], "column_names_original": [[0, "a"]],
+      "foreign_keys": [[0, 7]]},
+     "entry 6 ('w') skipped: IndexError: foreign key [0, 7] out of range"),
+    ({"table_names_original": ["t"], "column_names_original": [[0, "a"]]},
+     "entry 7 skipped: KeyError: 'db_id'"),
+]
+
+
+def test_malformed_catalogue_entry_costs_one_database(mini_spider_root, tmp_path, caplog):
+    good = json.loads((mini_spider_root / "tables.json").read_text(encoding="utf-8"))
+    path = tmp_path / "tables.json"
+    path.write_text(json.dumps(good + [entry for entry, _ in BAD_CATALOGUE_ENTRIES]),
+                    encoding="utf-8")
+    with caplog.at_level(logging.WARNING):
+        catalogue = load_catalogue(path)
+    assert catalogue == load_catalogue(mini_spider_root / "tables.json")
+    assert len(caplog.records) == len(BAD_CATALOGUE_ENTRIES)
+    for record, (_, want) in zip(caplog.records, BAD_CATALOGUE_ENTRIES):
+        assert record.getMessage().startswith(f"tables.json {want}")
+
+
+def test_catalogue_that_is_not_a_list_is_an_error(tmp_path):
+    path = tmp_path / "tables.json"
+    path.write_text(json.dumps({"db_id": "retail"}), encoding="utf-8")
+    with pytest.raises(SchemaError, match="does not hold a list"):
+        load_catalogue(path)
 
 
 def test_load_descriptions_reads_bom_csvs(mini_bird_root):
