@@ -141,11 +141,11 @@ def filter_items(
     """Keep multi-table items; return (kept, dropped-with-reason).
 
     Kept items carry their gold table count for later bucketing. Every
-    table the gold names must be one of its own database's; the
-    reference extraction that scores predictions credits any FROM name. Each
-    distinct gold text is parsed once per call, and its parse (or parse
-    error) is shared by every item that carries it; each item's tables
-    are still resolved against its own database's schema.
+    table the gold names must be one of its own database's (reference
+    extraction credits any FROM name, as scoring a prediction needs).
+    Each distinct gold text is parsed once per call, and its parse (or
+    parse error) is shared by every item that carries it; each item's
+    tables are still resolved against its own database's schema.
     """
     kept: list[EvalItem] = []
     dropped: list[tuple[EvalItem, str]] = []

@@ -183,6 +183,10 @@ BAD_CATALOGUE_ENTRIES = [
      "entry 6 ('w') skipped: IndexError: foreign key [0, 7] out of range"),
     ({"table_names_original": ["t"], "column_names_original": [[0, "a"]]},
      "entry 7 skipped: KeyError: 'db_id'"),
+    ({"db_id": "v", "table_names_original": [5], "column_names_original": [[0, "a"]]},
+     "entry 8 ('v') skipped: AttributeError"),
+    ({"db_id": 5, "table_names_original": ["t"], "column_names_original": [[0, "a"]]},
+     "entry 9 skipped: TypeError: db_id is not text"),
 ]
 
 
