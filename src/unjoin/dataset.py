@@ -9,20 +9,21 @@ not the load. Filtering keeps only items whose gold SQL touches at
 least two tables of the item's database; an item without a known
 database, gold SQL or a question, with unparseable gold, or whose gold
 names a table its database lacks, is dropped with a logged reason.
+Each distinct gold text is parsed and resolved once per filtering
+call; each item's tables are checked against its own database.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from collections import Counter
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .llm import CACHE_MODES, LlmConfig
 from .prompting import METHOD_TEMPLATES
 from .schema import DatabaseSchema, load_catalogue, load_descriptions
-from .sqlast import SelectStatement, parse
+from .sqlast import parse
 from .sqlref import resolve_refs
 
 log = logging.getLogger(__name__)
@@ -143,20 +144,18 @@ def filter_items(
     Kept items carry their gold table count for later bucketing. Every
     table the gold names must be one of its own database's (reference
     extraction credits any FROM name, as scoring a prediction needs).
-    Each distinct gold text is parsed once per call, and its parse (or
-    parse error) is shared by every item that carries it; each item's
-    tables are still resolved against its own database's schema.
+    Each distinct gold text is parsed and resolved once per call, at the
+    first item that reaches that step, and its table set (or parse
+    error) serves every later item that carries it: a statement's table
+    set comes from its own names, not from the schema it is resolved
+    against. Each item's tables are still checked against its own
+    database.
     """
     kept: list[EvalItem] = []
     dropped: list[tuple[EvalItem, str]] = []
-    # Items still to come per gold text: a parse is held only until the
-    # last item that carries its text.
-    pending = Counter(item.gold_sql for item in items)
-    parses: dict[str, SelectStatement | str] = {}
+    table_sets: dict[str, frozenset[str] | str] = {}
     for item in items:
         gold = item.gold_sql
-        pending[gold] -= 1
-        parsed = parses.pop(gold, None) if not pending[gold] else parses.get(gold)
         db = catalogue.get(item.db_id)
         if db is None:
             dropped.append((item, f"unknown database {item.db_id!r}"))
@@ -170,20 +169,16 @@ def filter_items(
             dropped.append((item, "missing question"))
             log.warning("dropping %s: missing question", item.item_id)
             continue
-        if parsed is None:
+        tables = table_sets.get(gold)
+        if tables is None:
             try:
-                parsed = parse(gold)
+                tables = resolve_refs(parse(gold), db).tables
             except ValueError as exc:
-                parsed = str(exc)
-            if pending[gold]:
-                parses[gold] = parsed
-        try:
-            if isinstance(parsed, str):
-                raise ValueError(parsed)
-            tables = resolve_refs(parsed, db).tables
-        except ValueError as exc:
-            dropped.append((item, f"unparseable gold SQL: {exc}"))
-            log.warning("dropping %s: unparseable gold SQL: %s", item.item_id, exc)
+                tables = str(exc)
+            table_sets[gold] = tables
+        if isinstance(tables, str):
+            dropped.append((item, f"unparseable gold SQL: {tables}"))
+            log.warning("dropping %s: unparseable gold SQL: %s", item.item_id, tables)
             continue
         lacking = sorted(tables - db.table_names.keys())
         if lacking:
@@ -195,7 +190,8 @@ def filter_items(
         if count < 2:
             dropped.append((item, "single-table query"))
             continue
-        kept.append(replace(item, gold_table_count=count))
+        kept.append(EvalItem(item.item_id, item.db_id, item.question, gold,
+                             item.evidence, count))
     return kept, dropped
 
 

@@ -249,16 +249,20 @@ def load_catalogue(path: str | Path) -> dict[str, DatabaseSchema]:
     indices into that same list.
 
     A malformed record (not an object, a missing field, an index out of
-    range, or a schema that breaks an invariant) is skipped with a
+    range, a ``column_types`` list whose length differs from the column
+    list's, or a schema that breaks an invariant) is skipped with a
     logged warning that names its index and db_id, so it costs its own
-    database, not the load. A file that does not hold a list raises
-    ``SchemaError``.
+    database, not the load. So is a record whose db_id an earlier loaded
+    record already holds: the first one stands. A file that does not
+    hold a list raises ``SchemaError``.
     """
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, list):
         raise SchemaError(f"{path} does not hold a list of entries")
+    name = Path(path).name
     catalogue: dict[str, DatabaseSchema] = {}
+    first_at: dict[str, int] = {}
     for i, entry in enumerate(raw):
         try:
             db = _catalogue_entry(entry)
@@ -266,8 +270,13 @@ def load_catalogue(path: str | Path) -> dict[str, DatabaseSchema]:
             db_id = entry.get("db_id") if isinstance(entry, dict) else None
             named = f" ({db_id!r})" if isinstance(db_id, str) and db_id else ""
             log.warning("%s entry %d%s skipped: %s: %s",
-                        Path(path).name, i, named, type(exc).__name__, exc)
+                        name, i, named, type(exc).__name__, exc)
             continue
+        if db.db_id in first_at:
+            log.warning("%s entry %d (%r) skipped: duplicate db_id (first at entry %d)",
+                        name, i, db.db_id, first_at[db.db_id])
+            continue
+        first_at[db.db_id] = i
         catalogue[db.db_id] = db
     return catalogue
 
@@ -281,6 +290,9 @@ def _catalogue_entry(entry) -> DatabaseSchema:
     table_names = entry["table_names_original"]
     col_pairs = entry["column_names_original"]
     col_types = entry.get("column_types") or [""] * len(col_pairs)
+    if len(col_types) != len(col_pairs):
+        raise ValueError(
+            f"{len(col_pairs)} column entries but {len(col_types)} column types")
     per_table: list[list[ColumnDef]] = [[] for _ in table_names]
     owner: list[tuple[str, str] | None] = []
     for (tidx, cname), ctype in zip(col_pairs, col_types):

@@ -491,6 +491,9 @@ def index_hint(toks: list[Token], i: int) -> int:
 
 # ----- role scan -----
 
+# The words that may follow ASC or DESC to place the nulls.
+_NULLS_ORDER = (("nulls", "first"), ("nulls", "last"))
+
 _CLAUSE_RESET = frozenset(
     "where select group having order limit offset union intersect except values set".split()
 )
@@ -635,6 +638,12 @@ class _Roles:
                 elif low == "is":
                     # The FROM of IS [NOT] DISTINCT FROM opens no FROM list.
                     i += max(distinct_from(toks, i), 1) - 1
+                elif low == "collate":
+                    # The collation's name, such as NOCASE, is no reference.
+                    if i + 1 < n and toks[i + 1].kind in (IDENT, QIDENT):
+                        i += 1
+                elif low in ("asc", "desc") and _words(toks, i + 1, 2) in _NULLS_ORDER:
+                    i += 2
                 elif low in _CLAUSE_RESET:
                     expect_table = False
                     from_depths.discard(depth)

@@ -5,6 +5,11 @@ correlated subqueries all resolve against the innermost scope that
 defines them. Names are normalized to lowercase. A column reference is
 reported as "table.column"; the owning table is always reported too.
 
+The table set depends only on the statement: a table is added for a
+FROM name that no CTE defines, or for a qualifier outside every scope,
+whether or not the schema knows it. The schema decides only which
+columns resolve.
+
 Star handling is deliberately asymmetric: a bare ``*`` or ``t.*`` in a
 select list expands to the columns it projects, while ``COUNT(*)`` and
 other aggregate stars reference no columns at all.

@@ -48,7 +48,8 @@ _new = tuple.__new__
 class Token(namedtuple("_TokenTuple", "kind value start end quote lower")):
     """One token: kind, text, source span, and the text in lower case.
 
-    ``value`` is the unquoted text for QIDENT and STRING tokens and the
+    ``value`` is the unquoted text for QIDENT and STRING tokens (a blob
+    literal ``x'..'`` is a STRING whose value is its hex text) and the
     raw text otherwise; ``quote`` is the opening quote character of a
     QIDENT. ``lower`` is ``value.lower()``, computed once when the token
     is built, so readers compare case-insensitively without lowering
@@ -139,6 +140,12 @@ def tokenize(sql: str) -> list[Token]:
             i = end
             continue
         if ch in _WORD_START or ch > "\x7f":
+            if ch in "xX" and sql.startswith("'", i + 1):
+                # A blob literal, x'..', is one literal, as in SQLite.
+                value, end = _scan_quoted(sql, i + 1)
+                append(_new(Token, (STRING, value, i, end, "", value.lower())))
+                i = end
+                continue
             j = i + 1
             while j < n and (sql[j] in _WORD_CHARS or sql[j] > "\x7f"):
                 j += 1

@@ -371,6 +371,9 @@ BIRD_CASES = [
      None),
 ]
 
+# Every distinct gold text of the two fixture roots.
+FIXTURE_GOLDS = sorted({case[2] for case in SPIDER_CASES} | {case[3] for case in BIRD_CASES})
+
 DESCRIPTION_CSVS = {
     "account": ("original_column_name,column_name,column_description,data_format,value_description\n"
                 "account_id,account id,the id of the account,integer,\n"

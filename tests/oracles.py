@@ -8,6 +8,8 @@ kept as a second, differently built oracle for the bit-vector one.
 token as a frozen dataclass and lowered its text on every read; it
 follows the same name rule (every character above U+007F is a name
 character), so the differential test compares token boundaries too.
+It has since gained the package's blob-literal rule: ``x'..'`` is one
+string token.
 Like the package's, it reads an unterminated block comment to the end
 of the text, as SQLite does. ``tokenizing_order_by`` is the package's
 former test for a gold query that orders its rows, a paren-depth scan
@@ -17,9 +19,9 @@ compared against it.
 ``per_item_filter`` is the one oracle that calls into the package: it is
 the former ``filter_items`` loop, which ran ``extract_refs`` on every
 item's gold, with the same rule for a gold that names a table its
-database lacks. Against it, the package's filter shows that sharing one
-parse among the items that carry the same gold text changes no kept
-item, drop reason or warning.
+database lacks. Against it, the package's filter shows that resolving
+each distinct gold text once, and sharing its table set among the items
+that carry it, changes no kept item, drop reason or warning.
 """
 
 import logging
@@ -262,6 +264,11 @@ def slow_tokenize(sql: str) -> list[SlowToken]:
         if ch in ('"', "`", "["):
             value, end = _scan_quoted(sql, i)
             tokens.append(SlowToken(QIDENT, value, i, end, quote=ch))
+            i = end
+            continue
+        if ch in ("x", "X") and i + 1 < n and sql[i + 1] == "'":
+            value, end = _scan_quoted(sql, i + 1)
+            tokens.append(SlowToken(STRING, value, i, end))
             i = end
             continue
         if ch in _WORD_START or ch > "\x7f":

@@ -317,6 +317,22 @@ def test_names_outside_the_schema_left_alone(retail_db, sql):
     assert correct_identifiers(sql, retail_db) == (sql, CorrectionReport())
 
 
+@pytest.mark.parametrize("sql", [
+    # A blob literal, a collation name and NULLS LAST are no names, though
+    # each lies one edit from a column of this table.
+    "SELECT name FROM t WHERE name <> x'41'",
+    "SELECT name FROM t ORDER BY name COLLATE NOCASE",
+    "SELECT name FROM t ORDER BY name DESC NULLS LAST",
+])
+def test_words_sqlite_reads_as_no_name_left_alone(retail_db, sql):
+    db = DatabaseSchema("d", (TableDef("t", tuple(
+        ColumnDef(c) for c in ("name", "nocases", "nulls_", "xs"))),))
+    assert correct_identifiers(sql, db) == (sql, CorrectionReport())
+    # With no near name, they are not reported as unresolved either.
+    sql = sql.replace("FROM t", "FROM customer")
+    assert correct_identifiers(sql, retail_db) == (sql, CorrectionReport())
+
+
 @pytest.mark.parametrize("schema, sql", [
     # A schema-qualified FROM name is a table, not a qualified column.
     (retail_schema, "SELECT count(*) FROM main.customer"),

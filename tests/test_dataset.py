@@ -21,7 +21,7 @@ from unjoin.sqlast import parse
 from unjoin.sqlref import resolve_refs
 from unjoin.tokens import tokenize
 
-from conftest import BIRD_CASES, SPIDER_CASES, academic_schema, retail_schema
+from conftest import FIXTURE_GOLDS, SPIDER_CASES, academic_schema, retail_schema
 from oracles import per_item_filter
 
 
@@ -114,7 +114,6 @@ def test_filter_bird_counts(mini_bird_root):
 # ----- one parse per distinct gold text -----
 
 
-FIXTURE_GOLDS = sorted({case[2] for case in SPIDER_CASES} | {case[3] for case in BIRD_CASES})
 UNPARSEABLE = "SELEC name FRM customer"
 
 
@@ -176,7 +175,8 @@ def test_filter_matches_the_per_item_reference_on_mixed_items(items, caplog):
     assert_matches_per_item_filter(items, two_schemas(), caplog)
 
 
-def test_shared_gold_is_resolved_against_each_items_own_schema(monkeypatch, caplog):
+def test_shared_gold_is_resolved_once_and_checked_against_each_items_own_schema(
+        monkeypatch, caplog):
     catalogue = two_schemas()
     gold = SPIDER_CASES[0][2]
     items = [EvalItem("retail:0", "retail", "q", gold),
@@ -190,7 +190,7 @@ def test_shared_gold_is_resolved_against_each_items_own_schema(monkeypatch, capl
 
     monkeypatch.setattr(unjoin.dataset, "resolve_refs", recording)
     assert_matches_per_item_filter(items, catalogue, caplog)
-    assert schemas == ["retail", "academic", "retail"]
+    assert schemas == ["retail"]
     kept, dropped = filter_items(items, catalogue)
     assert [(item.item_id, item.gold_table_count) for item in kept] == [
         ("retail:0", 2), ("retail:2", 2)]
@@ -245,7 +245,7 @@ def test_filter_parses_nothing_for_items_dropped_before_the_parse(monkeypatch):
     assert parsed == [shared]
 
 
-def test_filter_holds_a_parse_only_until_its_last_item(monkeypatch):
+def test_filter_holds_no_parse_past_its_resolution(monkeypatch):
     labels = {SPIDER_CASES[0][2]: "a", SPIDER_CASES[1][2]: "b", SPIDER_CASES[3][2]: "c"}
     golds = [SPIDER_CASES[i][2] for i in (0, 1, 0, 3, 3)]
     items = [EvalItem(f"retail:{i}", "retail", "q", gold) for i, gold in enumerate(golds)]
@@ -264,8 +264,8 @@ def test_filter_holds_a_parse_only_until_its_last_item(monkeypatch):
     monkeypatch.setattr(unjoin.dataset, "parse", parsing)
     monkeypatch.setattr(unjoin.dataset, "resolve_refs", resolving)
     filter_items(items, two_schemas())
-    # "b" is gone once its only item is done, "a" once its second one is.
-    assert live == ["a", "ab", "a", "c", "c"]
+    # One resolution per distinct text, and each earlier parse is gone by the next.
+    assert live == ["a", "b", "c"]
 
 
 # ----- malformed dev entries -----

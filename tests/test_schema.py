@@ -187,6 +187,11 @@ BAD_CATALOGUE_ENTRIES = [
      "entry 8 ('v') skipped: AttributeError"),
     ({"db_id": 5, "table_names_original": ["t"], "column_names_original": [[0, "a"]]},
      "entry 9 skipped: TypeError: db_id is not text"),
+    # A short types list once zipped away the columns past its end.
+    ({"db_id": "s", "table_names_original": ["t", "u"],
+      "column_names_original": [[-1, "*"], [0, "a"], [1, "b"], [1, "c"]],
+      "column_types": ["text", "number"]},
+     "entry 10 ('s') skipped: ValueError: 4 column entries but 2 column types"),
 ]
 
 
@@ -201,6 +206,24 @@ def test_malformed_catalogue_entry_costs_one_database(mini_spider_root, tmp_path
     assert len(caplog.records) == len(BAD_CATALOGUE_ENTRIES)
     for record, (_, want) in zip(caplog.records, BAD_CATALOGUE_ENTRIES):
         assert record.getMessage().startswith(f"tables.json {want}")
+
+
+def test_duplicate_db_id_keeps_the_first_entry(tmp_path, caplog):
+    def entry(db_id, table):
+        return {"db_id": db_id, "table_names_original": [table],
+                "column_names_original": [[-1, "*"], [0, "a"]]}
+
+    path = tmp_path / "tables.json"
+    path.write_text(json.dumps([entry("d", "t"), entry("e", "v"), entry("d", "u"),
+                                entry("d", "w")]), encoding="utf-8")
+    with caplog.at_level(logging.WARNING):
+        catalogue = load_catalogue(path)
+    assert sorted(catalogue) == ["d", "e"]
+    assert [t.name for t in catalogue["d"].tables] == ["t"]
+    assert [r.getMessage() for r in caplog.records] == [
+        "tables.json entry 2 ('d') skipped: duplicate db_id (first at entry 0)",
+        "tables.json entry 3 ('d') skipped: duplicate db_id (first at entry 0)",
+    ]
 
 
 def test_catalogue_that_is_not_a_list_is_an_error(tmp_path):

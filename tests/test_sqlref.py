@@ -8,15 +8,25 @@ price, category).
 """
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from unjoin.schema import ColumnDef, DatabaseSchema, TableDef, simplify_schema
 from unjoin.sqlref import (
     RefSet,
     extract_refs,
     extract_refs_simplified,
+    resolve_refs,
 )
+from unjoin.sqlast import parse
 
-from conftest import SPIDER_CASES, academic_schema, retail_schema
+from conftest import (
+    FIXTURE_GOLDS,
+    SPIDER_CASES,
+    academic_schema,
+    financial_schema,
+    retail_schema,
+    toy_shop_schema,
+)
 
 # (id, sql, tables, columns, ambiguous)
 CASES = [
@@ -280,6 +290,39 @@ def test_distinct_from_and_index_hints_resolve(retail_db, sql):
     assert refs.tables == frozenset({"customer"})
     assert refs.columns == frozenset({"customer.name", "customer.gender"})
     assert refs.ambiguous == frozenset()
+
+
+# ----- the table set depends on the statement only -----
+
+_FIXTURE_SCHEMAS = (retail_schema(), academic_schema(), financial_schema(), toy_shop_schema())
+# Names the fixture golds use, so a generated schema often has a table
+# or column a gold names, and often lacks one.
+_NAMES = sorted(
+    {t.name for db in _FIXTURE_SCHEMAS for t in db.tables}
+    | {c.name for db in _FIXTURE_SCHEMAS for t in db.tables for c in t.columns}
+    | {"t", "x", "T1", "T2"}
+)
+_GOLD_TABLES = {gold: extract_refs(gold, retail_schema()).tables for gold in FIXTURE_GOLDS}
+
+
+@st.composite
+def generated_schemas(draw):
+    unique_names = st.lists(st.sampled_from(_NAMES), min_size=1, max_size=6,
+                            unique_by=str.lower)
+    tables = [
+        TableDef(name, tuple(ColumnDef(c) for c in draw(unique_names)))
+        for name in draw(unique_names)
+    ]
+    return DatabaseSchema("generated", tuple(tables))
+
+
+@settings(max_examples=100, deadline=None)
+@given(generated_schemas())
+@example(retail_schema())
+@example(academic_schema())
+def test_fixture_golds_name_the_same_tables_under_any_schema(db):
+    for gold in FIXTURE_GOLDS:
+        assert resolve_refs(parse(gold), db).tables == _GOLD_TABLES[gold], gold
 
 
 # ----- simplified-side extraction -----

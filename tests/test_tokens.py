@@ -118,6 +118,17 @@ def test_spans_are_ordered_and_disjoint(parts):
         assert prev.end <= cur.start
 
 
+def test_blob_literal_is_one_token():
+    sql = "SELECT x'41', X'', ax'1', x 'y' FROM t"
+    assert [(t.kind, t.value, sql[t.start:t.end]) for t in tokenize(sql)][1:10] == [
+        (STRING, "41", "x'41'"), (OP, ",", ","), (STRING, "", "X''"), (OP, ",", ","),
+        (IDENT, "ax", "ax"), (STRING, "1", "'1'"), (OP, ",", ","),
+        (IDENT, "x", "x"), (STRING, "y", "'y'"),
+    ]
+    with pytest.raises(TokenizeError):
+        tokenize("SELECT x'41")
+
+
 def test_token_hashable_and_frozen():
     tok = tokenize("a")[0]
     assert isinstance(hash(tok), int)
@@ -130,13 +141,14 @@ def test_token_hashable_and_frozen():
 # Pieces that reach every branch of the scanner: the four quote kinds
 # with doubled closers and unterminated, both comment styles, numbers
 # with dots and exponents, one- and two-character operators, ``$`` in
-# names, and letters outside ASCII (some lower-case to other lengths).
+# names, blob literals, and letters outside ASCII (some lower-case to
+# other lengths).
 _PIECES = [
     "'", "''", '"', '""', "`", "``", "[", "]", "]]",
     "--", "/*", "*/", "\n", "\r\n", " ", "\t",
     "1", "1e5", "2.5E-3", "1e", "1E+", ".5", "1.2.3", "007",
     "<>", "!=", ">=", "<=", "||", "==", "=", "<", ">", "!", "|", "-", "/", "*",
-    ".", ",", ";", "(", ")", "$", "a$1", "_x", "SeLeCt", "FROM", "t.c",
+    ".", ",", ";", "(", ")", "$", "a$1", "_x", "SeLeCt", "FROM", "t.c", "x", "X", "x'4f'",
     "é", "É", "日本", "ß", "İ", "Σ", "ǅ", "\u212a",
 ]
 SQLISH = st.lists(
