@@ -16,14 +16,19 @@ column when it references none. Names that are not schema names are
 left alone, neither repaired nor reported: CTE names and the columns
 qualified by one, directly or through an alias; columns qualified by a
 derived table's alias; and aliases of tables, derived tables and select
-items. Double-quoted names are left alone too, since SQLite reads an
-unknown one as a string literal. Text that cannot be tokenized (an
-unterminated quote) is left whole for SQLite to judge; an unterminated
-block comment runs to the end of the text, as it does in SQLite.
+items. Text that cannot be tokenized (an unterminated quote) is left
+whole for SQLite to judge; an unterminated block comment runs to the
+end of the text, as it does in SQLite.
+
 A misspelled clause keyword, such as FRMO in ``SELECT name FRMO
 customer``, reads as an alias, or before ``(`` as a call where none can
 stand (WHER in ``FROM customer WHER (...)``); it is reported as
 unresolved and never rewritten (see ``_misspelled_keywords``).
+
+One quote rule holds on both views. A lone double-quoted name is left
+alone, since SQLite reads an unknown one as a string literal; a lone
+name in backticks or brackets keeps its quotes; a dotted chain, which
+the flat view repairs whole, is written bare.
 
 A candidate is eligible when the distance is at most
 max(2, ceil(0.4 * len(candidate))). Ties prefer a candidate from a
@@ -220,6 +225,57 @@ def _misspelled_keywords(toks, roles: _Roles) -> list[tuple[int, str]]:
 # ----- repair -----
 
 
+class _Repair:
+    """One repair of one text: its tokens and roles, the tables it
+    references, what was substituted and what stayed unresolved. Text
+    that cannot be tokenized has no tokens, so it is left whole.
+    """
+
+    def __init__(self, sql: str):
+        self.sql = sql
+        try:
+            self.toks = tokenize(sql)
+        except TokenizeError:
+            self.toks = []
+        self.roles = _Roles(self.toks)
+        self.referenced: set[str] = set()  # lower-case schema tables
+        self.subs: list[tuple[Substitution, int, str]] = []  # (sub, end offset, text)
+        self.unresolved: list[tuple[int, str]] = []  # (offset, name)
+
+    def substitute(self, first: int, last: int, lists: list[PackedNames]) -> str | None:
+        """Write the closest name of ``lists`` over tokens ``first..last``, or report them.
+
+        The span is one name or a dotted chain, written by the module's
+        quote rule. Returns the lower-case replacement, or None when the
+        span stays.
+        """
+        tok = self.toks[first]
+        if first < last:
+            original = ".".join(self.toks[k].value for k in range(first, last + 1, 2))
+        elif tok.quote == '"':
+            return None
+        else:
+            original = tok.value
+        pick = _best(original.lower(), lists, self.referenced)
+        if pick is None:
+            self.unresolved.append((tok.start, original))
+            return None
+        name, dist = pick
+        text = {"`": f"`{name}`", "[": f"[{name}]"}.get(tok.quote, name) if first == last else name
+        self.subs.append((Substitution(original, name, dist, tok.start), self.toks[last].end, text))
+        return name.lower()
+
+    def report(self) -> tuple[str, CorrectionReport]:
+        """The rewritten text, with substitutions and unresolved names in text order."""
+        subs = sorted(self.subs, key=lambda s: s[0].position)
+        out = self.sql
+        for sub, end, text in reversed(subs):
+            out = out[: sub.position] + text + out[end:]
+        unresolved = self.unresolved + _misspelled_keywords(self.toks, self.roles)
+        names = tuple(name for _, name in sorted(unresolved))
+        return out, CorrectionReport(tuple(s[0] for s in subs), names)
+
+
 def correct_identifiers(sql: str, db: DatabaseSchema) -> tuple[str, CorrectionReport]:
     """Repair table and column tokens in ``sql`` against ``db``.
 
@@ -229,41 +285,16 @@ def correct_identifiers(sql: str, db: DatabaseSchema) -> tuple[str, CorrectionRe
     unchanged with an empty report.
     Applying the function to its own output is a fixed point.
     """
-    try:
-        toks = tokenize(sql)
-    except TokenizeError:
-        return sql, CorrectionReport()
-    roles = _Roles(toks)
+    rep = _Repair(sql)
+    toks, roles, referenced = rep.toks, rep.roles, rep.referenced
     table_canon = db.table_names
     cols_by_table = db.columns_by_table
-    subs: list[tuple[Substitution, int, str]] = []
-    unresolved: list[tuple[int, str]] = []  # (offset, name)
-    referenced: set[str] = set()
-
-    def repair(idx: int, lists: list[PackedNames]) -> str | None:
-        """Substitute the closest candidate for token ``idx``, or report it.
-
-        Returns the lower-case replacement, or None when the token stays.
-        """
-        tok = toks[idx]
-        if tok.quote == '"':
-            # Double quotes are ambiguous with string literals here;
-            # leave them alone rather than rewrite a value.
-            return None
-        pick = _best(tok.lower, lists, referenced)
-        if pick is None:
-            unresolved.append((tok.start, tok.value))
-            return None
-        name, dist = pick
-        text = {"`": f"`{name}`", "[": f"[{name}]"}.get(tok.quote, name)
-        subs.append((Substitution(tok.value, name, dist, tok.start), tok.end, text))
-        return name.lower()
 
     def table_at(idx: int) -> str:
         """The lower-case name a FROM table or qualifier token stands for."""
         low = toks[idx].lower
         if low not in table_canon and low not in roles.cte_names:
-            low = repair(idx, [db.packed_tables]) or low
+            low = rep.substitute(idx, idx, [db.packed_tables]) or low
         if low in table_canon:
             referenced.add(low)
         return low
@@ -297,9 +328,9 @@ def correct_identifiers(sql: str, db: DatabaseSchema) -> tuple[str, CorrectionRe
         # Candidates come from ``within``, or from every table when empty.
         tables = sorted(within or cols_by_table)
         if not any(low in cols_by_table[t] for t in tables):
-            repair(idx, [db.packed_columns[t] for t in tables])
+            rep.substitute(idx, idx, [db.packed_columns[t] for t in tables])
 
-    return _apply(sql, subs, unresolved + _misspelled_keywords(toks, roles))
+    return rep.report()
 
 
 def correct_identifiers_simplified(
@@ -313,49 +344,13 @@ def correct_identifiers_simplified(
     Unresolved names are reported in text order. Text that cannot be
     tokenized comes back unchanged with an empty report.
     """
-    try:
-        toks = tokenize(sql)
-    except TokenizeError:
-        return sql, CorrectionReport()
-    roles = _Roles(toks)
+    rep = _Repair(sql)
+    toks, roles = rep.toks, rep.roles
     virtual_low = simplified.name.lower()
-    subs: list[tuple[Substitution, int, str]] = []
-    unresolved: list[tuple[int, str]] = []  # (offset, name)
     for idx in roles.tables:
-        tok = toks[idx]
-        if tok.lower == virtual_low or tok.lower in roles.cte_names or tok.quote == '"':
-            continue
-        pick = _best(tok.lower, [simplified.packed_name])
-        if pick is None:
-            unresolved.append((tok.start, tok.value))
-        else:
-            subs.append((Substitution(tok.value, pick[0], pick[1], tok.start), tok.end, pick[0]))
+        if toks[idx].lower != virtual_low and toks[idx].lower not in roles.cte_names:
+            rep.substitute(idx, idx, [simplified.packed_name])
     for first, last in roles.chains:
-        if simplified.lookup(toks[last - 2].value + "." + toks[last].value) is not None:
-            continue
-        chain = ".".join(toks[k].value for k in range(first, last + 1, 2))
-        pick = _best(chain.lower(), [simplified.packed_entries])
-        start = toks[first].start
-        if pick is None:
-            unresolved.append((start, chain))
-        else:
-            subs.append((Substitution(chain, pick[0], pick[1], start), toks[last].end, pick[0]))
-    return _apply(sql, subs, unresolved + _misspelled_keywords(toks, roles))
-
-
-def _apply(
-    sql: str,
-    subs: list[tuple[Substitution, int, str]],
-    unresolved: list[tuple[int, str]],
-) -> tuple[str, CorrectionReport]:
-    """Write each (substitution, end offset, text) into ``sql``.
-
-    Substitutions and unresolved (offset, name) pairs are reported in
-    text order.
-    """
-    subs = sorted(subs, key=lambda s: s[0].position)
-    out = sql
-    for sub, end, text in reversed(subs):
-        out = out[: sub.position] + text + out[end:]
-    names = tuple(name for _, name in sorted(unresolved))
-    return out, CorrectionReport(tuple(s[0] for s in subs), names)
+        if simplified.lookup(toks[last - 2].value + "." + toks[last].value) is None:
+            rep.substitute(first, last, [simplified.packed_entries])
+    return rep.report()

@@ -25,7 +25,6 @@ being silently excused.
 
 from __future__ import annotations
 
-import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -68,8 +67,6 @@ from .prompting import (
 from .schema import DatabaseSchema, SchemaError, TableDef, simplify_schema
 from .sqlast import parse
 from .sqlref import RefSet, extract_refs, resolve_refs
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -192,13 +189,10 @@ def _unjoin_sp(run: _Run, item: EvalItem, db: DatabaseSchema, descriptions):
             trim_sql(blocks[0]), simplified
         )
         final_raw = trim_sql(blocks[-1])
-    elif len(blocks) == 1:
-        final_raw = trim_sql(blocks[0])
-        run.warnings.append("single fenced block in completion; intermediate query missing")
-        log.warning("%s: %s", item.item_id, run.warnings[-1])
     else:
         final_raw = run.extract(completion, "extract")
-        run.warnings.append("no fenced blocks in completion; used keyword fallback")
+        run.warnings.append("single fenced block in completion; intermediate query missing"
+                            if blocks else "no fenced blocks in completion; used keyword fallback")
     return correct_identifiers(final_raw, db)
 
 

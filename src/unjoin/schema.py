@@ -68,6 +68,8 @@ class DatabaseSchema:
         for t in self.tables:
             if not t.name:
                 raise SchemaError(f"schema {self.db_id!r} has an unnamed table")
+            if not t.columns:  # SQLite has no such table
+                raise SchemaError(f"schema {self.db_id!r}: table {t.name!r} has no columns")
             low = t.name.lower()
             if low in seen:
                 raise SchemaError(

@@ -12,8 +12,12 @@ and scoring reads from it whether a gold query orders its rows.
 which part: FROM table, qualifier, column, alias, CTE name, dotted
 chain. Identifier repair and the flattened-view reads work on token
 positions, and keep working on model output the parser rejects, so they
-use the scan. Both share ``chain_end``, ``qualified_star``,
-``distinct_from``, ``index_hint`` and ``implicit_alias_after``.
+use the scan. The parser, the scan and ``sqlref``'s walk of parsed runs
+read syntax through shared readers: ``chain_end`` (a dotted chain),
+``qualified_star`` (``name.*``), ``syntax_words`` (``IS [NOT] DISTINCT
+FROM``, ``COLLATE <name>``, ``ASC|DESC NULLS FIRST|LAST``: words that
+name nothing), and, for the parser and the scan, ``index_hint`` and
+``implicit_alias_after``.
 """
 
 from __future__ import annotations
@@ -365,9 +369,9 @@ class _Parser:
                 if tok.lower == "cast":
                     out.extend(self._consume_cast())
                     continue
-                if tok.lower == "is":
-                    # Its FROM, if any, compares: no clause starts there.
-                    end = self.i + max(distinct_from(toks, self.i), 1)
+                # A run of syntax words stays whole: IS DISTINCT FROM starts no clause.
+                end = self.i + syntax_words(toks, self.i)
+                if end > self.i:
                     out.extend(toks[self.i : end])
                     self.i = end
                     continue
@@ -465,14 +469,27 @@ def qualified_star(items: list, i: int) -> bool:
     )
 
 
-def _words(toks: list[Token], i: int, n: int) -> tuple:
-    """The lower-case text of up to ``n`` tokens from ``i``; None for any but a bare word."""
-    return tuple(t.lower if t.kind == IDENT else None for t in toks[i : i + n])
+def _words(items: list, i: int, n: int) -> tuple:
+    """The lower-case text of up to ``n`` items from ``i``; None for any but a bare word."""
+    return tuple(t.lower if isinstance(t, Token) and t.kind == IDENT else None
+                 for t in items[i : i + n])
 
 
-def distinct_from(toks: list[Token], i: int) -> int:
-    """How many tokens ``IS [NOT] DISTINCT FROM`` at ``i`` spans; 0 if none starts there."""
-    words = _words(toks, i, 4)
+def syntax_words(items: list, i: int) -> int:
+    """How many items at ``i`` are syntax whose words name nothing; 0 if none starts there.
+
+    The runs are ``IS [NOT] DISTINCT FROM`` (its FROM opens no FROM
+    list), ``COLLATE <name>`` and ``ASC|DESC NULLS FIRST|LAST``.
+    ``items`` holds tokens, possibly with nested statements between them.
+    """
+    if getattr(items[i], "lower", None) not in ("is", "collate", "asc", "desc"):
+        return 0  # a nested statement has no ``lower``
+    words = _words(items, i, 4)
+    if words[0] == "collate":
+        name = items[i + 1] if i + 1 < len(items) else None
+        return 2 if isinstance(name, Token) and name.kind in (IDENT, QIDENT) else 0
+    if words[0] in ("asc", "desc"):
+        return 3 if words[1:3] in (("nulls", "first"), ("nulls", "last")) else 0
     if words[:3] == ("is", "distinct", "from"):
         return 3
     return 4 if words == ("is", "not", "distinct", "from") else 0
@@ -490,9 +507,6 @@ def index_hint(toks: list[Token], i: int) -> int:
 
 
 # ----- role scan -----
-
-# The words that may follow ASC or DESC to place the nulls.
-_NULLS_ORDER = (("nulls", "first"), ("nulls", "last"))
 
 _CLAUSE_RESET = frozenset(
     "where select group having order limit offset union intersect except values set".split()
@@ -635,20 +649,13 @@ class _Roles:
                     # The FROM list goes on: a comma after the condition
                     # starts the next source.
                     expect_table = False
-                elif low == "is":
-                    # The FROM of IS [NOT] DISTINCT FROM opens no FROM list.
-                    i += max(distinct_from(toks, i), 1) - 1
-                elif low == "collate":
-                    # The collation's name, such as NOCASE, is no reference.
-                    if i + 1 < n and toks[i + 1].kind in (IDENT, QIDENT):
-                        i += 1
-                elif low in ("asc", "desc") and _words(toks, i + 1, 2) in _NULLS_ORDER:
-                    i += 2
                 elif low in _CLAUSE_RESET:
                     expect_table = False
                     from_depths.discard(depth)
                     if low == "select":
                         with_depths.discard(depth)
+                else:
+                    i += max(syntax_words(toks, i), 1) - 1
                 prev = toks[i]
                 i += 1
                 continue

@@ -29,6 +29,7 @@ from .sqlast import (
     chain_end,
     parse,
     qualified_star,
+    syntax_words,
 )
 from .tokens import IDENT, KEYWORDS, OP, QIDENT, Token, tokenize
 
@@ -256,7 +257,7 @@ class _Analyzer:
                 i = j + 1
                 continue
             if tok.kind == IDENT and tok.lower in KEYWORDS:
-                i += 1
+                i += max(syntax_words(items, i), 1)
                 continue
             nxt = items[i + 1] if i + 1 < n else None
             if isinstance(nxt, Token) and nxt.kind == OP and nxt.value == "(":

@@ -318,16 +318,22 @@ def test_names_outside_the_schema_left_alone(retail_db, sql):
 
 
 @pytest.mark.parametrize("sql", [
-    # A blob literal, a collation name and NULLS LAST are no names, though
-    # each lies one edit from a column of this table.
+    # A blob literal, a collation name and NULLS FIRST|LAST are no names,
+    # though each lies one edit from a column of this table.
     "SELECT name FROM t WHERE name <> x'41'",
     "SELECT name FROM t ORDER BY name COLLATE NOCASE",
     "SELECT name FROM t ORDER BY name DESC NULLS LAST",
+    "SELECT name FROM t ORDER BY name ASC NULLS FIRST",
 ])
 def test_words_sqlite_reads_as_no_name_left_alone(retail_db, sql):
     db = DatabaseSchema("d", (TableDef("t", tuple(
-        ColumnDef(c) for c in ("name", "nocases", "nulls_", "xs"))),))
+        ColumnDef(c) for c in ("name", "nocases", "nulls_", "xs", "firsts"))),))
     assert correct_identifiers(sql, db) == (sql, CorrectionReport())
+    # Scoring reads no column from them either, though the table has
+    # columns of those very names.
+    named = DatabaseSchema("d", (TableDef("t", tuple(
+        ColumnDef(c) for c in ("name", "nocase", "first", "last"))),))
+    assert extract_refs(sql, named).columns == {"t.name"}
     # With no near name, they are not reported as unresolved either.
     sql = sql.replace("FROM t", "FROM customer")
     assert correct_identifiers(sql, retail_db) == (sql, CorrectionReport())
@@ -444,12 +450,20 @@ def test_simplified_chain_repair(retail_db):
     assert fixed == "SELECT customer.name FROM retail"
 
 
-def test_simplified_virtual_table_repair(retail_db):
+@pytest.mark.parametrize("sql, repaired", [
+    ("SELECT customer.name FROM retial", "SELECT customer.name FROM retail"),
+    # A quoted name keeps its quotes, as on the table side.
+    ("SELECT customer.name FROM `retial`", "SELECT customer.name FROM `retail`"),
+    ("SELECT customer.name FROM [retial]", "SELECT customer.name FROM [retail]"),
+    # A double-quoted name may be a string: it is left alone and not
+    # reported. A chain is repaired whole and written bare.
+    ('SELECT customer.name FROM "retial"', 'SELECT customer.name FROM "retial"'),
+    ('SELECT "customer".nmae FROM retail', "SELECT customer.name FROM retail"),
+], ids=["bare", "backticks", "brackets", "double-quoted", "double-quoted-chain"])
+def test_simplified_virtual_table_repair(retail_db, sql, repaired):
     simp = simplify_schema(retail_db)
-    fixed, _ = correct_identifiers_simplified(
-        "SELECT customer.name FROM retial", simp
-    )
-    assert fixed == "SELECT customer.name FROM retail"
+    fixed, report = correct_identifiers_simplified(sql, simp)
+    assert (fixed, report.unresolved) == (repaired, ())
 
 
 def test_simplified_bare_names_left_alone(retail_db):

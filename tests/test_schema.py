@@ -151,6 +151,8 @@ def test_foreign_key_endpoints_must_exist():
 def test_empty_schema_rejected():
     with pytest.raises(SchemaError):
         DatabaseSchema("db", (), ())
+    with pytest.raises(SchemaError, match="table 't' has no columns"):
+        DatabaseSchema("db", (TableDef("t", ()),))
 
 
 def test_load_catalogue_roundtrip(mini_spider_root):
@@ -192,6 +194,9 @@ BAD_CATALOGUE_ENTRIES = [
       "column_names_original": [[-1, "*"], [0, "a"], [1, "b"], [1, "c"]],
       "column_types": ["text", "number"]},
      "entry 10 ('s') skipped: ValueError: 4 column entries but 2 column types"),
+    # Only the star placeholder: tables with no columns, which SQLite cannot hold.
+    ({"db_id": "n", "table_names_original": ["a", "b"], "column_names_original": [[-1, "*"]]},
+     "entry 11 ('n') skipped: SchemaError: schema 'n': table 'a' has no columns"),
 ]
 
 
