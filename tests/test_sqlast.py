@@ -1,3 +1,6 @@
+import hashlib
+import json
+import random
 from collections import Counter
 
 import pytest
@@ -283,3 +286,40 @@ def test_resolving_a_statement_leaves_it_unchanged():
         assert stmt == parse(sql), sql
         resolved += 1
     assert resolved >= 200
+
+
+# A seeded corpus of token soups pins every list the role scan returns.
+# Soups mix the syntax the scan tracks (parens, FROM lists, CTEs, CAST,
+# syntax words, index hints, keyword aliases) in any order, so they
+# reach states no well-formed query does. A change to how the scan keeps
+# its state must leave the digest as it is.
+SOUP_SEED = 20261020
+SOUP_COUNT = 5000
+SOUP_VOCABULARY = (
+    "( ) , . *".split()
+    + "FROM JOIN LEFT ON USING WITH RECURSIVE AS CAST SELECT WHERE GROUP BY ORDER "
+      "HAVING UNION VALUES SET CASE END".split()
+    + "IS DISTINCT COLLATE ASC NULLS FIRST INDEXED NOT".split()
+    + "row filter".split()
+    + "a b t customer name".split()
+    + ['"q"', "`b`", "[c]", "'s'", "1", "2.5"]
+)
+ROLE_SCAN_PIN = "937a1bfa53ed35cc500b4616cdaec6a083431d9df2ff49bba6468e4f9ef1c537"
+
+
+def soups() -> list[str]:
+    rng = random.Random(SOUP_SEED)
+    return [" ".join(rng.choice(SOUP_VOCABULARY) for _ in range(rng.randint(1, 25)))
+            for _ in range(SOUP_COUNT)]
+
+
+def _role_lists(sql):
+    roles = _Roles(tokenize(sql))
+    return [roles.tables, roles.chains, roles.qualifiers, roles.columns,
+            sorted(roles.alias_defs.items()), roles.implicit_aliases, roles.stray_calls,
+            sorted(roles.cte_names)]
+
+
+def test_role_scan_outputs_are_pinned():
+    text = json.dumps([_role_lists(sql) for sql in soups()], separators=(",", ":"))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == ROLE_SCAN_PIN
