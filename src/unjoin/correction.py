@@ -28,7 +28,11 @@ unresolved and never rewritten (see ``_misspelled_keywords``).
 One quote rule holds on both views. A lone double-quoted name is left
 alone, since SQLite reads an unknown one as a string literal; a lone
 name in backticks or brackets keeps its quotes; a dotted chain, which
-the flat view repairs whole, is written bare.
+the flat view repairs whole, is written bare. A report's substitutions
+are the edits applied, in text order. Each replaces ``original``, the
+exact source slice at ``position``, with ``replacement``, the exact text
+written; ``distance`` is the search's, from the name as searched (quotes
+dropped, a chain's names joined by dots) to the replacement name.
 
 A candidate is eligible when the distance is at most
 max(2, ceil(0.4 * len(candidate))). Ties prefer a candidate from a
@@ -66,10 +70,12 @@ from .tokens import IDENT, KEYWORDS, NUMBER, OP, STRING, TokenizeError, tokenize
 
 @dataclass(frozen=True)
 class Substitution:
-    original: str
-    replacement: str
-    distance: int
-    position: int  # character offset into the input SQL
+    """One edit of a repair; its distance ignores case, as the search does."""
+
+    original: str  # the exact text replaced: quotes, a chain's spaces and all
+    replacement: str  # the exact text written
+    distance: int  # from the name as searched (quotes dropped, "a.b") to the new name
+    position: int  # character offset of ``original`` into the input SQL
 
 
 @dataclass(frozen=True)
@@ -239,7 +245,7 @@ class _Repair:
             self.toks = []
         self.roles = _Roles(self.toks)
         self.referenced: set[str] = set()  # lower-case schema tables
-        self.subs: list[tuple[Substitution, int, str]] = []  # (sub, end offset, text)
+        self.subs: list[Substitution] = []  # the edits, applied by ``report``
         self.unresolved: list[tuple[int, str]] = []  # (offset, name)
 
     def substitute(self, first: int, last: int, lists: list[PackedNames]) -> str | None:
@@ -249,41 +255,41 @@ class _Repair:
         quote rule. Returns the lower-case replacement, or None when the
         span stays.
         """
-        tok = self.toks[first]
+        tok, end = self.toks[first], self.toks[last].end
         if first < last:
-            original = ".".join(self.toks[k].value for k in range(first, last + 1, 2))
+            searched = ".".join(self.toks[k].value for k in range(first, last + 1, 2))
         elif tok.quote == '"':
             return None
         else:
-            original = tok.value
-        pick = _best(original.lower(), lists, self.referenced)
+            searched = tok.value
+        pick = _best(searched.lower(), lists, self.referenced)
         if pick is None:
-            self.unresolved.append((tok.start, original))
+            self.unresolved.append((tok.start, searched))
             return None
         name, dist = pick
         text = {"`": f"`{name}`", "[": f"[{name}]"}.get(tok.quote, name) if first == last else name
-        self.subs.append((Substitution(original, name, dist, tok.start), self.toks[last].end, text))
+        self.subs.append(Substitution(self.sql[tok.start:end], text, dist, tok.start))
         return name.lower()
 
     def report(self) -> tuple[str, CorrectionReport]:
         """The rewritten text, with substitutions and unresolved names in text order."""
-        subs = sorted(self.subs, key=lambda s: s[0].position)
+        subs = sorted(self.subs, key=lambda s: s.position)
         out = self.sql
-        for sub, end, text in reversed(subs):
-            out = out[: sub.position] + text + out[end:]
+        for sub in reversed(subs):
+            out = out[: sub.position] + sub.replacement + out[sub.position + len(sub.original):]
         unresolved = self.unresolved + _misspelled_keywords(self.toks, self.roles)
         names = tuple(name for _, name in sorted(unresolved))
-        return out, CorrectionReport(tuple(s[0] for s in subs), names)
+        return out, CorrectionReport(tuple(subs), names)
 
 
 def correct_identifiers(sql: str, db: DatabaseSchema) -> tuple[str, CorrectionReport]:
     """Repair table and column tokens in ``sql`` against ``db``.
 
-    Returns the rewritten SQL and a report of substitutions (original,
-    replacement, distance, offset) plus names that stayed unresolved,
-    both in text order. Text that cannot be tokenized comes back
-    unchanged with an empty report.
-    Applying the function to its own output is a fixed point.
+    Returns the rewritten SQL and a report of the edits applied (see
+    ``Substitution``) plus names that stayed unresolved, both in text
+    order. Text that cannot be tokenized comes back unchanged with an
+    empty report. Applying the function to its own output is a fixed
+    point.
     """
     rep = _Repair(sql)
     toks, roles, referenced = rep.toks, rep.roles, rep.referenced

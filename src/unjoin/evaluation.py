@@ -47,9 +47,6 @@ class ExecOutcome:
     status: str
     rows: tuple[tuple, ...] | None = None
     error: str | None = None
-    # Wall time is diagnostic only; it is deliberately not serialized so
-    # replayed runs stay byte-identical.
-    wall_time_s: float = 0.0
 
     def __post_init__(self):
         if (self.status == OK) != (self.rows is not None):
@@ -146,8 +143,7 @@ def execute(
     """
     owner = HeldConnections() if held is None else held
     con, flagged = owner.connection(Path(db_file))
-    started = time.monotonic()
-    deadline = started + timeout_s
+    deadline = time.monotonic() + timeout_s
     timed_out = []
 
     def _tick():
@@ -161,11 +157,11 @@ def execute(
         rows = con.execute(sql).fetchall()
     except sqlite3.Error as exc:
         status = TIMEOUT if timed_out else RUNTIME_ERROR
-        return ExecOutcome(status=status, error=str(exc), wall_time_s=time.monotonic() - started)
+        return ExecOutcome(status=status, error=str(exc))
     finally:
         if held is None or flagged or con.in_transaction:
             owner.drop()
-    return ExecOutcome(status=OK, rows=tuple(rows), wall_time_s=time.monotonic() - started)
+    return ExecOutcome(status=OK, rows=tuple(rows))
 
 
 def has_top_level_order_by(stmt: SelectStatement) -> bool:

@@ -31,7 +31,7 @@ class LlmError(RuntimeError):
 
 
 class TransportError(LlmError):
-    """Network-level failure: connection, timeout, or 5xx. Retryable."""
+    """Network-level failure: connection, timeout, 429 or 5xx. Retryable."""
 
 
 class ReplayMissError(LlmError):
@@ -148,7 +148,7 @@ def default_transport(prompt: str, cfg: LlmConfig) -> tuple[str, int | None, int
         resp = requests.post(cfg.endpoint, json=payload, headers=headers, timeout=cfg.timeout_s)
     except requests.RequestException as exc:
         raise TransportError(str(exc)) from exc
-    if resp.status_code >= 500:
+    if resp.status_code >= 500 or resp.status_code == 429:
         raise TransportError(f"server error {resp.status_code}")
     if resp.status_code != 200:
         raise LlmError(f"request rejected: {resp.status_code} {resp.text[:200]}")

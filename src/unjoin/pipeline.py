@@ -423,6 +423,8 @@ def run_evaluation(
     workers = max(1, config.workers)
     try:
         if workers == 1:
+            # No pool: a one-thread pool measured about 1-2 MB more peak RSS
+            # and 5% fewer items/s on the narrow benchmark (ROADMAP "Dropped").
             records = [one(item) for item in items]
         else:
             with ThreadPoolExecutor(max_workers=workers) as pool:

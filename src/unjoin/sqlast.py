@@ -513,13 +513,25 @@ _CLAUSE_RESET = frozenset(
 )
 
 
+class _Level:
+    """One paren level of the role scan; the bottom one is the statement's own."""
+
+    def __init__(self, source: bool = False, cast: bool = False, cte_cols: bool = False):
+        self.source = source  # opened where a FROM source goes: its ")" ends one
+        self.cast = False if cast else None  # CAST's paren: whether its AS was reached
+        self.cte_cols = cte_cols  # a CTE's column list: its names are definitions
+        self.from_list = source  # a FROM list is open: a comma starts a source
+        self.with_list = False  # a WITH list is open: a comma starts a CTE
+
+
 class _Roles:
     """Classifies identifier tokens in a statement by syntactic role.
 
-    Works on the raw token stream with a small amount of state: which
-    paren depths belong to a FROM clause, which belong to CAST, whether
-    the next name is a table, a CTE, or an alias definition. Every list
-    holds token indices in text order.
+    Works on the raw token stream with a small amount of state: a stack
+    of paren levels, each saying what its "(" opened (a FROM source,
+    CAST, a CTE's column list) and whether a FROM or WITH list is open
+    on it, and whether the next name is a table, a CTE, or an alias
+    definition. Every list holds token indices in text order.
     """
 
     def __init__(self, toks: list[Token]):
@@ -541,58 +553,40 @@ class _Roles:
     def _classify(self):
         toks = self.toks
         n = len(toks)
-        depth = 0
-        from_depths: set[int] = set()
-        # Depth of each open CAST( -> whether its AS, so its type, was reached.
-        cast_depths: dict[int, bool] = {}
+        levels = [_Level()]
         expect_table = False
         expect_alias = False
-        with_depths: set[int] = set()  # depths of a WITH whose CTE list is open
         expect_cte = False
-        cte_cols_depth: int | None = None  # depth inside "name(" of a CTE column list
         last_table_idx: int | None = None
         # The last token that may end a FROM source: a FROM table, the ")"
         # closing a FROM subquery or join group, or an alias. A keyword
         # alias or an index hint may follow it.
         source_end: int | None = None
-        source_depths: set[int] = set()  # depths of a "(" opened where a source goes
         prev: Token | None = None
         i = 0
         while i < n:
             tok = toks[i]
+            level = levels[-1]
             if tok.kind == OP:
                 expect_alias = False
                 if tok.value == "(":
-                    depth += 1
-                    if prev is not None and prev.is_keyword("cast"):
-                        cast_depths[depth] = False
                     # "FROM (" keeps the table context on the new level.
-                    if expect_table:
-                        from_depths.add(depth)
-                        source_depths.add(depth)
+                    levels.append(_Level(expect_table, prev is not None and prev.is_keyword("cast")))
                 elif tok.value == ")":
-                    if depth == cte_cols_depth:
-                        cte_cols_depth = None
-                    if depth in source_depths:
-                        source_depths.discard(depth)
+                    # An unmatched ")" clears the statement's level.
+                    if levels.pop().source:
                         source_end = i
-                    from_depths.discard(depth)
-                    with_depths.discard(depth)
-                    cast_depths.pop(depth, None)
-                    depth = max(0, depth - 1)
+                    levels = levels or [_Level()]
                     expect_table = False
                     last_table_idx = None
                 elif tok.value == ",":
-                    if depth in from_depths:
-                        expect_table = True
-                    if depth in with_depths:
-                        expect_cte = True
+                    expect_table |= level.from_list
+                    expect_cte |= level.with_list
                 prev = tok
                 i += 1
                 continue
             if tok.kind in (STRING, NUMBER):
-                expect_alias = False
-                expect_table = False
+                expect_alias = expect_table = False
                 prev = tok
                 i += 1
                 continue
@@ -627,8 +621,8 @@ class _Roles:
                 expect_alias or (source_end == i - 1 and low not in _ALIAS_STOPS)
             ):
                 if low == "as":
-                    if depth in cast_depths:
-                        cast_depths[depth] = True
+                    if level.cast is not None:
+                        level.cast = True
                     else:
                         expect_alias = True
                     prev = tok
@@ -637,42 +631,43 @@ class _Roles:
                 expect_alias = False
                 last_table_idx = None
                 if low in ("from", "join"):
-                    expect_table = True
-                    from_depths.add(depth)
+                    expect_table = level.from_list = True
                 elif low == "with":
                     # "FROM (WITH k AS ...": k names a CTE, not a table.
-                    with_depths.add(depth)
-                    expect_cte = True
-                    expect_table = False
-                    from_depths.discard(depth)
+                    expect_cte = level.with_list = True
+                    expect_table = level.from_list = False
                 elif low in ("on", "using"):
                     # The FROM list goes on: a comma after the condition
                     # starts the next source.
                     expect_table = False
                 elif low in _CLAUSE_RESET:
-                    expect_table = False
-                    from_depths.discard(depth)
+                    expect_table = level.from_list = False
                     if low == "select":
-                        with_depths.discard(depth)
+                        level.with_list = False
                 else:
                     i += max(syntax_words(toks, i), 1) - 1
                 prev = toks[i]
                 i += 1
                 continue
-            if cast_depths.get(depth):
+            if level.cast:
                 # A type name such as TEXT in CAST(x AS TEXT).
                 prev = tok
                 i += 1
                 continue
             nxt = toks[i + 1] if i + 1 < n else None
-            if depth == cte_cols_depth:
+            if level.cte_cols:
                 # A CTE's column names are definitions, like aliases.
                 self.alias_defs[low] = None
-            elif expect_cte and depth in with_depths:
+            elif expect_cte and level.with_list:
                 self.cte_names.add(low)
                 expect_cte = False
                 if nxt is not None and nxt.kind == OP and nxt.value == "(":
-                    cte_cols_depth = depth + 1
+                    # Its column list opens here: the "(" is read as above.
+                    levels.append(_Level(expect_table, tok.is_keyword("cast"), cte_cols=True))
+                    expect_alias = False
+                    prev = nxt
+                    i += 2
+                    continue
             elif expect_alias:
                 self.alias_defs[low] = last_table_idx
                 expect_alias = False

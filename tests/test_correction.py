@@ -137,14 +137,44 @@ def test_only_identifier_tokens_are_touched():
                 assert b.value == a.value
 
 
+def _check_edits(sql, fixed, report):
+    """The report's substitutions are the edits: each is the slice of
+    ``sql`` it names, applying them from last to first gives ``fixed``,
+    and each distance is the search's, from the name with its quotes and
+    a chain's spaces dropped; for a bare name, from ``original`` itself."""
+    out = sql
+    for sub in reversed(report.substitutions):
+        end = sub.position + len(sub.original)
+        assert sql[sub.position:end] == sub.original
+        out = out[:sub.position] + sub.replacement + out[end:]
+        searched, name = (re.sub(r"[`\[\]\"\s]", "", text).lower()
+                          for text in (sub.original, sub.replacement))
+        assert [sub.distance] == levenshtein(searched, _packed([name]))
+        assert sub.distance > 0
+    assert out == fixed
+
+
 def test_reported_substitutions_match_the_input():
     for db, _, broken in SUITE:
-        _, report = correct_identifiers(broken, db)
-        for sub in report.substitutions:
-            assert broken[sub.position: sub.position + len(sub.original)] == sub.original
-            replacement = _packed([sub.replacement.lower()])
-            assert [sub.distance] == levenshtein(sub.original.lower(), replacement)
-            assert sub.distance > 0
+        fixed, report = correct_identifiers(broken, db)
+        _check_edits(broken, fixed, report)
+
+
+@pytest.mark.parametrize("flat, sql, repaired", [
+    (False, "SELECT `nmae` FROM customer", "SELECT `name` FROM customer"),
+    (False, "SELECT [nmae] FROM customer", "SELECT [name] FROM customer"),
+    (False, "SELECT `custmer`.name FROM customer", "SELECT `customer`.name FROM customer"),
+    (True, 'SELECT "customer".nmae FROM retail', "SELECT customer.name FROM retail"),
+    (True, "SELECT customer . nmae FROM retail", "SELECT customer.name FROM retail"),
+], ids=["backticks", "brackets", "backticked-qualifier", "quoted-chain", "spaced-chain"])
+def test_reported_substitutions_of_quoted_names_are_the_edits(retail_db, flat, sql, repaired):
+    if flat:
+        fixed, report = correct_identifiers_simplified(sql, simplify_schema(retail_db))
+    else:
+        fixed, report = correct_identifiers(sql, retail_db)
+    assert fixed == repaired
+    assert len(report.substitutions) == 1 and not report.unresolved
+    _check_edits(sql, fixed, report)
 
 
 # ----- targeted units -----
@@ -275,7 +305,7 @@ def test_double_quoted_tokens_never_corrected(retail_db):
     sql = 'SELECT "nmae" FROM customer'
     fixed, report = correct_identifiers(sql, retail_db)
     assert fixed == sql
-    assert not report.substitutions
+    assert report == CorrectionReport()  # nor reported as unresolved
 
 
 def test_backtick_quoting_preserved_on_rewrite(retail_db):

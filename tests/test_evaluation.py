@@ -75,7 +75,6 @@ def test_execute_ok(retail_sqlite):
     assert out.status == OK
     assert out.rows == ((5,),)
     assert out.error is None
-    assert out.wall_time_s >= 0.0
 
 
 def test_execute_runtime_error(retail_sqlite):
@@ -227,13 +226,11 @@ def test_exec_outcome_row_invariant():
         ExecOutcome(status=RUNTIME_ERROR, rows=((1,),))
 
 
-def test_exec_outcome_serialization_drops_wall_time():
-    out = ExecOutcome(status=OK, rows=((1, "a"),), wall_time_s=1.25)
+def test_exec_outcome_serialization_round_trips():
+    out = ExecOutcome(status=OK, rows=((1, "a"),))
     raw = out.to_dict()
-    assert "wall_time_s" not in raw
     back = ExecOutcome.from_dict(raw)
     assert back.rows == ((1, "a"),)
-    assert back.wall_time_s == 0.0
 
 
 # ----- ordering detection -----

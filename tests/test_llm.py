@@ -340,7 +340,7 @@ def test_default_transport_without_usage_gives_no_counts(post, usage):
     assert default_transport("p", LIVE_CFG) == ("SELECT 1", None, None)
 
 
-@pytest.mark.parametrize("status", [500, 502, 503])
+@pytest.mark.parametrize("status", [429, 500, 502, 503])
 def test_default_transport_server_error_is_retryable(post, status):
     post.reply = response(status, {"error": "busy"})
     with pytest.raises(TransportError, match=str(status)):
