@@ -1,4 +1,6 @@
+import hashlib
 import json
+import random
 
 import pytest
 import requests
@@ -473,6 +475,71 @@ def test_extract_sql_blocks_order_and_tags():
 
 def test_extract_sql_blocks_skips_empty_block():
     assert extract_sql_blocks("```sql\n\n```") == []
+
+
+FENCE_CASES = [
+    ("no-fence", "SELECT 1", []),
+    ("unclosed", "```sql\nSELECT 1", ["SELECT 1"]),
+    ("unclosed-after-closed", "```\na\n```\n```sql\nb", ["a", "b"]),
+    ("lone-fence", "```", []),
+    ("tag-only-unclosed", "```sql", ["sql"]),
+    ("tag-without-newline-is-content", "```sql```", ["sql"]),
+    ("tag-line-holds-closing-fence", "```sql```\nSELECT 1\n```", ["sql"]),
+    ("inline-fence-then-text", "```a```b\nc```", ["a"]),
+    ("blank-tag-line", "```   \nSELECT 1```", ["SELECT 1"]),
+    ("crlf-tag-line", "```sql\r\nSELECT 1\r\n```", ["SELECT 1"]),
+    ("padded-tag", "```  sql  \nSELECT 1\n```", ["SELECT 1"]),
+    ("non-alnum-tag-is-kept", "```sql-lite\nSELECT 1\n```", ["sql-lite\nSELECT 1"]),
+    ("two-word-tag-is-kept", "```my sql\nSELECT 1\n```", ["my sql\nSELECT 1"]),
+    ("only-first-line-dropped", "```sql\nsql\nSELECT 1\n```", ["sql\nSELECT 1"]),
+    ("four-backticks", "````sql\nSELECT 1\n````", ["`sql\nSELECT 1"]),
+    ("five-backticks", "`````\nSELECT 1\n`````", ["``\nSELECT 1"]),
+    ("seven-backticks", "```````sql\nSELECT 1\n```tail```", ["tail"]),
+    ("six-backticks-is-an-empty-block", "``````", []),
+    ("empty-blocks-skipped", "```\n```\n```sql\n \n```x```y```z", ["y"]),
+]
+
+
+@pytest.mark.parametrize(
+    "completion, expected",
+    [c[1:] for c in FENCE_CASES],
+    ids=[c[0] for c in FENCE_CASES],
+)
+def test_extract_sql_blocks_edge_shapes(completion, expected):
+    assert extract_sql_blocks(completion) == expected
+
+
+# A seeded corpus of fence soups pins every block list the fence reader
+# returns. Soups mix fences of 1-7 backticks, tag words, blank and
+# CRLF line ends and text, so they reach unclosed fences, tags that hold
+# a closing fence and empty blocks. A change to how the reader finds
+# its fences must leave the digest as it is.
+FENCE_SEED = 20261021
+FENCE_SOUP_COUNT = 20000
+FENCE_VOCABULARY = (
+    ["`", "``", "```", "````", "`````", "```````", "\n", "\r\n", " ", "\t"]
+    + ["sql", "SQL", "sqlite", "sql-lite", "my sql", "2", "é"]
+    + ["SELECT 1", "SELECT a FROM t;", "prose.", "x"]
+)
+FENCE_PIN = "a2a0c3443a9ee73053e87c088fa558571f9dd6b1451eeb5c8b4fe91fc86c4021"
+
+
+def fence_soups() -> list[str]:
+    rng = random.Random(FENCE_SEED)
+    return ["".join(rng.choice(FENCE_VOCABULARY) for _ in range(rng.randint(1, 16)))
+            for _ in range(FENCE_SOUP_COUNT)]
+
+
+def test_fence_soups_reach_the_edge_shapes():
+    soups = fence_soups()
+    assert sum(s.count("```") % 2 == 1 for s in soups) > FENCE_SOUP_COUNT // 5
+    assert sum(bool(extract_sql_blocks(s)) for s in soups) > FENCE_SOUP_COUNT // 5
+
+
+def test_fence_reader_outputs_are_pinned():
+    text = json.dumps([extract_sql_blocks(s) for s in fence_soups()],
+                      ensure_ascii=False, separators=(",", ":"))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == FENCE_PIN
 
 
 def test_no_sql_content_raises():
