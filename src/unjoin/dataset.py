@@ -196,7 +196,7 @@ def filter_items(
 
 
 def load_retrieval_lists(path: str | Path) -> dict[str, list[tuple[str, str, float]]]:
-    """Load ranked table lists: JSONL of {question_id, tables: [...]}."""
+    """Load ranked table lists: JSONL of {question_id, tables: [{db_id, table_name, score}]}."""
     out: dict[str, list[tuple[str, str, float]]] = {}
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -210,6 +210,9 @@ def load_retrieval_lists(path: str | Path) -> dict[str, list[tuple[str, str, flo
                     (t["db_id"], t["table_name"], float(t.get("score", 0.0)))
                     for t in raw["tables"]
                 ]
+                for key in ("db_id", "table_name"):
+                    if any(not isinstance(t[key], str) for t in raw["tables"]):
+                        raise TypeError(f"{key} must be text")
             except (KeyError, TypeError, ValueError) as exc:
                 raise DatasetError(f"bad retrieval record on line {line_no}: {exc}") from exc
             out[qid] = tables
@@ -280,10 +283,17 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(raw) - known
+        """A config from a JSON object; each value has its field's type (an int may be a float)."""
+        if not isinstance(raw, dict):
+            raise DatasetError(f"config must be a JSON object, not {type(raw).__name__}")
+        unknown = set(raw) - cls.__dataclass_fields__.keys()
         if unknown:
             raise DatasetError(f"unknown config keys: {', '.join(sorted(unknown))}")
+        for name, value in raw.items():
+            want = type(cls.__dataclass_fields__[name].default)
+            if type(value) not in ((int, float) if want is float else (want,)):
+                raise DatasetError(f"config key {name!r} must be {want.__name__}, "
+                                   f"not {type(value).__name__}")
         return cls(**raw)
 
     @classmethod

@@ -139,10 +139,14 @@ def execute(
     before it returns. A statement that does anything but read (creates
     a TEMP table, sets a PRAGMA, opens a transaction, attaches a
     database) still runs as on a fresh connection, but the connection is
-    closed afterwards, so no query sees state another one left.
+    closed afterwards, so no query sees state another one left. A file
+    SQLite cannot open gives a runtime error.
     """
     owner = HeldConnections() if held is None else held
-    con, flagged = owner.connection(Path(db_file))
+    try:
+        con, flagged = owner.connection(Path(db_file))
+    except sqlite3.Error as exc:
+        return ExecOutcome(status=RUNTIME_ERROR, error=str(exc))
     deadline = time.monotonic() + timeout_s
     timed_out = []
 

@@ -181,15 +181,12 @@ class LlmClient:
             # Checked before the call: a paid completion must not be lost.
             raise ValueError("record mode requires a cache directory")
         key = exchange_key(prompt, self.cfg)
-        if cache_mode == "replay":
+        if cache_mode != "live":
             hit = self.cache.get(key) if self.cache is not None else None
-            if hit is None:
-                raise ReplayMissError(key)
-            return hit.completion
-        if cache_mode == "record":
-            hit = self.cache.get(key)
             if hit is not None:
                 return hit.completion
+            if cache_mode == "replay":
+                raise ReplayMissError(key)
         exchange = self._call(prompt, key)
         if cache_mode == "record":
             self.cache.put(exchange)
@@ -217,7 +214,6 @@ class LlmClient:
 
 # ----- completion post-processing -----
 
-_FENCE_OPEN = "```"
 _LEADING_WORD = re.compile(r"\s*([A-Za-z_]\w*)")
 # SELECT or WITH as a whole word, matched on the text itself so offsets
 # stay exact. Spelled-out cases, not IGNORECASE, which would also take
@@ -226,30 +222,19 @@ _FIRST_KEYWORD = re.compile(r"(?<!\w)(?:[Ss][Ee][Ll][Ee][Cc][Tt]|[Ww][Ii][Tt][Hh
 
 
 def extract_sql_blocks(completion: str) -> list[str]:
-    """Contents of every fenced code block, language tags stripped."""
+    """Contents of every fenced code block, language tags stripped.
+
+    A block runs from an odd fence to the next one, or to the end. A blank
+    or one-word alphanumeric first line is a tag; empty blocks are skipped.
+    """
     blocks = []
-    rest = completion
-    while True:
-        start = rest.find(_FENCE_OPEN)
-        if start < 0:
-            break
-        after = rest[start + 3 :]
-        newline = after.find("\n")
-        first_line = after[: newline if newline >= 0 else len(after)].strip()
-        if newline >= 0 and (first_line == "" or first_line.isalnum()):
-            after = after[newline + 1 :]  # drop the language tag line
-        end = after.find(_FENCE_OPEN)
-        if end < 0:
-            content = after
-            rest = ""
-        else:
-            content = after[:end]
-            rest = after[end + 3 :]
-        content = content.strip()
-        if content:
-            blocks.append(content)
-        if not rest:
-            break
+    for block in completion.split("```")[1::2]:
+        tag, newline, body = block.partition("\n")
+        if newline and (tag.strip().isalnum() or not tag.strip()):
+            block = body
+        block = block.strip()
+        if block:
+            blocks.append(block)
     return blocks
 
 

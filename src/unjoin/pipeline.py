@@ -1,10 +1,11 @@
 """Per-item method orchestration and whole-run evaluation.
 
 Each method is a short, strictly ordered stage sequence: build prompt,
-complete, extract SQL, repair identifiers; the multi-prompt variant
-runs it twice (flat-view query, then translation back). The four
-methods are small runners in one table, driven by ``run_method``
-through a stage runner that holds the client, cache mode and templates.
+complete, extract SQL; the multi-prompt variant runs it twice (flat-view
+query, then translation back). The four methods are small runners in
+one table, each returning its raw final SQL to ``run_method``, which
+repairs it the same way for every method. A stage runner holds the
+client, cache mode and templates.
 
 The failure rule lives in that runner, once: a completion error or an
 extraction error fails the item at the stage the runner was told, and
@@ -66,7 +67,7 @@ from .prompting import (
 )
 from .schema import DatabaseSchema, SchemaError, TableDef, simplify_schema
 from .sqlast import parse
-from .sqlref import RefSet, extract_refs, resolve_refs
+from .sqlref import RefSet, resolve_refs
 
 
 @dataclass(frozen=True)
@@ -173,8 +174,7 @@ def _unjoin_mp(run: _Run, item: EvalItem, db: DatabaseSchema, descriptions):
     prompt2 = build_mp_step2_prompt(
         simplified, run.intermediate_sql, question, db, run.templates
     )
-    raw2 = run.extract(run.complete(prompt2, "step2-complete"), "step2-extract")
-    return correct_identifiers(raw2, db)
+    return run.extract(run.complete(prompt2, "step2-complete"), "step2-extract")
 
 
 def _unjoin_sp(run: _Run, item: EvalItem, db: DatabaseSchema, descriptions):
@@ -188,19 +188,17 @@ def _unjoin_sp(run: _Run, item: EvalItem, db: DatabaseSchema, descriptions):
         run.intermediate_sql, run.intermediate_report = correct_identifiers_simplified(
             trim_sql(blocks[0]), simplified
         )
-        final_raw = trim_sql(blocks[-1])
-    else:
-        final_raw = run.extract(completion, "extract")
-        run.warnings.append("single fenced block in completion; intermediate query missing"
-                            if blocks else "no fenced blocks in completion; used keyword fallback")
-    return correct_identifiers(final_raw, db)
+        return trim_sql(blocks[-1])
+    final_raw = run.extract(completion, "extract")
+    run.warnings.append("single fenced block in completion; intermediate query missing"
+                        if blocks else "no fenced blocks in completion; used keyword fallback")
+    return final_raw
 
 
 def _baseline(run: _Run, item: EvalItem, db: DatabaseSchema, descriptions):
     schema_block = baseline_schema_block(run.method, db)
     prompt = build_baseline_prompt(run.method, schema_block, item.prompt_question, run.templates)
-    raw = run.extract(run.complete(prompt, "complete"), "extract")
-    return correct_identifiers(raw, db)
+    return run.extract(run.complete(prompt, "complete"), "extract")
 
 
 _RUNNERS = {
@@ -222,15 +220,15 @@ def run_method(
 ) -> PredictedQuery:
     """Run one method on one item; a failed stage fails the item, not the run.
 
-    ``templates`` is the run's loaded ``TemplateSet``; None reads the
-    method's shipped templates for each prompt.
+    ``templates`` is the run's loaded ``TemplateSet``; None renders from
+    the shipped templates, read once per process.
     """
     runner = _RUNNERS.get(method)
     if runner is None:
         raise DatasetError(f"unknown method {method!r}")
     run = _Run(method, client, cache_mode, templates)
     try:
-        final_sql, final_report = runner(run, item, db, descriptions)
+        final_sql, final_report = correct_identifiers(runner(run, item, db, descriptions), db)
     except _StageFailure as exc:
         return run.predicted(failed=True, failure_stage=exc.stage, failure_reason=str(exc))
     return run.predicted(final_sql=final_sql, final_report=final_report)
@@ -302,13 +300,15 @@ def assemble_pool(
 _NO_REFS = RefSet(frozenset(), frozenset())
 
 
-def _safe_refs(sql: str | None, db: DatabaseSchema) -> RefSet:
+def _scored(sql: str | None, db: DatabaseSchema) -> tuple[RefSet, bool]:
+    """``sql``'s references and whether it orders its rows; none for text that does not parse."""
     if not sql:
-        return _NO_REFS
+        return _NO_REFS, False
     try:
-        return extract_refs(sql, db)
+        stmt = parse(sql)
+        return resolve_refs(stmt, db), has_top_level_order_by(stmt)
     except ValueError:
-        return _NO_REFS
+        return _NO_REFS, False
 
 
 def evaluate_item(
@@ -322,9 +322,9 @@ def evaluate_item(
 ) -> EvalRecord:
     """Execute gold and prediction, extract references, score one item.
 
-    The gold is parsed once: its references and whether it orders its
-    rows both come from that parse. A gold the parser rejects has no
-    references, and its rows compare as a multiset.
+    Gold and prediction are each parsed once: the references and whether
+    the gold orders its rows come from that parse. Text the parser
+    rejects has no references; such a gold's rows compare as a multiset.
 
     Without its database file, whether absent from the start or gone
     before the prediction ran, the item's gold outcome is a runtime error
@@ -339,13 +339,8 @@ def evaluate_item(
                 pred_exec = execute(prediction.final_sql, db_file, exec_timeout_s, held)
         except FileNotFoundError:
             gold_exec, pred_exec = missing, None
-    try:
-        gold_stmt = parse(item.gold_sql)
-        gold_refs = resolve_refs(gold_stmt, home_db)
-        gold_ordered = has_top_level_order_by(gold_stmt)
-    except ValueError:
-        gold_refs, gold_ordered = _NO_REFS, False
-    pred_refs = _safe_refs(prediction.final_sql, pred_db)
+    gold_refs, gold_ordered = _scored(item.gold_sql, home_db)
+    pred_refs, _ = _scored(prediction.final_sql, pred_db)
     qe = pred_exec is not None and pred_exec.status == OK
     em = qe and compare_results(gold_exec, pred_exec, gold_ordered)
     t_prec, t_rec = precision_recall(pred_refs.tables, gold_refs.tables)

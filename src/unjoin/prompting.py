@@ -12,13 +12,13 @@ texts of the templates a method uses, and the sha256 of every shipped
 template file, both taken from the same bytes. ``TemplateSet.render``
 fills one template's slots, with a second template as its examples
 block. A run reads its set once; a ``build_*_prompt`` call given
-``None`` reads, for that call, a set of the two shipped templates it
-renders (hashing every shipped file, as any set does). Schema text
-comes only from the schema objects' own blocks.
+``None`` renders from one set of every shipped template, read once per
+process. Schema text comes only from the schema objects' own blocks.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import re
 from collections.abc import Iterable
@@ -108,12 +108,17 @@ class TemplateSet:
         return _SLOT_RE.sub(lambda m: values[m.group(1)], text)
 
 
+@functools.cache
+def _shipped() -> TemplateSet:
+    return TemplateSet({t for ids in METHOD_TEMPLATES.values() for t in ids})
+
+
 def _render(
     template_id: str, examples_id: str, templates: TemplateSet | None, **values: str
 ) -> str:
-    """``templates.render``; None reads the two shipped templates for this call."""
+    """``templates.render``; None renders from the shipped templates, read once per process."""
     if templates is None:
-        templates = TemplateSet((template_id, examples_id))
+        templates = _shipped()
     return templates.render(template_id, examples_id, **values)
 
 

@@ -228,6 +228,48 @@ def test_score_missing_file_fails(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("body, cause", [
+    ("[]", "config must be a JSON object, not list"),
+    ('{"workers": "4"}', "config key 'workers' must be int, not str"),
+    ('{"temperature": "0"}', "config key 'temperature' must be float, not str"),
+    ('{"workers": true}', "config key 'workers' must be int, not bool"),
+    ('{"root": null}', "config key 'root' must be str, not NoneType"),
+])
+def test_run_with_a_malformed_config_exits_one_with_its_cause(tmp_path, capsys, body, cause):
+    config = tmp_path / "config.json"
+    config.write_text(body, encoding="utf-8")
+    code, _, err = run_cli(capsys, "run", "--config", str(config))
+    assert code == 1
+    assert err == f"error: {cause}\n"
+
+
+def test_run_completes_when_sqlite_cannot_open_a_database_file(
+        mini_spider_root, oracle_cache_dir, tmp_path, capsys):
+    root = tmp_path / "root"
+    shutil.copytree(mini_spider_root, root)
+    (db_file,) = root.glob("**/academic.sqlite")
+    db_file.unlink()
+    db_file.mkdir()
+    records = {}
+    for name, run_root in (("intact", mini_spider_root), ("broken", root)):
+        code, out, _ = run_cli(
+            capsys, "run", "--dataset", "spider", "--root", str(run_root), "--method", "cot",
+            "--model", ORACLE_MODEL, "--cache", "replay", "--cache-dir", str(oracle_cache_dir),
+            "--workers", "2", "--out", str(tmp_path / name),
+        )
+        assert code == 0
+        assert out.startswith("25 items")
+        lines = (tmp_path / name / "records.jsonl").read_text().splitlines()[1:]
+        records[name] = [json.loads(line) for line in lines]
+    for intact, broken in zip(records["intact"], records["broken"]):
+        if broken["db_id"] == "academic":
+            assert broken["gold_exec"]["status"] == "runtime_error"
+            assert broken["gold_exec"]["error"] and not broken["qe"]
+        else:
+            assert broken == intact
+    assert any(r["db_id"] == "academic" for r in records["broken"])
+
+
 def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])

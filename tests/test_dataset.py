@@ -359,6 +359,17 @@ def test_load_retrieval_lists_reports_bad_line(tmp_path):
     assert "line 2" in str(info.value)
 
 
+@pytest.mark.parametrize("field, value", [("db_id", ["retail"]), ("table_name", 5)])
+def test_load_retrieval_lists_rejects_a_name_that_is_not_text(tmp_path, field, value):
+    entry = {"db_id": "retail", "table_name": "customer", field: value}
+    path = tmp_path / "retrieval.jsonl"
+    path.write_text(json.dumps({"question_id": "a", "tables": []}) + "\n"
+                    + json.dumps({"question_id": "b", "tables": [entry]}) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(DatasetError, match=f"bad retrieval record on line 2: {field} must be text"):
+        load_retrieval_lists(path)
+
+
 # ----- run configuration -----
 
 
@@ -372,6 +383,15 @@ def test_run_config_roundtrip(tmp_path):
 def test_run_config_rejects_unknown_keys():
     with pytest.raises(DatasetError):
         RunConfig.from_dict({"dataset": "spider", "mystery": 1})
+
+
+def test_run_config_takes_an_int_for_a_float_and_nothing_else_across_types():
+    cfg = RunConfig.from_dict({"temperature": 1, "exec_timeout_s": 5, "workers": 2})
+    assert (cfg.temperature, cfg.exec_timeout_s, cfg.workers) == (1, 5, 2)
+    for key, value in [("workers", 2.0), ("workers", True), ("temperature", "0"),
+                       ("model", 3), ("root", None)]:
+        with pytest.raises(DatasetError, match=f"config key '{key}' must be"):
+            RunConfig.from_dict({key: value})
 
 
 def test_run_config_from_file(tmp_path):

@@ -99,6 +99,14 @@ def test_execute_missing_file(tmp_path):
         execute("SELECT 1", tmp_path / "nope.sqlite")
 
 
+def test_execute_file_sqlite_cannot_open_is_a_runtime_error(tmp_path):
+    (tmp_path / "dir.sqlite").mkdir()  # a directory where the database belongs
+    for held in (None, HeldConnections()):
+        out = execute("SELECT 1", tmp_path / "dir.sqlite", 10.0, held)
+        assert out.status == RUNTIME_ERROR
+        assert out.error
+
+
 def test_execute_cannot_modify_database(retail_sqlite):
     before = retail_sqlite.read_bytes()
     out = execute("INSERT INTO customer VALUES (99, 'X', 'F', 1)", retail_sqlite)

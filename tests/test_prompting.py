@@ -3,6 +3,7 @@ import shutil
 
 import pytest
 
+from unjoin import prompting
 from unjoin.dataset import METHODS, filter_items, load_dataset
 from unjoin.prompting import (
     DEFAULT_TEMPLATE_DIR,
@@ -179,6 +180,26 @@ def test_template_set_holds_only_what_it_was_asked_for(simp, retail_db):
     assert loaded["cot"] == shipped
     with pytest.raises(TemplateError):
         build_sp_prompt(simp, QUESTION, retail_db, loaded)
+
+
+def test_prompts_without_a_set_share_one_read_of_the_shipped_templates(
+        simp, retail_db, monkeypatch):
+    built = []
+    init = TemplateSet.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(TemplateSet, "__init__", counting_init)
+    prompting._shipped.cache_clear()
+    for kind in ("cot", "cot-ss") * 10:
+        build_sp_prompt(simp, QUESTION, retail_db)
+        build_mp_step1_prompt(simp, QUESTION)
+        build_mp_step2_prompt(simp, "SELECT 1", QUESTION, retail_db)
+        build_baseline_prompt(kind, baseline_schema_block(kind, retail_db), QUESTION)
+    assert len(built) == 1
+    assert sorted(built[0][0]) == sorted({t for ids in METHOD_TEMPLATES.values() for t in ids})
 
 
 def test_template_set_missing_or_unreadable_file(tmp_path):
