@@ -883,27 +883,6 @@ def test_run_evaluation_open_book_uses_pool(mini_spider_root, tmp_path):
     assert records[0].pred_tables == ("customer", "orders")
 
 
-def test_database_file_sqlite_cannot_open_costs_only_its_items(mini_spider_root, tmp_path):
-    bundle = load_dataset(mini_spider_root, "spider")
-    kept, _ = filter_items(bundle.items, bundle.catalogue)
-    broken = kept[0].db_id
-    (tmp_path / "dir.sqlite").mkdir()
-    bundle.db_paths[broken] = tmp_path / "dir.sqlite"
-    config = RunConfig(dataset="spider", root=str(mini_spider_root), method="cot",
-                       model="m", cache_mode="live", workers=2, out_dir=str(tmp_path))
-    client = LlmClient(config.llm_config(), cache=None,
-                       transport=lambda p, c: ("```sql\nSELECT 1\n```", 1, 1))
-    records, _ = run_evaluation(bundle, kept, config, client)
-    assert len(records) == len(kept)
-    for rec in records:
-        if rec.db_id == broken:
-            assert rec.gold_exec.status == "runtime_error" and rec.gold_exec.error
-            assert rec.pred_exec.status == "runtime_error" and not rec.qe
-        else:
-            assert rec.gold_exec.status == "ok" and rec.qe
-    assert {rec.db_id for rec in records} - {broken}
-
-
 def test_run_evaluation_open_book_missing_list_fails_item(mini_spider_root, tmp_path):
     bundle = load_dataset(mini_spider_root, "spider")
     kept, _ = filter_items(bundle.items, bundle.catalogue)
