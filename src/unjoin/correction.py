@@ -62,10 +62,13 @@ from __future__ import annotations
 import math
 from collections.abc import Container, Iterable
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .schema import DatabaseSchema, SimplifiedSchema
-from .sqlast import _Roles
+from .sqlast import CLAUSE_WORDS, COMPOUND_WORDS, _Roles
 from .tokens import IDENT, KEYWORDS, NUMBER, OP, STRING, TokenizeError, tokenize
+
+if TYPE_CHECKING:  # schema imports this module to build its candidate lists
+    from .schema import DatabaseSchema, SimplifiedSchema
 
 
 @dataclass(frozen=True)
@@ -199,9 +202,7 @@ def _best(
 # The keywords that open a clause; a name that reads as one misspelled
 # is reported, never rewritten.
 _CLAUSE_KEYWORDS = PackedNames(
-    (k, k.upper())
-    for k in sorted("select from where group order having limit offset union intersect "
-                    "except join".split())
+    (k, k.upper()) for k in sorted(CLAUSE_WORDS + COMPOUND_WORDS + ("select", "from", "join"))
 )
 
 

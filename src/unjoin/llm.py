@@ -1,7 +1,8 @@
 """Chat-completion client with deterministic record/replay caching.
 
 Exchanges are keyed by a content hash of (prompt, model, temperature),
-so identical prompts dedupe across items and runs. Each exchange lives
+with the temperature read as a float so 0 and 0.0 give one key, and
+identical prompts dedupe across items and runs. Each exchange lives
 in its own JSON file under a content-addressed directory: corrupting
 one file can affect at most one key. Replay mode never touches the
 network; a missing key is a hard error that names the key.
@@ -77,7 +78,7 @@ _RECORD_FIELDS = fields(LlmExchange)
 
 def exchange_key(prompt: str, cfg: LlmConfig) -> str:
     payload = json.dumps(
-        {"prompt": prompt, "model": cfg.model, "temperature": cfg.temperature},
+        {"prompt": prompt, "model": cfg.model, "temperature": float(cfg.temperature)},
         sort_keys=True,
         ensure_ascii=False,
     )

@@ -8,9 +8,11 @@ downstream code never has to split the rendered string and guess.
 
 What is derived from a schema object (lookup maps, rendered prompt
 blocks, the flattened view, and the candidate lists of identifier
-repair, each a ``correction.PackedNames``) is held by the object itself:
-it lives exactly as long as the schema does, and every caller shares
-it. Callers must treat these values as read-only.
+repair) is held by the object itself: it lives exactly as long as the
+schema does, and every caller shares it. Callers must treat these values
+as read-only. The candidate lists are built with ``correction.PackedNames``;
+this module imports ``correction``, which names the schema types only in
+annotations.
 """
 
 from __future__ import annotations
@@ -21,10 +23,8 @@ import logging
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:
-    from .correction import PackedNames
+from .correction import PackedNames
 
 log = logging.getLogger(__name__)
 
@@ -118,12 +118,12 @@ class DatabaseSchema:
     @cached_property
     def packed_tables(self) -> PackedNames:
         """The table names, sorted: the candidates for a table name."""
-        return _packed(sorted(self.table_names.items()))
+        return PackedNames(sorted(self.table_names.items()))
 
     @cached_property
     def packed_columns(self) -> dict[str, PackedNames]:
         """Lower-case table name -> its column names, sorted, owned by the table."""
-        return {t: _packed(sorted(cols.items()), t) for t, cols in self.columns_by_table.items()}
+        return {t: PackedNames(sorted(c.items()), t) for t, c in self.columns_by_table.items()}
 
     @cached_property
     def original_block(self) -> str:
@@ -137,28 +137,6 @@ class DatabaseSchema:
             fk_lines = [f"{t1}.{c1} = {t2}.{c2}" for t1, c1, t2, c2 in self.foreign_keys]
             text += "\nForeign Keys:\n" + "\n".join(fk_lines)
         return text
-
-    def _simplified(self, descriptions: dict[str, str]) -> SimplifiedSchema:
-        """The flattened view for ``descriptions``; see ``simplify_schema``.
-
-        The last view built is held with a copy of its descriptions, in
-        the instance __dict__ as cached_property holds its values, and is
-        returned again while the descriptions are equal by value. Threads
-        racing here each return a view of their own descriptions;
-        whichever pair is stored last is a consistent one.
-        """
-        held = self.__dict__.get("_simplified_view")
-        if held is None or held[0] != descriptions:
-            desc = {(k or "").lower(): v for k, v in descriptions.items()}
-            entries = []
-            for t in self.tables:
-                for c in t.columns:
-                    rendered = f"{t.name}.{c.name}"
-                    text = desc.get(rendered.lower(), "")
-                    entries.append(SimplifiedEntry(rendered, t.name, c.name, text))
-            held = (dict(descriptions), SimplifiedSchema(self.db_id, tuple(entries)))
-            self.__dict__["_simplified_view"] = held
-        return held[1]
 
 
 @dataclass(frozen=True)
@@ -193,12 +171,12 @@ class SimplifiedSchema:
     @cached_property
     def packed_name(self) -> PackedNames:
         """The virtual table's name: the candidate for a FROM table."""
-        return _packed([(self.name.lower(), self.name)])
+        return PackedNames([(self.name.lower(), self.name)])
 
     @cached_property
     def packed_entries(self) -> PackedNames:
         """The rendered entries, sorted: the candidates for a dotted chain."""
-        return _packed(sorted((e.rendered.lower(), e.rendered) for e in self.entries))
+        return PackedNames(sorted((e.rendered.lower(), e.rendered) for e in self.entries))
 
     @cached_property
     def block(self) -> str:
@@ -221,12 +199,6 @@ class SimplifiedSchema:
         return "\n".join(lines)
 
 
-def _packed(lanes, owner: str | None = None) -> PackedNames:
-    from .correction import PackedNames  # correction imports this module
-
-    return PackedNames(lanes, owner)
-
-
 def simplify_schema(db: DatabaseSchema, descriptions: dict[str, str] | None = None) -> SimplifiedSchema:
     """Flatten ``db`` into one virtual table named after the database.
 
@@ -235,11 +207,26 @@ def simplify_schema(db: DatabaseSchema, descriptions: dict[str, str] | None = No
     ``descriptions`` optionally maps "table.column" (case-insensitive)
     to human-readable text attached to the matching entry.
 
-    ``db`` keeps the last view built from it, and that view is returned
-    again while the descriptions are equal by value (None counts as
-    empty).
+    ``db`` holds the last view built from it with a copy of its
+    descriptions, in its instance __dict__ as cached_property holds its
+    values, and that view is returned again while the descriptions are
+    equal by value (None counts as empty). Threads racing here each
+    return a view of their own descriptions; whichever pair is stored
+    last is a consistent one.
     """
-    return db._simplified(descriptions or {})
+    descriptions = descriptions or {}
+    held = db.__dict__.get("_simplified_view")
+    if held is None or held[0] != descriptions:
+        desc = {(k or "").lower(): v for k, v in descriptions.items()}
+        entries = []
+        for t in db.tables:
+            for c in t.columns:
+                rendered = f"{t.name}.{c.name}"
+                text = desc.get(rendered.lower(), "")
+                entries.append(SimplifiedEntry(rendered, t.name, c.name, text))
+        held = (dict(descriptions), SimplifiedSchema(db.db_id, tuple(entries)))
+        db.__dict__["_simplified_view"] = held
+    return held[1]
 
 
 def load_catalogue(path: str | Path) -> dict[str, DatabaseSchema]:

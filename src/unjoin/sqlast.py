@@ -18,6 +18,11 @@ read syntax through shared readers: ``chain_end`` (a dotted chain),
 FROM``, ``COLLATE <name>``, ``ASC|DESC NULLS FIRST|LAST``: words that
 name nothing), and, for the parser and the scan, ``index_hint`` and
 ``implicit_alias_after``.
+
+``CLAUSE_WORDS`` (the clauses after FROM), ``COMPOUND_WORDS`` (the set
+operators) and ``JOIN_WORDS`` (the words that start a join) are each
+spelled once; every word set the parser, the scan and repair split on
+is built from them.
 """
 
 from __future__ import annotations
@@ -71,10 +76,17 @@ class SelectStatement:
     blocks: list = field(default_factory=list)
 
 
-_CLAUSE_STOPS = frozenset(
-    "where group having order limit offset union intersect except on using "
-    "join left right full inner cross natural from".split()
+CLAUSE_WORDS = ("where", "group", "having", "order", "limit", "offset")
+COMPOUND_WORDS = ("union", "intersect", "except")
+JOIN_WORDS = ("join", "left", "right", "full", "inner", "cross", "natural")
+
+# Words that end an expression run at paren depth 0.
+_CLAUSE_STOPS = frozenset(CLAUSE_WORDS + COMPOUND_WORDS + JOIN_WORDS + ("on", "using", "from"))
+# Words that are never a bare alias of a FROM source or a select item.
+_ALIAS_STOPS = _CLAUSE_STOPS | frozenset(
+    "outer and or not in is as when then else end set values".split()
 )
+_ITEM_ALIAS_STOPS = _ALIAS_STOPS | {"asc", "desc", "null"}
 
 
 def parse(sql: str) -> SelectStatement:
@@ -168,7 +180,7 @@ class _Parser:
                     continue
                 break
         stmt.blocks.append(self._parse_operand())
-        while self.at_keyword("union", "intersect", "except"):
+        while self.at_keyword(*COMPOUND_WORDS):
             self.advance()
             if self.at_keyword("all", "distinct"):
                 self.advance()
@@ -266,8 +278,11 @@ class _Parser:
                 self.advance()
                 self._parse_source_atom(block)
                 continue
-            if self._at_join_start():
-                self._consume_join_words()
+            if self.at_keyword(*JOIN_WORDS):
+                # LEFT OUTER and the like, then JOIN itself.
+                while not self.at_keyword("join") and self.at_keyword("outer", *JOIN_WORDS):
+                    self.advance()
+                self._expect_keyword("join")
                 self._parse_source_atom(block)
                 if self.at_keyword("on"):
                     self.advance()
@@ -285,14 +300,6 @@ class _Parser:
                     block.exprs.append(cols)
                 continue
             break
-
-    def _at_join_start(self) -> bool:
-        return self.at_keyword("join", "left", "right", "full", "inner", "cross", "natural")
-
-    def _consume_join_words(self):
-        while self.at_keyword("left", "right", "full", "inner", "cross", "natural", "outer"):
-            self.advance()
-        self._expect_keyword("join")
 
     def _parse_source_atom(self, block: SelectBlock):
         if self.at_op("("):
@@ -396,17 +403,6 @@ class _Parser:
         return out
 
 
-_ALIAS_STOPS = frozenset(
-    """
-    from where group having order limit offset union intersect except on using
-    join left right full outer inner cross natural and or not in is as when then
-    else end set values
-    """.split()
-)
-
-_ITEM_ALIAS_STOPS = _ALIAS_STOPS | {"asc", "desc", "null"}
-
-
 def _implicit_alias_ok(expr: list) -> bool:
     """Heuristic for ``SELECT expr name`` aliases without AS."""
     if len(expr) < 2:
@@ -508,9 +504,8 @@ def index_hint(toks: list[Token], i: int) -> int:
 
 # ----- role scan -----
 
-_CLAUSE_RESET = frozenset(
-    "where select group having order limit offset union intersect except values set".split()
-)
+# Words that close a FROM list.
+_CLAUSE_RESET = frozenset(CLAUSE_WORDS + COMPOUND_WORDS + ("select", "values", "set"))
 
 
 class _Level:

@@ -2,8 +2,9 @@
 
 Resolution is scope-aware: aliases, CTE names, derived tables, and
 correlated subqueries all resolve against the innermost scope that
-defines them. Names are normalized to lowercase. A column reference is
-reported as "table.column"; the owning table is always reported too.
+defines them; as in SQLite, a CTE's name is in scope in its own body.
+Names are normalized to lowercase. A column reference is reported as
+"table.column"; the owning table is always reported too.
 
 The table set depends only on the statement: a table is added for a
 FROM name that no CTE defines, or for a qualifier outside every scope,
@@ -119,8 +120,9 @@ class _Analyzer:
     def statement(self, stmt: SelectStatement, parent: _Scope | None, cte_env: dict) -> list:
         env = dict(cte_env)
         for name, body in stmt.ctes:
-            out = self.statement(body, parent, env)
-            env[name.lower()] = out
+            # A CTE is in scope in its own body, with no columns yet, as in SQLite.
+            env[name.lower()] = []
+            env[name.lower()] = self.statement(body, parent, env)
         outputs = None
         for operand in stmt.blocks:
             if isinstance(operand, SelectStatement):

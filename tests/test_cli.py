@@ -253,21 +253,25 @@ def test_run_completes_when_sqlite_cannot_open_a_database_file(
     records = {}
     for name, run_root in (("intact", mini_spider_root), ("broken", root)):
         code, out, _ = run_cli(
-            capsys, "run", "--dataset", "spider", "--root", str(run_root), "--method", "cot",
-            "--model", ORACLE_MODEL, "--cache", "replay", "--cache-dir", str(oracle_cache_dir),
-            "--workers", "2", "--out", str(tmp_path / name),
+            capsys, "run", "--dataset", "spider", "--root", str(run_root),
+            "--method", "unjoin-sp", "--model", ORACLE_MODEL, "--cache", "replay",
+            "--cache-dir", str(oracle_cache_dir), "--workers", "2", "--out", str(tmp_path / name),
         )
         assert code == 0
         assert out.startswith("25 items")
         lines = (tmp_path / name / "records.jsonl").read_text().splitlines()[1:]
         records[name] = [json.loads(line) for line in lines]
+    predicted = 0  # academic items whose prediction ran on the intact copy
     for intact, broken in zip(records["intact"], records["broken"]):
         if broken["db_id"] == "academic":
             assert broken["gold_exec"]["status"] == "runtime_error"
             assert broken["gold_exec"]["error"] and not broken["qe"]
+            if intact["pred_exec"] is not None:
+                assert broken["pred_exec"]["status"] == "runtime_error"
+                predicted += 1
         else:
             assert broken == intact
-    assert any(r["db_id"] == "academic" for r in records["broken"])
+    assert predicted
 
 
 def test_usage_errors_exit_two(capsys):

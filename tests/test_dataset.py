@@ -104,6 +104,17 @@ def test_filter_drop_reasons(mini_spider_root):
     assert reasons["retail:4"] == "missing question"
 
 
+def test_filter_keeps_a_gold_whose_cte_reads_itself():
+    # FROM ids inside the body of CTE ids names the CTE, not a table.
+    gold = ("WITH RECURSIVE ids(n) AS (SELECT min(city_id) FROM city UNION ALL "
+            "SELECT n + 1 FROM ids WHERE n < 3) "
+            "SELECT name FROM customer WHERE city_id IN (SELECT n FROM ids)")
+    kept, dropped = filter_items([EvalItem("retail:0", "retail", "q", gold)],
+                                 {"retail": retail_schema()})
+    assert dropped == []
+    assert [item.gold_table_count for item in kept] == [2]
+
+
 def test_filter_bird_counts(mini_bird_root):
     bundle = load_dataset(mini_bird_root, "bird")
     kept, dropped = filter_items(bundle.items, bundle.catalogue)

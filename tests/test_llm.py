@@ -5,6 +5,7 @@ import random
 import pytest
 import requests
 
+from unjoin.dataset import RunConfig
 from unjoin.llm import (
     API_KEY_ENV,
     CorruptCacheError,
@@ -41,6 +42,14 @@ def test_key_depends_on_prompt_model_temperature():
     assert base != exchange_key("p", LlmConfig(model="m2", temperature=0.0))
     assert base != exchange_key("p", LlmConfig(model="m", temperature=0.7))
     assert len(base) == 64
+
+
+def test_integer_temperature_keys_as_its_float():
+    # A config file may spell temperature 0 as an int; a replay must hit
+    # the exchanges recorded under the default 0.0.
+    keys = {exchange_key("p", RunConfig.from_dict(raw).llm_config())
+            for raw in ({"temperature": 0}, {"temperature": 0.0}, {})}
+    assert keys == {exchange_key("p", RunConfig().llm_config())}
 
 
 def test_cache_roundtrip_and_layout(tmp_path):

@@ -5,8 +5,12 @@ from collections import Counter
 
 import pytest
 
+from unjoin.correction import _CLAUSE_KEYWORDS
 from unjoin.evaluation import has_top_level_order_by
 from unjoin.sqlast import (
+    _ALIAS_STOPS,
+    _CLAUSE_RESET,
+    _CLAUSE_STOPS,
     DerivedSource,
     SelectStatement,
     SqlParseError,
@@ -132,6 +136,30 @@ def test_cte_parsed_and_named():
 def test_cte_declared_column_list_is_tolerated():
     stmt = parse("WITH r(x, y) AS (SELECT a, b FROM t) SELECT x FROM r")
     assert [name for name, _ in stmt.ctes] == ["r"]
+
+
+def test_cte_without_as_rejected():
+    with pytest.raises(SqlParseError, match="expected AS in WITH clause"):
+        parse("WITH a (SELECT 1) SELECT 1")
+
+
+def test_implicit_alias_after_scalar_subquery():
+    [item] = only_block("SELECT (SELECT max(x) FROM u) m FROM t").items
+    assert item.alias == "m"
+    assert [type(piece) for piece in item.expr] == [SelectStatement]
+
+
+def test_word_sets_each_reader_splits_on():
+    # Built from the three word classes; a change to a class shows here.
+    assert _CLAUSE_STOPS == set(
+        "where group having order limit offset union intersect except on using "
+        "join left right full inner cross natural from".split())
+    assert _ALIAS_STOPS == _CLAUSE_STOPS | set(
+        "outer and or not in is as when then else end set values".split())
+    assert _CLAUSE_RESET == set(
+        "where select group having order limit offset union intersect except values set".split())
+    assert _CLAUSE_KEYWORDS.names == tuple(sorted(
+        "select from where group order having limit offset union intersect except join".split()))
 
 
 def test_union_produces_two_blocks():

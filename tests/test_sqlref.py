@@ -7,6 +7,8 @@ item(item_id, order_id, product_id, quantity), product(product_id, name,
 price, category).
 """
 
+import sqlite3
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -290,6 +292,58 @@ def test_distinct_from_and_index_hints_resolve(retail_db, sql):
     assert refs.tables == frozenset({"customer"})
     assert refs.columns == frozenset({"customer.name", "customer.gender"})
     assert refs.ambiguous == frozenset()
+
+
+def sqlite_reads(db: DatabaseSchema, sql: str) -> RefSet:
+    """The tables and columns SQLite's authorizer sees ``sql`` read, on empty tables of ``db``."""
+    con = sqlite3.connect(":memory:")
+    reads = set()
+
+    def authorize(action, table, column, *_):
+        if action == sqlite3.SQLITE_READ:
+            reads.add((table.lower(), column.lower()))
+        return sqlite3.SQLITE_OK
+
+    try:
+        for t in db.tables:
+            con.execute(f'CREATE TABLE "{t.name}" ({", ".join(c.name for c in t.columns)})')
+        con.set_authorizer(authorize)
+        con.execute(sql).fetchall()
+    finally:
+        con.close()
+    return RefSet(frozenset(t for t, _ in reads), frozenset(f"{t}.{c}" for t, c in reads if c))
+
+
+_TXY = DatabaseSchema("d", (TableDef("t", (ColumnDef("x"), ColumnDef("y"))),))
+_TY_UX = DatabaseSchema("d", (TableDef("t", (ColumnDef("y"),)), TableDef("u", (ColumnDef("x"),))))
+
+
+@pytest.mark.parametrize("db, sql, tables, columns", [
+    # A CTE is in scope in its own body: FROM a there is the CTE, not a table.
+    (_TXY, "WITH a(n) AS (SELECT x FROM t UNION ALL SELECT n + 1 FROM a WHERE n < 3) "
+           "SELECT n FROM a", {"t"}, {"t.x"}),
+    # So a CTE that shadows a table reads no base table at all.
+    (_TXY, "WITH t(x) AS (SELECT 5 UNION ALL SELECT x + 1 FROM t WHERE x < 7) SELECT x FROM t",
+     set(), set()),
+    (_TXY, "WITH RECURSIVE a(n) AS (SELECT x FROM t UNION ALL SELECT n + 1 FROM a WHERE n < 3), "
+           "b AS (SELECT y FROM t) SELECT n FROM a, b", {"t"}, {"t.x", "t.y"}),
+    # A double-quoted FROM alias qualifies its column.
+    (_TXY, 'SELECT "q".x FROM t "q"', {"t"}, {"t.x"}),
+    # A bare name after a scalar subquery is its alias, not a column.
+    (_TY_UX, "SELECT (SELECT max(x) FROM u) m FROM t", {"t", "u"}, {"u.x"}),
+])
+def test_refs_match_what_sqlite_reads(db, sql, tables, columns):
+    refs = extract_refs(sql, db)
+    assert (refs.tables, refs.columns, refs.ambiguous) == (tables, columns, frozenset())
+    assert refs == sqlite_reads(db, sql)
+
+
+def test_star_of_an_unknown_qualifier_credits_it_as_a_table():
+    # SQLite rejects the query; scoring charges the unknown name as a table.
+    sql = "SELECT q.* FROM t"
+    with pytest.raises(sqlite3.OperationalError, match="no such table: q"):
+        sqlite_reads(_TXY, sql)
+    assert extract_refs(sql, _TXY) == RefSet(frozenset({"t", "q"}), frozenset())
 
 
 # ----- the table set depends on the statement only -----
