@@ -1,7 +1,9 @@
 import hashlib
 import json
 import random
+import re
 from collections import Counter
+from dataclasses import fields, is_dataclass
 
 import pytest
 
@@ -19,7 +21,7 @@ from unjoin.sqlast import (
     parse,
 )
 from unjoin.sqlref import resolve_refs
-from unjoin.tokens import tokenize
+from unjoin.tokens import Token, TokenizeError, tokenize
 
 from conftest import BIRD_CASES, SPIDER_CASES, academic_schema, retail_schema
 from oracles import tokenizing_order_by
@@ -351,3 +353,113 @@ def _role_lists(sql):
 def test_role_scan_outputs_are_pinned():
     text = json.dumps([_role_lists(sql) for sql in soups()], separators=(",", ":"))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == ROLE_SCAN_PIN
+
+
+# A seeded corpus of statements built from clause-sized fragments, with
+# the soups and the agreement corpus, pins what the parser reads and what
+# the resolver finds. The fragments reach every shape either branches on:
+# subqueries in items, WHERE and FROM, CTEs with column lists, compound
+# operands, CAST, syntax words, ``t.*``, keyword aliases such as ``row``,
+# index hints and quoted keywords such as ``"as"``. A change to how a
+# parsed run is read must leave the digest as it is.
+PARSE_SEED = 20261027
+PARSE_COUNT = 2000
+_PARSE_FRAGMENTS = {
+    "c": ("name", "city_id", "amount", "price", "status", "row", '"as"', "[name]",
+          "c.name", "o.amount", "row.name", "main.customer.name", "missing"),
+    "t": ("customer", "city", "orders", "product", "item", "main.customer", "r", "nowhere"),
+    "item": (
+        "*", "c.*", "customer.*", "row.*", "{c}", "{c} AS n", '{c} "as"', '{c} "as" city',
+        '{c} AS "as"', "{c} row", "{c} n", "count(*) total", "count(DISTINCT {c})",
+        "CAST({c} AS TEXT)", "CAST({c} AS TEXT) t", "CAST {c}", "CAST", "{c} COLLATE NOCASE",
+        "{c} COLLATE NOCASE n", "CASE WHEN {c} > 1 THEN 1 ELSE 0 END flag", "price * quantity",
+        "{s} m", "{s}", "{c} IS NOT DISTINCT FROM {c}", "'x' {c}", "1 AS",
+    ),
+    "source": (
+        "{t}", "{t} c", "{t} AS row", "{t} row", '{t} "as"', "{t} INDEXED BY ix",
+        "{t} c NOT INDEXED", "{t} AS o INDEXED BY ix", "{t} indexed", "{s} d", "{s} AS d", "{s}",
+        "customer c JOIN orders o ON c.customer_id = o.customer_id",
+        "city LEFT OUTER JOIN customer USING (city_id)",
+        "(customer JOIN city ON customer.city_id = city.city_id)",
+        "{t} CROSS JOIN {s} AS d", "orders, item",
+    ),
+    "where": (
+        "{c} > 1", "{c} IN {s}", "EXISTS {s}", "{c} IS DISTINCT FROM 'x'",
+        "{c} IS NOT DISTINCT FROM {c}", "{c} COLLATE NOCASE = 'a'", "CAST({c} AS REAL) > 2",
+        "{c} BETWEEN 1 AND 2", "{c} = {s}", "{c} LIKE 'a%' AND {c} IS NULL", "NOT {c}",
+        "row.{c} = 1", "{c} IN (1, 2)",
+    ),
+    "tail": (
+        "", " GROUP BY {c}", " GROUP BY {c} HAVING count(*) > 1",
+        " GROUP BY {c}, {c} HAVING {c} > {s}", " ORDER BY {c}",
+        " ORDER BY {c} ASC NULLS FIRST", " ORDER BY 1 DESC NULLS LAST, {c} DESC",
+        " ORDER BY {c} COLLATE NOCASE", " LIMIT 3", " ORDER BY {c} LIMIT 3 OFFSET 1",
+        " GROUP {c}",
+    ),
+    "cte": ("", "", "", "", "WITH r AS {s} ", "WITH r(x, y) AS {s} ",
+            "WITH RECURSIVE r AS {s}, q AS {s} "),
+    "compound": ("{b}", "{b}", "{b}", "{b}", "{b} UNION {b}", "{b} UNION ALL {b}",
+                 "{s} EXCEPT {b}", "{b} INTERSECT {s}"),
+}
+
+
+def _fragment(rng, kind, depth):
+    def fill(match):
+        slot = match.group(1)
+        if slot == "s":
+            return f"({_statement(rng, depth + 1)})" if depth < 1 else "(SELECT name FROM city)"
+        if slot == "b":
+            return _select_block(rng, depth)
+        return rng.choice(_PARSE_FRAGMENTS[slot])
+    return re.sub(r"\{([ctsb])\}", fill, rng.choice(_PARSE_FRAGMENTS[kind]))
+
+
+def _select_block(rng, depth):
+    items = ", ".join(_fragment(rng, "item", depth) for _ in range(rng.randint(1, 3)))
+    text = "SELECT " + rng.choice(("", "DISTINCT ")) + items
+    if rng.random() < 0.9:
+        text += " FROM " + ", ".join(
+            _fragment(rng, "source", depth) for _ in range(rng.randint(1, 2)))
+    if rng.random() < 0.5:
+        text += " WHERE " + _fragment(rng, "where", depth)
+    return text + _fragment(rng, "tail", depth)
+
+
+def _statement(rng, depth):
+    return _fragment(rng, "cte", depth) + _fragment(rng, "compound", depth)
+
+
+def parse_corpus() -> list[str]:
+    rng = random.Random(PARSE_SEED)
+    return [_statement(rng, 0) for _ in range(PARSE_COUNT)]
+
+
+def _dump(node):
+    """Node types, and each token's kind, value and start."""
+    if isinstance(node, Token):
+        return [node.kind, node.value, node.start]
+    if is_dataclass(node):
+        return [type(node).__name__] + [_dump(getattr(node, f.name)) for f in fields(node)]
+    if isinstance(node, (list, tuple)):
+        return [_dump(piece) for piece in node]
+    return node
+
+
+def _parse_result(sql, db):
+    try:
+        stmt = parse(sql)
+    except (SqlParseError, TokenizeError) as exc:
+        return [type(exc).__name__, str(exc)]
+    refs = resolve_refs(stmt, db)
+    return [_dump(stmt), sorted(refs.tables), sorted(refs.columns), sorted(refs.ambiguous),
+            has_top_level_order_by(stmt)]
+
+
+PARSE_PIN = "6bec7fd1aaffbff4a65d8ee47c85c452a0a7cf3ca9a37947700a18c900487278"
+
+
+def test_parse_and_resolution_are_pinned():
+    db = retail_schema()
+    texts = AGREEMENT_CORPUS + soups() + parse_corpus()
+    text = json.dumps([_parse_result(sql, db) for sql in texts], separators=(",", ":"))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PARSE_PIN
