@@ -4,9 +4,13 @@
 the benchmarks. Its goal is structural, not semantic: enough shape (FROM
 sources, aliases, subqueries, set operations, clause boundaries) to
 resolve which tables and columns a query touches, scope by scope.
-Expressions are kept as flat token runs with nested statements spliced
-in where a parenthesized SELECT appears. Reference extraction uses it,
-and scoring reads from it whether a gold query orders its rows.
+Expressions are kept as runs. Reference extraction uses it, and scoring
+reads from it whether a gold query orders its rows.
+
+A run is a list of tokens in text order, where a parenthesized SELECT
+stands as one element of kind ``STMT``: the nested ``SelectStatement``
+itself, whose ``lower`` is None. ``tokenize`` never emits ``STMT``, so a
+run reader tests ``kind`` (and ``lower``) alone.
 
 ``_Roles`` reads the token stream once and says which token index plays
 which part: FROM table, qualifier, column, alias, CTE name, dotted
@@ -28,6 +32,7 @@ is built from them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from .tokens import IDENT, KEYWORDS, NUMBER, OP, QIDENT, STRING, Token, tokenize
 
@@ -64,13 +69,19 @@ class SelectBlock:
     items: list[SelectItem] = field(default_factory=list)
     sources: list = field(default_factory=list)  # TableSource | DerivedSource
     # Runs of ON/USING, WHERE, GROUP BY, HAVING, ORDER BY and LIMIT/OFFSET,
-    # in text order: tokens with nested statements spliced in.
+    # in text order.
     exprs: list[list] = field(default_factory=list)
     ordered: bool = False  # the block has its own ORDER BY
 
 
+STMT = "stmt"  # the kind of a nested statement in a run
+
+
 @dataclass
 class SelectStatement:
+    # How a run reader sees the statement; class-level, so no field.
+    kind: ClassVar[str] = STMT
+    lower: ClassVar[None] = None
     ctes: list[tuple[str, "SelectStatement"]] = field(default_factory=list)
     # Compound operands; parenthesized operands may themselves be statements.
     blocks: list = field(default_factory=list)
@@ -257,9 +268,8 @@ class _Parser:
         # Explicit alias: trailing "AS name".
         if (
             len(expr) >= 2
-            and isinstance(expr[-2], Token)
-            and expr[-2].is_keyword("as")
-            and isinstance(expr[-1], Token)
+            and expr[-2].kind == IDENT
+            and expr[-2].lower == "as"
             and expr[-1].kind in (IDENT, QIDENT)
         ):
             alias = expr[-1].value
@@ -394,7 +404,7 @@ class _Parser:
         out.append(self.advance())
         inner = self._parse_expr()
         for k in range(len(inner) - 1, -1, -1):
-            if isinstance(inner[k], Token) and inner[k].is_keyword("as"):
+            if inner[k].kind == IDENT and inner[k].lower == "as":
                 del inner[k:]
                 break
         out.extend(inner)
@@ -408,7 +418,7 @@ def _implicit_alias_ok(expr: list) -> bool:
     if len(expr) < 2:
         return False
     last = expr[-1]
-    if not isinstance(last, Token) or last.kind not in (IDENT, QIDENT):
+    if last.kind not in (IDENT, QIDENT):
         return False
     if last.kind == IDENT and last.lower in _ITEM_ALIAS_STOPS:
         return False
@@ -418,14 +428,12 @@ def _implicit_alias_ok(expr: list) -> bool:
 def implicit_alias_after(prev) -> bool:
     """Whether a bare name right after ``prev`` defines an alias.
 
-    ``prev`` is a token or a nested statement. A name after ``)``, a
-    literal, another name, ``END`` or a nested statement closes an
-    expression or a table (``count(*) n``, ``customer c``, ``CASE ...
-    END flag``, ``(SELECT ...) d``); after an operator or any other
-    keyword it is an operand (``price * quantity``, ``WHERE status``).
+    ``prev`` is an element of a run. A name after ``)``, a literal,
+    another name, ``END`` or a nested statement closes an expression or
+    a table (``count(*) n``, ``customer c``, ``CASE ... END flag``,
+    ``(SELECT ...) d``); after an operator or any other keyword it is an
+    operand (``price * quantity``, ``WHERE status``).
     """
-    if not isinstance(prev, Token):
-        return True
     if prev.kind == OP:
         return prev.value == ")"
     if prev.kind == IDENT and prev.lower in KEYWORDS:
@@ -436,54 +444,44 @@ def implicit_alias_after(prev) -> bool:
 def chain_end(items: list, i: int) -> int:
     """Index of the last name of the dotted chain ``a.b[.c]`` starting at ``i``.
 
-    ``items`` holds tokens, possibly with nested statements between
-    them. Returns ``i`` itself when no ``.name`` follows.
+    ``items`` is a run. Returns ``i`` itself when no ``.name`` follows.
     """
     while i + 2 < len(items):
         dot, name = items[i + 1], items[i + 2]
-        if not (
-            isinstance(dot, Token)
-            and dot.kind == OP
-            and dot.value == "."
-            and isinstance(name, Token)
-            and name.kind in (IDENT, QIDENT)
-        ):
+        if not (dot.kind == OP and dot.value == "." and name.kind in (IDENT, QIDENT)):
             break
         i += 2
     return i
 
 
 def qualified_star(items: list, i: int) -> bool:
-    """Whether ``name . *`` starts at ``i`` in ``items`` (tokens and statements)."""
+    """Whether ``name . *`` starts at ``i`` in the run ``items``."""
     if i + 2 >= len(items):
         return False
     name, dot, star = items[i : i + 3]
     return (
-        isinstance(star, Token) and star.kind == OP and star.value == "*"
-        and isinstance(dot, Token) and dot.kind == OP and dot.value == "."
-        and isinstance(name, Token) and name.kind in (IDENT, QIDENT)
+        star.kind == OP and star.value == "*"
+        and dot.kind == OP and dot.value == "."
+        and name.kind in (IDENT, QIDENT)
     )
 
 
 def _words(items: list, i: int, n: int) -> tuple:
     """The lower-case text of up to ``n`` items from ``i``; None for any but a bare word."""
-    return tuple(t.lower if isinstance(t, Token) and t.kind == IDENT else None
-                 for t in items[i : i + n])
+    return tuple(t.lower if t.kind == IDENT else None for t in items[i : i + n])
 
 
 def syntax_words(items: list, i: int) -> int:
     """How many items at ``i`` are syntax whose words name nothing; 0 if none starts there.
 
     The runs are ``IS [NOT] DISTINCT FROM`` (its FROM opens no FROM
-    list), ``COLLATE <name>`` and ``ASC|DESC NULLS FIRST|LAST``.
-    ``items`` holds tokens, possibly with nested statements between them.
+    list), ``COLLATE <name>`` and ``ASC|DESC NULLS FIRST|LAST``. ``items`` is a run.
     """
-    if getattr(items[i], "lower", None) not in ("is", "collate", "asc", "desc"):
-        return 0  # a nested statement has no ``lower``
+    if items[i].lower not in ("is", "collate", "asc", "desc"):
+        return 0
     words = _words(items, i, 4)
     if words[0] == "collate":
-        name = items[i + 1] if i + 1 < len(items) else None
-        return 2 if isinstance(name, Token) and name.kind in (IDENT, QIDENT) else 0
+        return 2 if i + 1 < len(items) and items[i + 1].kind in (IDENT, QIDENT) else 0
     if words[0] in ("asc", "desc"):
         return 3 if words[1:3] in (("nulls", "first"), ("nulls", "last")) else 0
     if words[:3] == ("is", "distinct", "from"):

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 from .schema import DatabaseSchema, SimplifiedSchema
 from .sqlast import (
+    STMT,
     DerivedSource,
     SelectStatement,
     SqlParseError,
@@ -32,7 +33,7 @@ from .sqlast import (
     qualified_star,
     syntax_words,
 )
-from .tokens import IDENT, KEYWORDS, OP, QIDENT, Token, tokenize
+from .tokens import IDENT, KEYWORDS, OP, QIDENT, tokenize
 
 __all__ = [
     "RefSet",
@@ -245,7 +246,7 @@ class _Analyzer:
         n = len(items)
         while i < n:
             tok = items[i]
-            if isinstance(tok, SelectStatement):
+            if tok.kind == STMT:
                 self.statement(tok, scope, env)
                 i += 1
                 continue
@@ -262,7 +263,7 @@ class _Analyzer:
                 i += max(syntax_words(items, i), 1)
                 continue
             nxt = items[i + 1] if i + 1 < n else None
-            if isinstance(nxt, Token) and nxt.kind == OP and nxt.value == "(":
+            if nxt is not None and nxt.kind == OP and nxt.value == "(":
                 i += 1  # function name
                 continue
             if qualified_star(items, i):
@@ -279,7 +280,7 @@ def _plain_ref(expr: list) -> tuple[str | None, str] | None:
     Returns the (qualifier, column) names in lower case.
     """
     first = expr[0] if expr else None
-    if not isinstance(first, Token) or first.kind not in (IDENT, QIDENT):
+    if first is None or first.kind not in (IDENT, QIDENT):
         return None
     if len(expr) == 3 and chain_end(expr, 0) == 2:
         return (first.lower, expr[2].lower)

@@ -54,31 +54,11 @@ class Token(namedtuple("_TokenTuple", "kind value start end quote lower")):
     QIDENT. ``lower`` is ``value.lower()``, computed once when the token
     is built, so readers compare case-insensitively without lowering
     again. A token is an immutable tuple: assigning an attribute raises,
-    and equality and hashing are by value. ``lower`` is never passed in:
-    the constructor, ``_make``, ``_replace`` and copying derive it.
-    ``tokenize`` skips the Python-level constructor and builds each tuple
-    with ``tuple.__new__``, lowering the text itself.
+    and equality and hashing are by value. Only ``tokenize`` builds
+    tokens, each with ``tuple.__new__``, lowering the text itself.
     """
 
     __slots__ = ()
-
-    def __new__(cls, kind: str, value: str, start: int, end: int, quote: str = ""):
-        return _new(cls, (kind, value, start, end, quote, value.lower()))
-
-    @classmethod
-    def _make(cls, iterable) -> "Token":
-        return cls(*iterable)
-
-    def _replace(self, **changes) -> "Token":
-        fields = dict(zip(self._fields[:5], self))
-        fields.update(changes)
-        return type(self)(**fields)
-
-    def __getnewargs__(self):
-        return tuple(self[:5])
-
-    def __repr__(self) -> str:
-        return f"Token{tuple(self[:5])!r}"
 
     def is_keyword(self, *names: str) -> bool:
         return self.kind == IDENT and self.lower in names

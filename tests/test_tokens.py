@@ -1,12 +1,11 @@
-import copy
-import pickle
+import ast
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from unjoin.tokens import (
-    IDENT, NUMBER, OP, QIDENT, STRING, KEYWORDS, Token, TokenizeError, tokenize,
-)
+import unjoin
+from unjoin.tokens import IDENT, NUMBER, OP, QIDENT, STRING, KEYWORDS, TokenizeError, tokenize
 
 from oracles import SlowTokenizeError, slow_tokenize
 
@@ -195,37 +194,45 @@ def test_token_lower_is_value_lower_from_tokenize(sql):
         assert tok.lower == tok.value.lower()
 
 
-@pytest.mark.parametrize("value", ["SeLeCt", "É", "İx", "\u212a", "1E5", "<>", ""])
-def test_token_lower_is_value_lower_however_built(value):
-    made = [
-        Token(IDENT, value, 0, len(value)),
-        Token(QIDENT, value, 0, len(value) + 2, quote="`"),
-        Token._make((STRING, value, 0, 1)),
-        Token(OP, "x", 0, 1)._replace(value=value),
-        copy.copy(Token(IDENT, value, 0, 1)),
-        copy.deepcopy(Token(IDENT, value, 0, 1)),
-        pickle.loads(pickle.dumps(Token(IDENT, value, 0, 1))),
-    ]
-    for tok in made:
-        assert tok.value == value
-        assert tok.lower == value.lower()
-
-
-def test_token_lower_cannot_be_passed_in():
-    with pytest.raises(TypeError):
-        Token(IDENT, "A", 0, 1, "", "b")
-    with pytest.raises(TypeError):
-        Token(IDENT, "A", 0, 1, lower="b")
-    with pytest.raises(TypeError):
-        Token(IDENT, "A", 0, 1)._replace(lower="b")
-
-
 def test_equal_tokens_hash_equal():
-    built = Token(QIDENT, "My Col", 7, 15, quote="[")
     scanned = tokenize("SELECT [My Col]")[1]
-    assert scanned == built
-    assert hash(scanned) == hash(built)
-    assert len({scanned, built}) == 1
-    assert built != Token(QIDENT, "My Col", 7, 15, quote="`")
-    assert built != Token(QIDENT, "my col", 7, 15, quote="[")
-    assert eval(repr(built)) == built
+    again = tokenize("SELECT [My Col]")[1]
+    assert scanned == again and scanned is not again
+    assert hash(scanned) == hash(again)
+    assert len({scanned, again}) == 1
+    assert scanned != tokenize("SELECT `My Col`")[1]
+    assert scanned != tokenize("SELECT [my col]")[1]
+
+
+# ----- only tokenize builds a token -----
+
+# Nothing derives ``lower`` from ``value`` but ``tokenize``, so a token
+# built anywhere else could carry a ``lower`` that is not ``value.lower()``.
+
+
+def _builds_token(call: ast.Call) -> bool:
+    """A ``Token(...)``, ``Token._make``, ``_replace`` or ``tuple.__new__(Token, ...)`` call."""
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if name in ("Token", "_make", "_replace"):
+        return True
+    return bool(call.args) and isinstance(call.args[0], ast.Name) and call.args[0].id == "Token"
+
+
+def test_only_tokenize_builds_tokens():
+    outside, in_tokenize = [], 0
+    for path in sorted(Path(unjoin.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        exempt = set()
+        if path.name == "tokens.py":
+            [tokenize_def] = [node for node in tree.body
+                              if isinstance(node, ast.FunctionDef) and node.name == "tokenize"]
+            exempt = {id(node) for node in ast.walk(tokenize_def)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _builds_token(node):
+                if id(node) in exempt:
+                    in_tokenize += 1
+                else:
+                    outside.append(f"{path.name}:{node.lineno}")
+    assert outside == []
+    assert in_tokenize > 0  # the check sees tokenize's own builds
