@@ -176,12 +176,17 @@ def cmd_score(args) -> int:
     return 0
 
 
+def _summary_metrics(path: str) -> dict:
+    with open(path, encoding="utf-8") as fh:
+        summary = json.load(fh)
+    metrics = summary.get("metrics") if isinstance(summary, dict) else None
+    if not isinstance(metrics, dict):
+        raise DatasetError(f"{path} does not hold a run summary: no metrics object")
+    return metrics
+
+
 def cmd_diff(args) -> int:
-    with open(args.a, encoding="utf-8") as fh:
-        a = json.load(fh)
-    with open(args.b, encoding="utf-8") as fh:
-        b = json.load(fh)
-    ma, mb = a.get("metrics", {}), b.get("metrics", {})
+    ma, mb = _summary_metrics(args.a), _summary_metrics(args.b)
     keys = sorted(set(ma) | set(mb))
     for key in keys:
         va, vb = ma.get(key), mb.get(key)

@@ -361,18 +361,32 @@ def write_records(records: list[EvalRecord], path: str | Path, meta: dict) -> No
 
 
 def read_records(path: str | Path) -> tuple[dict, list[EvalRecord]]:
+    """Read a records file as ``write_records`` writes it; blank lines are skipped.
+
+    A line that is not JSON, not an object, or lacks a record's fields
+    raises ``ValueError`` naming the file and the line.
+    """
     meta: dict = {}
     records = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            raw = json.loads(line)
-            if "_meta" in raw and "item_id" not in raw:
-                meta = raw["_meta"]
-                continue
-            records.append(EvalRecord.from_dict(raw))
+            try:
+                raw = json.loads(line)
+                if not isinstance(raw, dict):
+                    raise TypeError("not a JSON object")
+                if "_meta" in raw and "item_id" not in raw:
+                    meta = raw["_meta"]
+                    if not isinstance(meta, dict):
+                        raise TypeError("_meta is not a JSON object")
+                    continue
+                records.append(EvalRecord.from_dict(raw))
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise ValueError(
+                    f"{path} line {lineno} is not a record: {type(exc).__name__}: {exc}"
+                ) from exc
     return meta, records
 
 

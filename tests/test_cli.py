@@ -228,6 +228,61 @@ def test_score_missing_file_fails(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+def test_score_of_a_file_without_records_fails(tmp_path, capsys):
+    path = tmp_path / "records.jsonl"
+    path.write_text('{"_meta": {"n_items": 0}}\n\n', encoding="utf-8")
+    code, _, err = run_cli(capsys, "score", "--records", str(path))
+    assert (code, err) == (1, f"error: no records in {path}\n")
+
+
+# (command, the malformed file's text, the cause after its path)
+MALFORMED_INPUTS = [
+    ("score", '{"foo": 1}\n', "line 1 is not a record: KeyError: 'item_id'"),
+    ("score", '{"_meta": {}}\n\n[1]\n', "line 3 is not a record: TypeError: not a JSON object"),
+    ("score", '{"_meta": 5}\n', "line 1 is not a record: TypeError: _meta is not a JSON object"),
+    ("score", "{\n", "line 1 is not a record: JSONDecodeError: Expecting property name "
+                    "enclosed in double quotes: line 1 column 2 (char 1)"),
+    ("diff", "[1, 2]", "does not hold a run summary: no metrics object"),
+    ("diff", '{"metrics": [1]}', "does not hold a run summary: no metrics object"),
+]
+
+
+@pytest.mark.parametrize("command, body, cause", MALFORMED_INPUTS)
+def test_malformed_input_exits_one_with_a_one_line_cause(tmp_path, command, body, cause):
+    bad = tmp_path / "bad.json"
+    bad.write_text(body, encoding="utf-8")
+    if command == "score":
+        argv = ["score", "--records", str(bad)]
+    else:
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps({"metrics": {"qe": 1.0}}), encoding="utf-8")
+        argv = ["diff", "--a", str(good), "--b", str(bad)]
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-m", "unjoin.cli", *argv],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == f"error: {bad} {cause}\n"
+
+
+def test_run_without_a_root_fails(capsys):
+    code, _, err = run_cli(capsys, "run", "--method", "cot", "--cache", "live", "--model", "m")
+    assert (code, err) == (1, "error: missing --root (or root in the config file)\n")
+
+
+def test_run_with_no_item_left_after_filtering_fails(mini_spider_root, tmp_path, capsys):
+    root = tmp_path / "root"
+    shutil.copytree(mini_spider_root, root)
+    (root / "dev.json").write_text(json.dumps([
+        {"db_id": "retail", "question": "Names?", "query": "SELECT name FROM customer"}]))
+    code, _, err = run_cli(capsys, "run", "--dataset", "spider", "--root", str(root),
+                           "--method", "cot", "--cache", "live", "--model", "m",
+                           "--out", str(tmp_path / "out"))
+    assert (code, err) == (1, "error: no items left after filtering\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("body, cause", [
     ("[]", "config must be a JSON object, not list"),
     ('{"workers": "4"}', "config key 'workers' must be int, not str"),

@@ -59,6 +59,13 @@ def test_unknown_flavor_rejected(mini_spider_root):
         load_dataset(mini_spider_root, "wikisql")
 
 
+def test_root_that_is_not_a_directory_rejected(tmp_path):
+    root = tmp_path / "root.json"
+    root.write_text("{}", encoding="utf-8")
+    with pytest.raises(DatasetError, match="is not a directory"):
+        load_dataset(root, "spider")
+
+
 def test_missing_root_reports_paths(tmp_path):
     with pytest.raises(DatasetError) as info:
         load_dataset(tmp_path, "spider")
@@ -354,11 +361,11 @@ def test_load_retrieval_lists(tmp_path):
         json.dumps({"question_id": "retail:0",
                     "tables": [{"db_id": "retail", "table_name": "customer", "score": 0.9},
                                {"db_id": "retail", "table_name": "orders", "score": 0.8}]})
-        + "\n",
+        + "\n\n   \n",  # blank lines are skipped
         encoding="utf-8",
     )
     lists = load_retrieval_lists(path)
-    assert lists["retail:0"] == [("retail", "customer", 0.9), ("retail", "orders", 0.8)]
+    assert lists == {"retail:0": [("retail", "customer", 0.9), ("retail", "orders", 0.8)]}
 
 
 def test_load_retrieval_lists_reports_bad_line(tmp_path):
@@ -441,6 +448,9 @@ def test_validate_rejects_bad_enum_values(tmp_path):
     with pytest.raises(DatasetError):
         RunConfig(dataset="spider", root=".", method="cot", model="m",
                   cache_mode="sometimes").validate()
+    with pytest.raises(DatasetError, match="unknown dataset 'postgres'"):
+        RunConfig(dataset="postgres", root=".", method="cot", model="m",
+                  cache_mode="live").validate()
 
 
 @pytest.mark.parametrize("field, value", [
@@ -451,6 +461,8 @@ def test_validate_rejects_bad_enum_values(tmp_path):
     ("request_timeout_s", -5.0),
     ("retries", -1),
     ("max_output_tokens", 0),
+    ("workers", 0),
+    ("topk", 0),
 ])
 def test_validate_rejects_out_of_range_settings(field, value):
     cfg = RunConfig(dataset="spider", root=".", method="cot", model="m",

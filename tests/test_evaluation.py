@@ -471,6 +471,9 @@ def test_write_and_read_records(tmp_path):
     got_meta, got_records = read_records(path)
     assert got_meta == meta
     assert got_records == records
+    # Blank lines are skipped.
+    path.write_text("\n".join(lines[:3] + ["", "  "] + lines[3:]) + "\n", encoding="utf-8")
+    assert read_records(path) == (meta, records)
 
 
 def test_blob_rows_survive_the_records_file(tmp_path):

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 import shutil
 import sys
 import threading
@@ -423,6 +424,27 @@ def test_pool_drops_foreign_keys_across_sources(retail_db):
     assert pool.foreign_keys == ()
 
 
+def test_pool_rejects_source_tables_whose_flat_entries_collide():
+    catalogue = {"x": DatabaseSchema("x", (TableDef("a.b", (ColumnDef("c"),)),)),
+                 "y": DatabaseSchema("y", (TableDef("a", (ColumnDef("b.c"),)),))}
+    with pytest.raises(PoolError, match="pool assembly failed: schema 'pool': column 'c' of "
+                                        "table 'a.b' and column 'b.c' of table 'a' flatten"):
+        assemble_pool([("x", "a.b", 0.9), ("y", "a", 0.8)], catalogue)
+
+
+def test_pool_skips_a_table_whose_suffixed_name_is_taken_too():
+    catalogue = {"a": DatabaseSchema("a", (TableDef("t", (ColumnDef("x"),)),
+                                           TableDef("t__b", (ColumnDef("y"),)))),
+                 "b": DatabaseSchema("b", (TableDef("t", (ColumnDef("z"),)),))}
+    pool = assemble_pool([("a", "t", 0.9), ("a", "t__b", 0.8), ("b", "t", 0.7)], catalogue)
+    assert pool.tables == catalogue["a"].tables
+
+
+def test_pool_of_an_empty_retrieval_list_is_an_error(retail_db):
+    with pytest.raises(PoolError, match="retrieval list produced an empty pool"):
+        assemble_pool([], {"retail": retail_db})
+
+
 def test_pool_rejects_unknown_entries(retail_db):
     with pytest.raises(PoolError):
         assemble_pool([("ghost", "t", 1.0)], {"retail": retail_db})
@@ -533,6 +555,32 @@ def test_gold_that_cannot_be_tokenized_costs_only_its_item(mini_spider_root, tmp
     assert record.gold_exec.status == "runtime_error"
     assert record.qe and not record.em
     assert record.gold_tables == () and record.pred_tables == ("customer",)
+
+
+def test_database_whose_flat_view_collides_costs_only_its_items(mini_spider_root, tmp_path):
+    # The flat view of "clash" would hold "a.b.c" twice; its catalogue
+    # entry is skipped, so its item is dropped and the run goes on.
+    root = tmp_path / "root"
+    shutil.copytree(mini_spider_root, root)
+    entries = json.loads((root / "tables.json").read_text(encoding="utf-8"))
+    entries.append({"db_id": "clash", "table_names_original": ["a.b", "a"],
+                    "column_names_original": [[-1, "*"], [0, "c"], [1, "b.c"]]})
+    (root / "tables.json").write_text(json.dumps(entries), encoding="utf-8")
+    dev = json.loads((root / "dev.json").read_text(encoding="utf-8"))
+    dev.append({"db_id": "clash", "question": "Which c are b.c?",
+                "query": 'SELECT "a.b".c FROM "a.b" JOIN a ON "a.b".c = a."b.c"'})
+    (root / "dev.json").write_text(json.dumps(dev), encoding="utf-8")
+    bundle = load_dataset(root, "spider")
+    kept, dropped = filter_items(bundle.items, bundle.catalogue)
+    config = RunConfig(dataset="spider", root=str(root), method="unjoin-mp", model="m",
+                       cache_mode="live", workers=1, out_dir=str(tmp_path))
+    client = LlmClient(config.llm_config(), cache=None,
+                       transport=lambda prompt, cfg: ("```sql\nSELECT 1\n```", 1, 1))
+    records, _ = run_evaluation(bundle, kept, config, client)
+    assert [r.item_id for r in records] == [item.item_id for item in kept]
+    assert sorted(bundle.catalogue) == ["academic", "retail"]
+    assert [(item.item_id, reason) for item, reason in dropped if item.db_id == "clash"] == [
+        (f"clash:{len(dev) - 1}", "unknown database 'clash'")]
 
 
 def test_run_evaluation_preserves_item_order(mini_spider_root, tmp_path):

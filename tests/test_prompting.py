@@ -124,6 +124,8 @@ def test_empty_question_rejected(simp, retail_db):
         build_sp_prompt(simp, "   ", retail_db)
     with pytest.raises(ValueError):
         build_mp_step2_prompt(simp, "", QUESTION, retail_db)
+    with pytest.raises(ValueError, match="question must be non-empty"):
+        build_mp_step1_prompt(simp, " \n")
 
 
 def test_missing_slot_value_raises(tmp_path):

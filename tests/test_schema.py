@@ -142,10 +142,46 @@ def test_duplicate_column_names_rejected():
     assert "a" in str(info.value).lower()
 
 
+@pytest.mark.parametrize("tables, message", [
+    # A dotted table or column name renders like another table's column.
+    ((TableDef("a.b", (ColumnDef("c"),)), TableDef("a", (ColumnDef("b.c"),))),
+     "column 'c' of table 'a.b' and column 'b.c' of table 'a' flatten to one entry 'a.b.c'"),
+    # A final sigma lowers by context: two names that lower apart lower
+    # alike inside the flat entry.
+    ((TableDef("AΣ", (ColumnDef("x"),)), TableDef("Aσ", (ColumnDef("x"),))),
+     "column 'x' of table 'AΣ' and column 'x' of table 'Aσ' flatten to one entry 'Aσ.x'"),
+    ((TableDef("A", (ColumnDef("Σ"), ColumnDef("ς"))),),
+     "column 'Σ' of table 'A' and column 'ς' of table 'A' flatten to one entry 'A.ς'"),
+], ids=["dotted", "sigma-tables", "sigma-columns"])
+def test_flat_entries_that_lower_alike_are_rejected(tables, message):
+    with pytest.raises(SchemaError) as info:
+        DatabaseSchema("d", tables)
+    assert str(info.value) == f"schema 'd': {message}"
+
+
+def test_dotted_and_non_ascii_names_that_stay_apart_flatten():
+    db = DatabaseSchema("d", (TableDef("a.b", (ColumnDef("c"), ColumnDef("d"))),
+                              TableDef("é", (ColumnDef("x.y"), ColumnDef("Σ")))))
+    assert [e.rendered for e in simplify_schema(db).entries] == ["a.b.c", "a.b.d", "é.x.y", "é.Σ"]
+
+
 def test_foreign_key_endpoints_must_exist():
     t = TableDef("t", (ColumnDef("a"),))
     with pytest.raises(SchemaError):
         DatabaseSchema("db", (t,), (("t", "a", "missing", "b"),))
+
+
+@pytest.mark.parametrize("db_id, tables, foreign_keys, message", [
+    ("", (TableDef("t", (ColumnDef("a"),)),), (), "schema requires a non-empty db_id"),
+    ("db", (TableDef("", (ColumnDef("a"),)),), (), "schema 'db' has an unnamed table"),
+    ("db", (TableDef("t", (ColumnDef(""),)),), (), "schema 'db': table 't' has an unnamed column"),
+    ("db", (TableDef("t", (ColumnDef("a"),)),), (("t", "a", "t", "b"),),
+     "schema 'db': foreign key references unknown column 't'.'b'"),
+])
+def test_unnamed_parts_and_unknown_key_columns_rejected(db_id, tables, foreign_keys, message):
+    with pytest.raises(SchemaError) as info:
+        DatabaseSchema(db_id, tables, foreign_keys)
+    assert str(info.value) == message
 
 
 def test_empty_schema_rejected():
@@ -169,6 +205,16 @@ def test_load_catalogue_skips_star_placeholder(mini_spider_root):
     for db in catalogue.values():
         for table in db.tables:
             assert "*" not in {c.name for c in table.columns}
+
+
+def test_foreign_key_to_the_star_placeholder_is_skipped(tmp_path):
+    path = tmp_path / "tables.json"
+    path.write_text(json.dumps([{
+        "db_id": "d", "table_names_original": ["t", "u"],
+        "column_names_original": [[-1, "*"], [0, "a"], [1, "b"]],
+        "foreign_keys": [[1, 0], [0, 2], [1, 2]],
+    }]), encoding="utf-8")
+    assert load_catalogue(path)["d"].foreign_keys == (("t", "a", "u", "b"),)
 
 
 # (entry, what its warning must say) for each way a tables.json record breaks.
@@ -197,6 +243,11 @@ BAD_CATALOGUE_ENTRIES = [
     # Only the star placeholder: tables with no columns, which SQLite cannot hold.
     ({"db_id": "n", "table_names_original": ["a", "b"], "column_names_original": [[-1, "*"]]},
      "entry 11 ('n') skipped: SchemaError: schema 'n': table 'a' has no columns"),
+    # Two columns whose flat entries are equal: the flat view cannot hold both.
+    ({"db_id": "f", "table_names_original": ["a.b", "a"],
+      "column_names_original": [[-1, "*"], [0, "c"], [1, "b.c"]]},
+     "entry 12 ('f') skipped: SchemaError: schema 'f': column 'c' of table 'a.b' and "
+     "column 'b.c' of table 'a' flatten to one entry 'a.b.c'"),
 ]
 
 
@@ -246,6 +297,14 @@ def test_load_descriptions_reads_bom_csvs(mini_bird_root):
 
 def test_load_descriptions_missing_folder_is_empty(tmp_path):
     assert load_descriptions(tmp_path) == {}
+
+
+def test_load_descriptions_skips_a_csv_it_cannot_read(tmp_path):
+    folder = tmp_path / "database_description"
+    (folder / "account.csv").mkdir(parents=True)  # opening it raises IsADirectoryError
+    (folder / "loan.csv").write_text(
+        "original_column_name,column_description\nstatus,loan status\n", encoding="utf-8")
+    assert load_descriptions(tmp_path) == {"loan.status": "loan status"}
 
 
 _name = st.text(alphabet="abcdefgh", min_size=1, max_size=6)

@@ -199,6 +199,22 @@ def test_missing_from_target_rejected():
         parse("SELECT a FROM WHERE b = 1")
 
 
+@pytest.mark.parametrize("sql, message", [
+    ("SELECT 1 FROM", "expected table name"),
+    ("SELECT name FROM customer GROUP name", "expected BY (offset 32)"),
+])
+def test_parse_error_says_what_it_expected(sql, message):
+    with pytest.raises(SqlParseError) as info:
+        parse(sql)
+    assert str(info.value) == message
+
+
+def test_cast_without_a_paren_is_a_plain_word():
+    # SQLite rejects the query; the parser keeps CAST as a word of its item.
+    [item] = only_block("SELECT CAST x FROM t").items
+    assert ([t.value for t in item.expr], item.alias) == (["CAST", "x"], None)
+
+
 def test_not_a_select_rejected():
     with pytest.raises(SqlParseError):
         parse("INSERT INTO t VALUES (1)")

@@ -346,6 +346,15 @@ def test_star_of_an_unknown_qualifier_credits_it_as_a_table():
     assert extract_refs(sql, _TXY) == RefSet(frozenset({"t", "q"}), frozenset())
 
 
+def test_parenthesized_compound_operand_resolves_as_its_own_statement():
+    # SQLite rejects the query; scoring resolves each operand.
+    sql = "(SELECT name FROM customer) UNION SELECT name FROM city"
+    with pytest.raises(sqlite3.OperationalError, match='near "\\("'):
+        sqlite_reads(retail_schema(), sql)
+    assert extract_refs(sql, retail_schema()) == RefSet(
+        frozenset({"city", "customer"}), frozenset({"city.name", "customer.name"}))
+
+
 # ----- the table set depends on the statement only -----
 
 _FIXTURE_SCHEMAS = (retail_schema(), academic_schema(), financial_schema(), toy_shop_schema())
