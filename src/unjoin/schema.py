@@ -91,20 +91,16 @@ class DatabaseSchema:
                         f"{t.name!r} between {cols[cl]!r} and {c.name!r}"
                     )
                 cols[cl] = c.name
-            # The flat view lowers "table.column" as one text. Two of its
-            # entries can lower alike only through a dotted name, or a
-            # non-ASCII one such as a final sigma, which lowers by context.
-            names = t.name + "".join(cols.values())
-            if "." in names or not names.isascii():
-                for c in t.columns:
-                    rendered = f"{t.name}.{c.name}"
-                    first = flat.setdefault(rendered.lower(), (t.name, c.name))
-                    if first != (t.name, c.name):
-                        raise SchemaError(
-                            f"schema {self.db_id!r}: column {first[1]!r} of table "
-                            f"{first[0]!r} and column {c.name!r} of table {t.name!r} "
-                            f"flatten to one entry {rendered!r}"
-                        )
+                # The flat view lowers "table.column" as one text, so a dotted
+                # name, or a final sigma (lowered by context), can collide.
+                rendered = f"{t.name}.{c.name}"
+                first = flat.setdefault(rendered.lower(), (t.name, c.name))
+                if first != (t.name, c.name):
+                    raise SchemaError(
+                        f"schema {self.db_id!r}: column {first[1]!r} of table "
+                        f"{first[0]!r} and column {c.name!r} of table {t.name!r} "
+                        f"flatten to one entry {rendered!r}"
+                    )
         object.__setattr__(self, "table_names", seen)
         object.__setattr__(self, "columns_by_table", by_table)
         for t1, c1, t2, c2 in self.foreign_keys:

@@ -9,8 +9,9 @@ reads from it whether a gold query orders its rows.
 
 A run is a list of tokens in text order, where a parenthesized SELECT
 stands as one element of kind ``STMT``: the nested ``SelectStatement``
-itself, whose ``lower`` is None. ``tokenize`` never emits ``STMT``, so a
-run reader tests ``kind`` (and ``lower``) alone.
+itself, whose ``lower`` is None and whose ``is_keyword`` is False.
+``tokenize`` never emits ``STMT``, so a run reader tests ``kind``,
+``lower`` or ``is_keyword`` alone.
 
 ``_Roles`` reads the token stream once and says which token index plays
 which part: FROM table, qualifier, column, alias, CTE name, dotted
@@ -85,6 +86,9 @@ class SelectStatement:
     ctes: list[tuple[str, "SelectStatement"]] = field(default_factory=list)
     # Compound operands; parenthesized operands may themselves be statements.
     blocks: list = field(default_factory=list)
+
+    def is_keyword(self, *names: str) -> bool:
+        return False
 
 
 CLAUSE_WORDS = ("where", "group", "having", "order", "limit", "offset")
@@ -266,12 +270,7 @@ class _Parser:
             return SelectItem(is_star=True, star_qualifier=expr[0].value)
         alias = None
         # Explicit alias: trailing "AS name".
-        if (
-            len(expr) >= 2
-            and expr[-2].kind == IDENT
-            and expr[-2].lower == "as"
-            and expr[-1].kind in (IDENT, QIDENT)
-        ):
+        if len(expr) >= 2 and expr[-2].is_keyword("as") and expr[-1].kind in (IDENT, QIDENT):
             alias = expr[-1].value
             expr = expr[:-2]
         elif _implicit_alias_ok(expr):
@@ -404,7 +403,7 @@ class _Parser:
         out.append(self.advance())
         inner = self._parse_expr()
         for k in range(len(inner) - 1, -1, -1):
-            if inner[k].kind == IDENT and inner[k].lower == "as":
+            if inner[k].is_keyword("as"):
                 del inner[k:]
                 break
         out.extend(inner)

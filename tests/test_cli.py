@@ -248,7 +248,7 @@ MALFORMED_INPUTS = [
 
 
 @pytest.mark.parametrize("command, body, cause", MALFORMED_INPUTS)
-def test_malformed_input_exits_one_with_a_one_line_cause(tmp_path, command, body, cause):
+def test_malformed_input_exits_one_with_a_one_line_cause(tmp_path, capsys, command, body, cause):
     bad = tmp_path / "bad.json"
     bad.write_text(body, encoding="utf-8")
     if command == "score":
@@ -257,13 +257,8 @@ def test_malformed_input_exits_one_with_a_one_line_cause(tmp_path, command, body
         good = tmp_path / "good.json"
         good.write_text(json.dumps({"metrics": {"qe": 1.0}}), encoding="utf-8")
         argv = ["diff", "--a", str(good), "--b", str(bad)]
-    src = Path(__file__).resolve().parents[1] / "src"
-    proc = subprocess.run([sys.executable, "-m", "unjoin.cli", *argv],
-                          capture_output=True, text=True, timeout=60,
-                          env={**os.environ, "PYTHONPATH": str(src)})
-    assert proc.returncode == 1
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr == f"error: {bad} {cause}\n"
+    code, _, err = run_cli(capsys, *argv)
+    assert (code, err) == (1, f"error: {bad} {cause}\n")
 
 
 def test_run_without_a_root_fails(capsys):
