@@ -298,15 +298,12 @@ class _Parser:
                     # a top-level comma after ON starts the next source
                     block.exprs.append(self._parse_expr(commas=False))
                 elif self.at_keyword("using"):
+                    # The column list is read as a run, as a CTE's is; its names stay.
                     self.advance()
                     self.expect_op("(")
-                    cols = []
-                    while not self.at_op(")"):
-                        tok = self.advance()
-                        if tok.kind in (IDENT, QIDENT):
-                            cols.append(tok)
+                    names = self._parse_expr()
                     self.expect_op(")")
-                    block.exprs.append(cols)
+                    block.exprs.append([t for t in names if t.kind in (IDENT, QIDENT)])
                 continue
             break
 

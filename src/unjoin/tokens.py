@@ -68,26 +68,22 @@ _CLOSERS = {'"': '"', "`": "`", "[": "]", "'": "'"}
 
 
 def _scan_quoted(text: str, i: int) -> tuple[str, int]:
-    """Scan a quoted region starting at ``i``; return (inner text, end index).
+    """Scan the quoted region whose opening mark is at ``i``; return (inner text, end index).
 
-    Doubled closing quotes escape themselves, per SQL convention.
+    Each closing mark is found by search. A doubled closer stands for one
+    closer, per SQL convention, and the search goes on; brackets never double.
     """
-    opener = text[i]
-    closer = _CLOSERS[opener]
-    j = i + 1
+    closer = _CLOSERS[text[i]]
     parts = []
-    n = len(text)
-    while j < n:
-        ch = text[j]
-        if ch == closer:
-            if opener != "[" and j + 1 < n and text[j + 1] == closer:
-                parts.append(closer)
-                j += 2
-                continue
-            return "".join(parts), j + 1
-        parts.append(ch)
-        j += 1
-    raise TokenizeError(f"unterminated {opener!r} quote", i)
+    start = i + 1
+    while True:
+        j = text.find(closer, start)
+        if j < 0:
+            raise TokenizeError(f"unterminated {text[i]!r} quote", i)
+        parts.append(text[start:j])
+        if closer == "]" or not text.startswith(closer, j + 1):
+            return closer.join(parts), j + 1
+        start = j + 2
 
 
 def tokenize(sql: str) -> list[Token]:
@@ -109,23 +105,16 @@ def tokenize(sql: str) -> list[Token]:
             close = sql.find("*/", i + 2)
             i = n if close < 0 else close + 2
             continue
-        if ch == "'":
-            value, end = _scan_quoted(sql, i)
-            append(_new(Token, (STRING, value, i, end, "", value.lower())))
-            i = end
-            continue
-        if ch in ('"', "`", "["):
-            value, end = _scan_quoted(sql, i)
-            append(_new(Token, (QIDENT, value, i, end, ch, value.lower())))
+        if ch in _CLOSERS or (ch in "xX" and sql.startswith("'", i + 1)):
+            # A string, a quoted name, or a blob literal x'..' (its quote
+            # follows the x): one token each, as in SQLite.
+            opener = i if ch in _CLOSERS else i + 1
+            value, end = _scan_quoted(sql, opener)
+            quote = "" if sql[opener] == "'" else ch
+            append(_new(Token, (QIDENT if quote else STRING, value, i, end, quote, value.lower())))
             i = end
             continue
         if ch in _WORD_START or ch > "\x7f":
-            if ch in "xX" and sql.startswith("'", i + 1):
-                # A blob literal, x'..', is one literal, as in SQLite.
-                value, end = _scan_quoted(sql, i + 1)
-                append(_new(Token, (STRING, value, i, end, "", value.lower())))
-                i = end
-                continue
             j = i + 1
             while j < n and (sql[j] in _WORD_CHARS or sql[j] > "\x7f"):
                 j += 1

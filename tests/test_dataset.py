@@ -99,6 +99,7 @@ def test_filter_drop_reasons(mini_spider_root):
         EvalItem("retail:3", "retail", "q", "SELECT name FROM customer"),
         EvalItem("retail:4", "retail", " \n", "SELECT 1 FROM customer, city"),
         EvalItem("retail:5", "retail", "q", "SELECT 1 FROM customer, Ghost, city AS g"),
+        EvalItem("retail:6", "retail", "q", "SELECT name FROM customer JOIN city USING (city_id"),
     ]
     kept, dropped = filter_items(items, catalogue)
     assert kept == []
@@ -109,6 +110,7 @@ def test_filter_drop_reasons(mini_spider_root):
     assert reasons["retail:2"].startswith("unparseable gold SQL")
     assert reasons["retail:3"] == "single-table query"
     assert reasons["retail:4"] == "missing question"
+    assert reasons["retail:6"] == "unparseable gold SQL: expected ')', got 'end of input'"
 
 
 def test_filter_keeps_a_gold_whose_cte_reads_itself():

@@ -475,6 +475,9 @@ def test_keyword_fallback_never_shortens_an_unparsed_query():
     assert extract_sql("Answer:\n" + sql) == sql
     # No prefix parses: the whole suffix comes back, as before.
     assert extract_sql("SELECT FROM\nNothing here.") == "SELECT FROM\nNothing here."
+    # A USING list the text ends inside is a parse error, so no prefix parses.
+    unclosed = "SELECT name FROM customer JOIN city USING (city_id\nThat is all."
+    assert extract_sql("Here: " + unclosed) == unclosed
 
 
 def test_extract_sql_blocks_order_and_tags():

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import re
+import sqlite3
 from collections import Counter
 from dataclasses import fields, is_dataclass
 
@@ -104,6 +105,36 @@ def test_using_columns_recorded_as_join_condition():
     block = only_block("SELECT 1 FROM a JOIN b USING (x, y)")
     assert len(block.exprs) == 1
     assert [t.value for t in block.exprs[0]] == ["x", "y"]
+
+
+def _sqlite_rejects(sql):
+    con = sqlite3.connect(":memory:")
+    try:
+        con.executescript("CREATE TABLE a (x, y); CREATE TABLE b (x, y);")
+        with pytest.raises(sqlite3.OperationalError):
+            con.execute(sql)
+    finally:
+        con.close()
+
+
+def test_using_list_is_read_as_a_run():
+    # A parenthesized name inside the list is read as the run reads it.
+    sql = "SELECT 1 FROM a JOIN b USING (x, (y))"
+    assert [t.value for t in only_block(sql).exprs[0]] == ["x", "y"]
+    _sqlite_rejects(sql)
+
+
+@pytest.mark.parametrize("sql, message", [
+    # A clause word ends the run before the list closes.
+    ("SELECT 1 FROM a JOIN b USING (x where)", "expected ')', got 'where' (offset 32)"),
+    ("SELECT 1 FROM a JOIN b USING (x", "expected ')', got 'end of input'"),
+    ("SELECT 1 FROM a JOIN b USING (x, y", "expected ')', got 'end of input'"),
+])
+def test_using_list_that_does_not_close_is_a_parse_error(sql, message):
+    with pytest.raises(SqlParseError) as info:
+        parse(sql)
+    assert str(info.value) == message
+    _sqlite_rejects(sql)
 
 
 def test_parenthesized_join_group_flattens_into_scope():

@@ -128,6 +128,37 @@ def test_blob_literal_is_one_token():
         tokenize("SELECT x'41")
 
 
+def _quoted(sql):
+    return [(t.kind, t.value, sql[t.start:t.end]) for t in tokenize(sql)][1:]
+
+
+def test_doubled_closer_at_the_very_end():
+    assert _quoted("SELECT 'it'''") == [(STRING, "it'", "'it'''")]
+    assert _quoted('SELECT "a"""') == [(QIDENT, 'a"', '"a"""')]
+
+
+def test_unterminated_region_right_after_a_doubled_closer():
+    # The offset is the opening quote's, not the doubled closer's.
+    with pytest.raises(TokenizeError) as info:
+        tokenize("SELECT 'a''")
+    assert info.value.offset == 7
+    with pytest.raises(TokenizeError) as info:
+        tokenize("SELECT x'4''")
+    assert info.value.offset == 8
+
+
+def test_brackets_never_double():
+    # "]]" inside brackets closes the name at the first "]".
+    assert _quoted("SELECT [a]]b]") == [(QIDENT, "a", "[a]"), (OP, "]", "]"),
+                                        (IDENT, "b", "b"), (OP, "]", "]")]
+    assert _quoted("SELECT [a]] FROM t")[:2] == [(QIDENT, "a", "[a]"), (OP, "]", "]")]
+
+
+def test_blob_with_a_doubled_quote():
+    assert _quoted("SELECT x'4''1', 2") == [
+        (STRING, "4'1", "x'4''1'"), (OP, ",", ","), (NUMBER, "2", "2")]
+
+
 def test_token_hashable_and_frozen():
     tok = tokenize("a")[0]
     assert isinstance(hash(tok), int)
