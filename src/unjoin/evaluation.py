@@ -234,6 +234,21 @@ def precision_recall(pred: frozenset, gold: frozenset) -> tuple[float, float]:
 
 # EvalRecord fields held as tuples and written as JSON lists.
 _TUPLE_FIELDS = ("gold_tables", "gold_columns", "pred_tables", "pred_columns")
+_JSON_KINDS = {
+    "text": (str,), "bool": (bool,), "number": (int, float), "int": (int,),
+    "list of text": (list,), "object": (dict,), "object or null": (dict, type(None)),
+}
+# The JSON kind each EvalRecord field has in a records line.
+_FIELD_KINDS = {
+    **dict.fromkeys(("item_id", "method", "db_id", "question", "gold_sql"), "text"),
+    "prediction": "object", "gold_exec": "object", "pred_exec": "object or null",
+    "qe": "bool", "em": "bool",
+    **dict.fromkeys(_TUPLE_FIELDS, "list of text"),
+    **dict.fromkeys(
+        ("table_precision", "table_recall", "column_precision", "column_recall"), "number"
+    ),
+    "gold_table_count": "int",
+}
 
 
 @dataclass(frozen=True)
@@ -275,9 +290,17 @@ class EvalRecord:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "EvalRecord":
+        """A record from a records line; a field of the wrong JSON kind raises ``TypeError``."""
         values = {f.name: raw[f.name] for f in fields(cls) if f.name != "pred_exec"}
+        values["pred_exec"] = raw.get("pred_exec")
+        for name, value in values.items():
+            kind = _FIELD_KINDS[name]
+            if type(value) not in _JSON_KINDS[kind] or (
+                kind == "list of text" and any(type(v) is not str for v in value)
+            ):
+                raise TypeError(f"{name!r} must be {kind}, not {json.dumps(value)[:40]}")
         values["gold_exec"] = ExecOutcome.from_dict(values["gold_exec"])
-        pred_exec = raw.get("pred_exec")
+        pred_exec = values["pred_exec"]
         values["pred_exec"] = ExecOutcome.from_dict(pred_exec) if pred_exec else None
         for name in _TUPLE_FIELDS:
             values[name] = tuple(values[name])

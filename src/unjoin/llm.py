@@ -74,6 +74,11 @@ class LlmExchange:
 
 # A cache file holds these fields as JSON keys, in this order.
 _RECORD_FIELDS = fields(LlmExchange)
+# The JSON types each field may take: text, a number, an int or null.
+_FIELD_TYPES = {
+    "key": (str,), "prompt": (str,), "completion": (str,), "latency_s": (int, float),
+    "prompt_tokens": (int, type(None)), "completion_tokens": (int, type(None)),
+}
 
 
 def exchange_key(prompt: str, cfg: LlmConfig) -> str:
@@ -99,17 +104,22 @@ class ExchangeCache:
         """The stored exchange, or None when no file exists at the key's path.
 
         A file that cannot be opened or read as an exchange (a directory,
-        unreadable bytes, bad JSON, missing fields) raises
-        ``CorruptCacheError``, which fails one item.
+        unreadable bytes, bad JSON, missing fields or fields of the wrong
+        type) raises ``CorruptCacheError``, which fails one item.
         """
         path = self.path_for(key)
         try:
             with open(path, encoding="utf-8") as fh:
                 raw = json.load(fh)
-            return LlmExchange(**{
+            values = {
                 f.name: raw[f.name] if f.default is MISSING else raw.get(f.name, f.default)
                 for f in _RECORD_FIELDS
-            })
+            }
+            for name, value in values.items():
+                if type(value) not in _FIELD_TYPES[name]:
+                    want = " or ".join(t.__name__ for t in _FIELD_TYPES[name])
+                    raise TypeError(f"{name!r} must be {want}, not {type(value).__name__}")
+            return LlmExchange(**values)
         except FileNotFoundError:
             return None
         except (OSError, ValueError, KeyError, TypeError) as exc:
@@ -160,11 +170,13 @@ def default_transport(prompt: str, cfg: LlmConfig) -> tuple[str, int | None, int
         raise LlmError(f"malformed completion response: {exc}") from exc
     if not isinstance(text, str):
         raise LlmError(f"malformed completion response: content is {type(text).__name__}")
-    # Token counts are optional: a missing or odd usage field gives None.
+    # Token counts are optional: a missing or odd usage field or count gives
+    # None, so the cache file holds only what a replay reads back.
     usage = body.get("usage")
     if not isinstance(usage, dict):
         usage = {}
-    return text, usage.get("prompt_tokens"), usage.get("completion_tokens")
+    counts = (usage.get("prompt_tokens"), usage.get("completion_tokens"))
+    return text, *(c if type(c) is int else None for c in counts)
 
 
 class LlmClient:

@@ -164,16 +164,12 @@ class SimplifiedSchema:
 
     name: str
     entries: tuple[SimplifiedEntry, ...]
-    # Lower-case rendered name -> entry, built while duplicates are checked.
+    # Lower-case rendered name -> entry. No two entries share one:
+    # ``DatabaseSchema`` rejects a schema whose flat view would.
     _by_rendered: dict[str, SimplifiedEntry] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        index = {}
-        for e in self.entries:
-            key = e.rendered.lower()
-            if key in index:
-                raise SchemaError(f"simplified schema {self.name!r}: duplicate entry {e.rendered!r}")
-            index[key] = e
+        index = {e.rendered.lower(): e for e in self.entries}
         object.__setattr__(self, "_by_rendered", index)
 
     def lookup(self, rendered: str) -> SimplifiedEntry | None:

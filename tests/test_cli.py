@@ -10,6 +10,7 @@ import pytest
 from unjoin.cli import main
 
 from conftest import ORACLE_MODEL
+from test_evaluation import make_record
 
 
 def run_cli(capsys, *argv):
@@ -235,8 +236,27 @@ def test_score_of_a_file_without_records_fails(tmp_path, capsys):
     assert (code, err) == (1, f"error: no records in {path}\n")
 
 
+
+
+def record_line(**changed) -> str:
+    """A records file whose second line is a record with ``changed`` fields."""
+    return '{"_meta": {}}\n' + json.dumps({**make_record().to_dict(), **changed}) + "\n"
+
+
 # (command, the malformed file's text, the cause after its path)
 MALFORMED_INPUTS = [
+    ("score", record_line(table_precision="x"),
+     "line 2 is not a record: TypeError: 'table_precision' must be number, not \"x\""),
+    ("score", record_line(qe="yes"),
+     "line 2 is not a record: TypeError: 'qe' must be bool, not \"yes\""),
+    ("score", record_line(gold_table_count="2"),
+     "line 2 is not a record: TypeError: 'gold_table_count' must be int, not \"2\""),
+    ("score", record_line(gold_tables=5),
+     "line 2 is not a record: TypeError: 'gold_tables' must be list of text, not 5"),
+    ("score", record_line(pred_columns=["a.x", 1]),
+     "line 2 is not a record: TypeError: 'pred_columns' must be list of text, not [\"a.x\", 1]"),
+    ("score", record_line(pred_exec=[]),
+     "line 2 is not a record: TypeError: 'pred_exec' must be object or null, not []"),
     ("score", '{"foo": 1}\n', "line 1 is not a record: KeyError: 'item_id'"),
     ("score", '{"_meta": {}}\n\n[1]\n', "line 3 is not a record: TypeError: not a JSON object"),
     ("score", '{"_meta": 5}\n', "line 1 is not a record: TypeError: _meta is not a JSON object"),

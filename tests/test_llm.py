@@ -81,7 +81,17 @@ def test_corrupt_cache_file_fails_loudly(tmp_path):
         cache.get(key)
 
 
-@pytest.mark.parametrize("body", ["{broken", "[1, 2]", '{"key": "k"}', "\udcff"])
+@pytest.mark.parametrize("body", [
+    "{broken", "[1, 2]", '{"key": "k"}', "\udcff", '"text"',
+    # Valid JSON whose fields lack the exchange's types.
+    '{"key": "k", "prompt": "p", "completion": 5}',
+    '{"key": "k", "prompt": null, "completion": "c"}',
+    '{"key": ["k"], "prompt": "p", "completion": "c"}',
+    '{"key": "k", "prompt": "p", "completion": "c", "latency_s": "0.5"}',
+    '{"key": "k", "prompt": "p", "completion": "c", "latency_s": true}',
+    '{"key": "k", "prompt": "p", "completion": "c", "prompt_tokens": 1.5}',
+    '{"key": "k", "prompt": "p", "completion": "c", "completion_tokens": "3"}',
+])
 def test_corrupt_cache_file_is_an_llm_error_naming_the_file(tmp_path, body):
     cache = ExchangeCache(tmp_path)
     key = exchange_key("a", CFG)
@@ -165,6 +175,27 @@ def test_cache_file_layout_is_pinned(tmp_path):
         '{\n "key": "ab12",\n "prompt": "p\u00e9",\n "completion": "c",\n'
         ' "latency_s": 0.5,\n "prompt_tokens": 3,\n "completion_tokens": null\n}'
     )
+
+
+def test_cache_file_field_type_error_names_the_field(tmp_path):
+    cache = ExchangeCache(tmp_path)
+    path = cache.path_for("ab12")
+    path.parent.mkdir(parents=True)
+    path.write_text('{"key": "ab12", "prompt": "p", "completion": 5}', encoding="utf-8")
+    with pytest.raises(CorruptCacheError) as info:
+        cache.get("ab12")
+    assert str(info.value) == (
+        f"corrupt cache file {path}: TypeError: 'completion' must be str, not int")
+
+
+def test_cache_file_holds_numbers_and_nulls_where_an_exchange_may(tmp_path):
+    cache = ExchangeCache(tmp_path)
+    path = cache.path_for("ab12")
+    path.parent.mkdir(parents=True)
+    path.write_text('{"key": "ab12", "prompt": "p", "completion": "c", "latency_s": 2, '
+                    '"prompt_tokens": 7, "completion_tokens": null}', encoding="utf-8")
+    assert cache.get("ab12") == LlmExchange(key="ab12", prompt="p", completion="c",
+                                            latency_s=2, prompt_tokens=7)
 
 
 def test_cache_file_without_optional_fields_reads_with_defaults(tmp_path):
@@ -345,7 +376,10 @@ def test_default_transport_returns_text_and_token_counts(post):
     assert kwargs["timeout"] == 7.0
 
 
-@pytest.mark.parametrize("usage", [None, {}, [1, 2]])
+@pytest.mark.parametrize("usage", [
+    None, {}, [1, 2], {"prompt_tokens": "12", "completion_tokens": 3.0},
+    {"prompt_tokens": True, "completion_tokens": None},
+])
 def test_default_transport_without_usage_gives_no_counts(post, usage):
     post.reply = response(200, completion_body("SELECT 1", usage))
     assert default_transport("p", LIVE_CFG) == ("SELECT 1", None, None)

@@ -47,6 +47,8 @@ from unjoin.prompting import (
     TEMPLATE_FILES,
     TemplateError,
     TemplateSet,
+    baseline_schema_block,
+    build_baseline_prompt,
     build_mp_step1_prompt,
     build_mp_step2_prompt,
 )
@@ -539,7 +541,74 @@ def test_evaluate_item_parses_the_gold_once(retail_db, retail_sqlite, monkeypatc
     assert rec.gold_columns == ("customer.name",)
 
 
+# A USING list the text ends inside: the parser rejects it, and so does SQLite.
+UNCLOSED_USING = "SELECT name FROM customer JOIN city USING (city_id"
+
+
+def test_prediction_whose_using_list_does_not_close_has_no_refs(retail_db, retail_sqlite):
+    assert pipeline._scored(UNCLOSED_USING, retail_db) == (pipeline._NO_REFS, False)
+    pred = PredictedQuery(method="cot", final_sql=UNCLOSED_USING)
+    rec = evaluate_item(ITEM, pred, retail_db, retail_db, retail_sqlite, 10.0)
+    assert rec.pred_exec.status == "runtime_error"
+    assert not rec.qe and rec.pred_tables == ()
+
+
 # ----- whole-run orchestration -----
+
+
+def _seed_cot_cache(cache, bundle, items, cfg):
+    """Record each item's gold as its cot completion; return item id -> cache file."""
+    paths = {}
+    for item in items:
+        db = bundle.catalogue[item.db_id]
+        prompt = build_baseline_prompt("cot", baseline_schema_block("cot", db),
+                                       item.prompt_question)
+        key = exchange_key(prompt, cfg)
+        cache.put(LlmExchange(key=key, prompt=prompt,
+                              completion=f"```sql\n{item.gold_sql}\n```"))
+        paths[item.item_id] = cache.path_for(key)
+    return paths
+
+
+@pytest.mark.parametrize("completion, stage", [
+    # SQLite rejects the extracted text at execution.
+    (f"```sql\n{UNCLOSED_USING}\n```", None),
+    # A cached completion that is not text: the cache file is corrupt.
+    (5, "complete"),
+])
+def test_cot_replay_run_costs_only_the_item_whose_completion_is_bad(
+        mini_spider_root, tmp_path, completion, stage):
+    bundle = load_dataset(mini_spider_root, "spider")
+    kept, _ = filter_items(bundle.items, bundle.catalogue)
+    items = kept[:6]
+    config = RunConfig(dataset="spider", root=str(mini_spider_root), method="cot",
+                       model=ORACLE_MODEL, cache_mode="replay",
+                       cache_dir=str(tmp_path / "cache"), workers=2)
+    cache = ExchangeCache(config.cache_dir)
+    paths = _seed_cot_cache(cache, bundle, items, config.llm_config())
+    client = LlmClient(config.llm_config(), cache)
+    clean, _ = run_evaluation(bundle, items, config, client)
+    assert all(r.qe and r.em for r in clean)
+
+    victim = items[3]
+    path = paths[victim.item_id]
+    raw = json.loads(path.read_text(encoding="utf-8"))
+    path.write_text(json.dumps({**raw, "completion": completion}), encoding="utf-8")
+    records, _ = run_evaluation(bundle, items, config, client)
+
+    assert [r.item_id for r in records] == [i.item_id for i in items]
+    for before, after in zip(clean, records):
+        if after.item_id != victim.item_id:
+            assert after.to_dict() == before.to_dict()
+        elif stage is None:
+            assert not after.prediction["failed"]
+            assert after.prediction["final_sql"] == UNCLOSED_USING
+            assert after.pred_exec.status == "runtime_error"
+            assert not after.qe and after.pred_tables == ()
+        else:
+            assert after.prediction["failed"]
+            assert after.prediction["failure_stage"] == stage
+            assert str(path) in after.prediction["failure_reason"]
 
 
 def test_gold_that_cannot_be_tokenized_costs_only_its_item(mini_spider_root, tmp_path):
