@@ -4,6 +4,7 @@ import random
 
 import pytest
 import requests
+from hypothesis import given, strategies as st
 
 from unjoin.dataset import RunConfig
 from unjoin.llm import (
@@ -42,6 +43,53 @@ def test_key_depends_on_prompt_model_temperature():
     assert base != exchange_key("p", LlmConfig(model="m2", temperature=0.0))
     assert base != exchange_key("p", LlmConfig(model="m", temperature=0.7))
     assert len(base) == 64
+
+
+# Keys recorded caches are filed under: a changed formula would stop every
+# recorded cache from replaying while the fixture cache, written through
+# exchange_key itself, still replayed.
+PINNED_KEYS = [
+    ("p", "m", 0.0, "e4d69f0a30bb712c0c9036749c9c213a0607ca926100c7420cd2ed5e2528c4d7"),
+    ('Say "hi"\\\n\t\x00\x1f\x7f\u2028\u2029 café \U0001d11e', "gpt-4o-mini", 0.7,
+     "f2169f9f49793245558e6b2bb2ad160cc55c4213ddaa7bdd85b970dfb4e28c44"),
+    ("SELECT 1;\r\n", 'model "q" \\ é', 1,
+     "37106fa42e2cf65861f84ec9fca4678ff66937946599d835fa75a941d27351d0"),
+]
+
+
+@pytest.mark.parametrize("prompt, model, temperature, key", PINNED_KEYS)
+def test_key_values_are_pinned(prompt, model, temperature, key):
+    assert exchange_key(prompt, LlmConfig(model=model, temperature=temperature)) == key
+
+
+def _reference_key(prompt, model, temperature):
+    payload = json.dumps({"prompt": prompt, "model": model, "temperature": float(temperature)},
+                         sort_keys=True, ensure_ascii=False)
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+# Text that JSON escapes, or writes raw with ensure_ascii=False.
+_KEY_TEXT = st.text(st.one_of(
+    st.sampled_from('"\\\x7f\u2028\u2029\U0001d11eé'),
+    st.characters(max_codepoint=0x1F),
+    st.characters(blacklist_categories=("Cs",)),
+))
+
+
+@given(prompt=_KEY_TEXT, model=_KEY_TEXT,
+       temperature=st.sampled_from([0, 0.0, 0.2, 1, 1e-7, 2.5e300]))
+def test_key_is_the_hash_of_the_sorted_json_payload(prompt, model, temperature):
+    assert exchange_key(prompt, LlmConfig(model=model, temperature=temperature)) == (
+        _reference_key(prompt, model, temperature))
+
+
+@pytest.mark.parametrize("prompt, model", [("a\udcffb", "m"), ("a", "m\ud800")])
+def test_key_of_a_lone_surrogate_raises_as_the_payload_encode_does(prompt, model):
+    with pytest.raises(UnicodeEncodeError) as want:
+        _reference_key(prompt, model, 0.0)
+    with pytest.raises(UnicodeEncodeError) as got:
+        exchange_key(prompt, LlmConfig(model=model))
+    assert str(got.value) == str(want.value)
 
 
 def test_integer_temperature_keys_as_its_float():
