@@ -1,11 +1,20 @@
 """Chat-completion client with deterministic record/replay caching.
 
-Exchanges are keyed by a content hash of (prompt, model, temperature),
-with the temperature read as a float so 0 and 0.0 give one key, and
-identical prompts dedupe across items and runs. Each exchange lives
-in its own JSON file under a content-addressed directory: corrupting
-one file can affect at most one key. Replay mode never touches the
-network; a missing key is a hard error that names the key.
+An exchange's key is the sha256 hex digest of the UTF-8 bytes of
+``json.dumps({"prompt": prompt, "model": model, "temperature":
+float(temperature)}, sort_keys=True, ensure_ascii=False)``: the
+temperature is read as a float, so 0 and 0.0 give one key, and
+identical prompts dedupe across items and runs. A prompt built by
+``prompting`` is a ``JsonText``, which carries the JSON text of its
+own characters, so the key's payload is assembled without escaping the
+schema blocks again for every item.
+
+Each exchange lives in its own JSON file under a content-addressed
+directory: corrupting one file can affect at most one key. A file as
+record mode writes it is read without decoding its prompt again; any
+other layout is read in full, under the same corruption rules. Replay
+mode never touches the network; a missing key is a hard error that
+names the key.
 """
 
 from __future__ import annotations
@@ -81,13 +90,66 @@ _FIELD_TYPES = {
 }
 
 
+class JsonText(str):
+    """Text that carries its JSON text.
+
+    ``json`` is what ``json.dumps(text, ensure_ascii=False)`` writes
+    between the quotes. JSON escapes each character on its own, so the
+    JSON text of joined pieces is the join of theirs: a prompt is
+    assembled from pieces whose JSON text their owners hold. Given at
+    construction, or computed on first read.
+    """
+
+    __slots__ = ("_json",)
+
+    def __new__(cls, text: str, escaped: str | None = None):
+        self = super().__new__(cls, text)
+        if escaped is not None:
+            self._json = escaped
+        return self
+
+    @property
+    def json(self) -> str:
+        try:
+            return self._json
+        except AttributeError:
+            self._json = json_text(str(self))
+            return self._json
+
+
+def json_text(text: str) -> str:
+    """The JSON text of ``text``: carried by a ``JsonText``, escaped here otherwise."""
+    if isinstance(text, JsonText):
+        return text.json
+    return json.dumps(text, ensure_ascii=False)[1:-1]
+
+
 def exchange_key(prompt: str, cfg: LlmConfig) -> str:
-    payload = json.dumps(
-        {"prompt": prompt, "model": cfg.model, "temperature": float(cfg.temperature)},
-        sort_keys=True,
-        ensure_ascii=False,
+    """The sha256 of the sorted JSON payload of (prompt, model, float temperature).
+
+    The payload is spelled out in ``json.dumps``'s sorted, compact-free
+    form, with the prompt's carried JSON text in place; its bytes equal
+    ``json.dumps({...}, sort_keys=True, ensure_ascii=False)``'s.
+    """
+    payload = (
+        f'{{"model": {json.dumps(cfg.model, ensure_ascii=False)}, '
+        f'"prompt": "{json_text(prompt)}", '
+        f'"temperature": {json.dumps(float(cfg.temperature))}}}'
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def _exchange(raw: dict) -> LlmExchange:
+    """The exchange a decoded cache file holds; KeyError or TypeError if it holds none."""
+    values = {
+        f.name: raw[f.name] if f.default is MISSING else raw.get(f.name, f.default)
+        for f in _RECORD_FIELDS
+    }
+    for name, value in values.items():
+        if type(value) not in _FIELD_TYPES[name]:
+            want = " or ".join(t.__name__ for t in _FIELD_TYPES[name])
+            raise TypeError(f"{name!r} must be {want}, not {type(value).__name__}")
+    return LlmExchange(**values)
 
 
 class ExchangeCache:
@@ -100,26 +162,33 @@ class ExchangeCache:
     def path_for(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
 
-    def get(self, key: str) -> LlmExchange | None:
+    def get(self, key: str, prompt: str | None = None) -> LlmExchange | None:
         """The stored exchange, or None when no file exists at the key's path.
 
         A file that cannot be opened or read as an exchange (a directory,
         unreadable bytes, bad JSON, missing fields or fields of the wrong
         type) raises ``CorruptCacheError``, which fails one item.
+
+        Given the prompt the key was made from, a file that starts with
+        the bytes ``put`` writes before the completion is read from there
+        on: a field the rest repeats wins, as in a full read. Any other
+        file, or one whose rest does not read as an exchange, is read in
+        full, which gives the same exchange or the same error.
         """
         path = self.path_for(key)
+        if prompt is not None:
+            try:
+                with open(path, "rb") as fh:
+                    hit = _read_after_prompt(fh.read(), key, prompt)
+            except FileNotFoundError:
+                return None
+            except OSError:
+                hit = None
+            if hit is not None:
+                return hit
         try:
             with open(path, encoding="utf-8") as fh:
-                raw = json.load(fh)
-            values = {
-                f.name: raw[f.name] if f.default is MISSING else raw.get(f.name, f.default)
-                for f in _RECORD_FIELDS
-            }
-            for name, value in values.items():
-                if type(value) not in _FIELD_TYPES[name]:
-                    want = " or ".join(t.__name__ for t in _FIELD_TYPES[name])
-                    raise TypeError(f"{name!r} must be {want}, not {type(value).__name__}")
-            return LlmExchange(**values)
+                return _exchange(json.load(fh))
         except FileNotFoundError:
             return None
         except (OSError, ValueError, KeyError, TypeError) as exc:
@@ -128,12 +197,34 @@ class ExchangeCache:
     def put(self, exchange: LlmExchange) -> None:
         path = self.path_for(exchange.key)
         record = {f.name: getattr(exchange, f.name) for f in _RECORD_FIELDS}
-        body = json.dumps(record, ensure_ascii=False, indent=1)
+        # UTF-8 bytes, not text mode, so a file has one layout on every platform.
+        body = json.dumps(record, ensure_ascii=False, indent=1).encode("utf-8")
         with self._lock:
             path.parent.mkdir(parents=True, exist_ok=True)
             tmp = path.with_suffix(".tmp")
-            tmp.write_text(body, encoding="utf-8")
+            tmp.write_bytes(body)
             os.replace(tmp, path)
+
+
+def _read_after_prompt(data: bytes, key: str, prompt: str) -> LlmExchange | None:
+    """The exchange in ``data`` if ``put`` wrote its head for ``key`` and ``prompt``.
+
+    Only what follows ``"completion": `` is decoded. None when the head
+    differs or the rest does not read as an exchange.
+    """
+    try:
+        head = f'{{\n "key": {json.dumps(key, ensure_ascii=False)},\n "prompt": "'.encode()
+        body = json_text(prompt).encode("utf-8")
+        tail = b'",\n "completion": '
+        end = len(head) + len(body)
+        if not (data.startswith(head) and data.startswith(body, len(head))
+                and data.startswith(tail, end)):
+            return None
+        raw = {"key": key, "prompt": str(prompt)}
+        raw.update(json.loads('{"completion": ' + data[end + len(tail):].decode("utf-8")))
+        return _exchange(raw)
+    except (ValueError, KeyError, TypeError):
+        return None
 
 
 def default_transport(prompt: str, cfg: LlmConfig) -> tuple[str, int | None, int | None]:
@@ -195,7 +286,7 @@ class LlmClient:
             raise ValueError("record mode requires a cache directory")
         key = exchange_key(prompt, self.cfg)
         if cache_mode != "live":
-            hit = self.cache.get(key) if self.cache is not None else None
+            hit = self.cache.get(key, prompt) if self.cache is not None else None
             if hit is not None:
                 return hit.completion
             if cache_mode == "replay":
@@ -214,7 +305,7 @@ class LlmClient:
                 text, ptok, ctok = self.transport(prompt, self.cfg)
                 return LlmExchange(
                     key=key,
-                    prompt=prompt,
+                    prompt=str(prompt),
                     completion=text,
                     latency_s=time.monotonic() - started,
                     prompt_tokens=ptok,

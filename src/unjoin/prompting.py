@@ -14,6 +14,12 @@ fills one template's slots, with a second template as its examples
 block. A run reads its set once; a ``build_*_prompt`` call given
 ``None`` renders from one set of every shipped template, read once per
 process. Schema text comes only from the schema objects' own blocks.
+
+A prompt is an ``llm.JsonText``: it carries its JSON text, which the
+exchange key hashes. That text is joined from the pieces' own: the set
+holds it for the text around the slots and for the examples blocks,
+the schema blocks hold theirs, and only the per-item values (question,
+intermediate query) are escaped for each prompt.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ import re
 from collections.abc import Iterable
 from pathlib import Path
 
+from .llm import JsonText, json_text
 from .schema import DatabaseSchema, SimplifiedSchema, simplify_schema
 
 SLOT_NAMES = (
@@ -67,6 +74,9 @@ class TemplateSet:
         directory = Path(template_dir) if template_dir else DEFAULT_TEMPLATE_DIR
         self.hashes: dict[str, str] = {}
         self._templates: dict[str, str] = {}
+        # (template id, examples id) -> the text around the slots, with the
+        # examples block filled in, and the slot names; split on first render.
+        self._split: dict[tuple[str, str], tuple[list[JsonText], list[str]]] = {}
         wanted = set(template_ids)
         for name in TEMPLATE_FILES:
             try:
@@ -92,20 +102,43 @@ class TemplateSet:
         except KeyError:
             raise TemplateError(f"template {template_id!r} was not loaded") from None
 
-    def render(self, template_id: str, examples_id: str, **values: str) -> str:
+    def render(self, template_id: str, examples_id: str, **values: str) -> JsonText:
         """Template ``template_id`` with ``examples_id`` as its examples block.
 
         Only the named slots are substituted, in one pass; a slot the
-        template uses without a value raises ``TemplateError``.
+        template uses without a value raises ``TemplateError``. The
+        prompt carries its JSON text; a value that is a ``JsonText``
+        brings its own, any other is escaped here.
         """
-        text = self[template_id]
-        values["examples_block"] = self[examples_id].rstrip("\n")
-        missing = [s for s in dict.fromkeys(_SLOT_RE.findall(text)) if s not in values]
+        split = self._split.get((template_id, examples_id))
+        if split is None:
+            split = self._split[template_id, examples_id] = self._split_template(
+                template_id, examples_id)
+        fixed, slots = split
+        missing = [s for s in dict.fromkeys(slots) if s not in values]
         if missing:
             raise TemplateError(
                 f"template {template_id!r} missing slot values: {', '.join(missing)}"
             )
-        return _SLOT_RE.sub(lambda m: values[m.group(1)], text)
+        texts, escaped = [fixed[0]], [fixed[0].json]
+        for slot, after in zip(slots, fixed[1:]):
+            value = values[slot]
+            texts += (value, after)
+            escaped += (json_text(value), after.json)
+        return JsonText("".join(texts), "".join(escaped))
+
+    def _split_template(self, template_id: str, examples_id: str):
+        """The text around the slots, with the examples block filled in, and the slot names."""
+        pieces = _SLOT_RE.split(self[template_id])
+        examples = self[examples_id].rstrip("\n")
+        fixed, slots = [pieces[0]], []
+        for slot, after in zip(pieces[1::2], pieces[2::2]):
+            if slot == "examples_block":
+                fixed[-1] += examples + after
+            else:
+                slots.append(slot)
+                fixed.append(after)
+        return [JsonText(text) for text in fixed], slots
 
 
 @functools.cache

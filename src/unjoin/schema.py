@@ -12,7 +12,8 @@ repair) is held by the object itself: it lives exactly as long as the
 schema does, and every caller shares it. Callers must treat these values
 as read-only. The candidate lists are built with ``correction.PackedNames``;
 this module imports ``correction``, which names the schema types only in
-annotations.
+annotations. The prompt blocks are ``llm.JsonText``: each computes its
+JSON text on the first prompt that reads it, and holds it from then on.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from functools import cached_property
 from pathlib import Path
 
 from .correction import PackedNames
+from .llm import JsonText
 
 log = logging.getLogger(__name__)
 
@@ -137,7 +139,7 @@ class DatabaseSchema:
         return {t: PackedNames(sorted(c.items()), t) for t, c in self.columns_by_table.items()}
 
     @cached_property
-    def original_block(self) -> str:
+    def original_block(self) -> JsonText:
         """CREATE TABLE-style rendering of the schema plus FK lines."""
         parts = []
         for t in self.tables:
@@ -147,7 +149,7 @@ class DatabaseSchema:
         if self.foreign_keys:
             fk_lines = [f"{t1}.{c1} = {t2}.{c2}" for t1, c1, t2, c2 in self.foreign_keys]
             text += "\nForeign Keys:\n" + "\n".join(fk_lines)
-        return text
+        return JsonText(text)
 
 
 @dataclass(frozen=True)
@@ -186,7 +188,7 @@ class SimplifiedSchema:
         return PackedNames(sorted((e.rendered.lower(), e.rendered) for e in self.entries))
 
     @cached_property
-    def block(self) -> str:
+    def block(self) -> JsonText:
         """The prompt block: a "Table: <name>" header, then one line per entry.
 
         When any entry carries a description, names are padded to a
@@ -203,7 +205,7 @@ class SimplifiedSchema:
                     lines.append(e.rendered)
         else:
             lines.extend(e.rendered for e in self.entries)
-        return "\n".join(lines)
+        return JsonText("\n".join(lines))
 
 
 def simplify_schema(db: DatabaseSchema, descriptions: dict[str, str] | None = None) -> SimplifiedSchema:

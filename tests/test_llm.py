@@ -6,12 +6,14 @@ import pytest
 import requests
 from hypothesis import given, strategies as st
 
+from unjoin import llm
 from unjoin.dataset import RunConfig
 from unjoin.llm import (
     API_KEY_ENV,
     CorruptCacheError,
     ExchangeCache,
     ExtractionError,
+    JsonText,
     LlmClient,
     LlmConfig,
     LlmError,
@@ -266,6 +268,109 @@ def test_cache_file_without_a_required_field_is_corrupt(tmp_path, missing):
     with pytest.raises(CorruptCacheError) as info:
         cache.get("ab12")
     assert f"KeyError: '{missing}'" in str(info.value)
+
+
+# ----- reading a file from after its prompt -----
+
+# A prompt JSON escapes in several ways, so a wrongly escaped head misses.
+READ_PROMPT = 'Table: t\n "q" \\ caf\u00e9 \x01 \U0001d11e'
+READ_EXCHANGE = LlmExchange(key=exchange_key(READ_PROMPT, CFG), prompt=READ_PROMPT,
+                            completion="```sql\nSELECT 1\n```", latency_s=0.25,
+                            prompt_tokens=12, completion_tokens=None)
+
+
+def _outcome(cache, key, prompt=None):
+    try:
+        return "read", cache.get(key, prompt)
+    except CorruptCacheError as exc:
+        return "corrupt", str(exc)
+
+
+def _recorded(tmp_path):
+    cache = ExchangeCache(tmp_path)
+    cache.put(READ_EXCHANGE)
+    path = cache.path_for(READ_EXCHANGE.key)
+    return cache, path, path.read_bytes()
+
+
+def test_prompted_read_of_a_recorded_file_equals_the_full_read(tmp_path):
+    cache, _, _ = _recorded(tmp_path)
+    for prompt in (READ_PROMPT, JsonText(READ_PROMPT)):
+        hit = cache.get(READ_EXCHANGE.key, prompt)
+        assert hit == READ_EXCHANGE == cache.get(READ_EXCHANGE.key)
+        assert type(hit.prompt) is str
+
+
+def test_prompted_read_skips_a_file_the_full_read_would_decode(tmp_path, monkeypatch):
+    cache, _, _ = _recorded(tmp_path)
+    monkeypatch.setattr(llm.json, "load", None)  # the full read would fail
+    assert cache.get(READ_EXCHANGE.key, READ_PROMPT) == READ_EXCHANGE
+
+
+def test_prompted_read_of_every_truncation_equals_the_full_read(tmp_path):
+    cache, path, data = _recorded(tmp_path)
+    for end in range(len(data) + 1):
+        path.write_bytes(data[:end])
+        assert _outcome(cache, READ_EXCHANGE.key, READ_PROMPT) == (
+            _outcome(cache, READ_EXCHANGE.key)), end
+
+
+def _after_completion(text, extra):
+    """``text`` with ``extra`` fields written after its last one."""
+    return (text[:-2] + extra + "\n}").encode()
+
+
+# (name, the recorded file's text -> a variant's bytes, whether a full read reads it)
+VARIANTS = [
+    ("as recorded", str.encode, True),
+    ("completion not text",
+     lambda t: t.replace('"```sql\\nSELECT 1\\n```"', "5").encode(), False),
+    ("latency not a number", lambda t: t.replace("0.25", '"0.25"').encode(), False),
+    ("token count not an int", lambda t: t.replace("12", "12.5").encode(), False),
+    ("prompt repeated after", lambda t: _after_completion(t, ',\n "prompt": "other"'), True),
+    ("key repeated after", lambda t: _after_completion(t, ',\n "key": "k2"'), True),
+    ("prompt repeated as a number", lambda t: _after_completion(t, ',\n "prompt": 1'), False),
+    ("extra field", lambda t: _after_completion(t, ',\n "extra": [1]'), True),
+    ("trailing data", lambda t: (t + " {}").encode(), False),
+    ("trailing space", lambda t: (t + "\n ").encode(), True),
+    ("crlf", lambda t: t.replace("\n", "\r\n").encode(), True),
+    ("bom", lambda t: b"\xef\xbb\xbf" + t.encode(), False),
+    ("indent 2", lambda t: json.dumps(json.loads(t), ensure_ascii=False, indent=2).encode(), True),
+    ("ascii escapes", lambda t: json.dumps(json.loads(t), indent=1).encode(), True),
+    ("reordered", lambda t: json.dumps(dict(reversed(json.loads(t).items())),
+                                       ensure_ascii=False, indent=1).encode(), True),
+    ("other prompt", lambda t: json.dumps({**json.loads(t), "prompt": "other"},
+                                          ensure_ascii=False, indent=1).encode(), True),
+    ("bad utf-8 after", lambda t: t.encode()[:-1] + b"\xff}", False),
+    ("raw control in completion", lambda t: t.replace("SELECT 1", "SELECT\r1").encode(), False),
+    ("not an object after",
+     lambda t: t.split('"completion": ')[0].encode() + b'"completion": "c"]', False),
+]
+
+
+@pytest.mark.parametrize("make, reads", [v[1:] for v in VARIANTS], ids=[v[0] for v in VARIANTS])
+def test_prompted_read_of_a_variant_equals_the_full_read(tmp_path, make, reads):
+    cache, path, data = _recorded(tmp_path)
+    path.write_bytes(make(data.decode("utf-8")))
+    full = _outcome(cache, READ_EXCHANGE.key)
+    assert _outcome(cache, READ_EXCHANGE.key, READ_PROMPT) == full
+    assert full[0] == ("read" if reads else "corrupt")
+
+
+def test_prompted_read_of_a_missing_or_unopenable_file(tmp_path):
+    cache = ExchangeCache(tmp_path)
+    assert cache.get(READ_EXCHANGE.key, READ_PROMPT) is None
+    path = cache.path_for(READ_EXCHANGE.key)
+    path.mkdir(parents=True)
+    assert _outcome(cache, READ_EXCHANGE.key, READ_PROMPT) == _outcome(cache, READ_EXCHANGE.key)
+
+
+def test_put_writes_utf8_bytes_with_lf_newlines(tmp_path):
+    _, _, data = _recorded(tmp_path)
+    assert data == json.dumps(
+        {f: getattr(READ_EXCHANGE, f) for f in ("key", "prompt", "completion", "latency_s",
+                                                "prompt_tokens", "completion_tokens")},
+        ensure_ascii=False, indent=1).encode("utf-8")
 
 
 def test_record_without_cache_rejected():

@@ -1,10 +1,12 @@
 import hashlib
+import json
 import shutil
 
 import pytest
 
 from unjoin import prompting
 from unjoin.dataset import METHODS, filter_items, load_dataset
+from unjoin.llm import JsonText
 from unjoin.prompting import (
     DEFAULT_TEMPLATE_DIR,
     METHOD_TEMPLATES,
@@ -264,3 +266,28 @@ def test_prompt_bytes_pinned(mini_spider_root, mini_bird_root, tmp_path, newline
         for method in METHODS
     }
     assert digests == PROMPT_DIGESTS
+
+
+@pytest.mark.parametrize("newline", [None, b"\r\n"], ids=["shipped", "crlf"])
+def test_prompts_carry_their_json_text(mini_spider_root, mini_bird_root, tmp_path, newline):
+    templates = None
+    if newline is not None:
+        for name in TEMPLATE_FILES:
+            data = (DEFAULT_TEMPLATE_DIR / name).read_bytes()
+            (tmp_path / name).write_bytes(data.replace(b"\n", newline))
+        templates = TemplateSet({t for ids in METHOD_TEMPLATES.values() for t in ids}, tmp_path)
+    for root, flavor, cases in ((mini_spider_root, "spider", SPIDER_CASES),
+                                (mini_bird_root, "bird", BIRD_CASES)):
+        for method, prompts in _method_prompts(root, flavor, cases, templates).items():
+            for prompt in prompts:
+                assert prompt.json == json.dumps(str(prompt), ensure_ascii=False)[1:-1], method
+
+
+def test_slot_values_bring_or_get_their_json_text(simp, retail_db):
+    question = 'Who said "hi"\\\n\t\x00\u2028\u2029 café \U0001d11e?'
+    sql = "SELECT {x} FROM retail WHERE a = '\"'"
+    for prompt in (build_mp_step2_prompt(simp, sql, question, retail_db),
+                   build_mp_step2_prompt(simp, JsonText(sql), JsonText(question), retail_db),
+                   build_baseline_prompt("cot", str(retail_db.original_block), question)):
+        assert type(prompt) is JsonText
+        assert prompt.json == json.dumps(str(prompt), ensure_ascii=False)[1:-1]

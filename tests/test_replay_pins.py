@@ -16,6 +16,7 @@ depend on where the test runs.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -114,3 +115,20 @@ def test_replayed_outputs_pinned(method, replay_runs, tmp_path):
     # Every prompt was answered and every item scored right.
     assert b'"failed": true' not in written[1] and b'"em": false' not in written[1]
     assert hashlib.sha256(written[1]).hexdigest() == REPLAY_DIGESTS[method]
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_replayed_outputs_pinned_from_a_cache_in_another_layout(method, replay_runs, tmp_path):
+    # Files as another writer might lay them out are read in full, to the same outputs.
+    runs, cache_dir = replay_runs
+    relaid = tmp_path / "cache"
+    for path in cache_dir.rglob("*.json"):
+        target = relaid / path.relative_to(cache_dir)
+        target.parent.mkdir(parents=True, exist_ok=True)
+        raw = json.loads(path.read_text(encoding="utf-8"))
+        target.write_text(json.dumps(raw, ensure_ascii=False, indent=2), encoding="utf-8")
+    written = b"".join(
+        _write_run(method, flavor, root, bundle, items, relaid, 1, tmp_path / flavor)
+        for flavor, root, bundle, items in runs
+    )
+    assert hashlib.sha256(written).hexdigest() == REPLAY_DIGESTS[method]
