@@ -22,6 +22,7 @@ import sqlite3
 import threading
 import time
 import urllib.parse
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -205,18 +206,71 @@ def compare_results(gold: ExecOutcome, pred: ExecOutcome, gold_has_order_by: boo
     never equals a number, and text compares case-sensitively. Two rows
     match when their keys are equal, or differ only in numbers within
     ``NUMERIC_ABS_TOL``. When the gold orders its rows they match as a
-    sequence; otherwise both sides are sorted by key first, so they
-    match as a multiset, duplicates counted. A failed execution on
-    either side never matches.
+    sequence; otherwise they match as a multiset, duplicates counted:
+    every gold row pairs with a pred row of its own. A failed execution
+    on either side never matches.
     """
     if gold.status != OK or pred.status != OK or len(gold.rows) != len(pred.rows):
         return False
     gkeys = [tuple(map(_key, row)) for row in gold.rows]
     pkeys = [tuple(map(_key, row)) for row in pred.rows]
-    if not gold_has_order_by:
-        gkeys.sort()
-        pkeys.sort()
-    return all(map(_rows_match, gkeys, pkeys))
+    if gold_has_order_by:
+        return all(map(_rows_match, gkeys, pkeys))
+    gkeys.sort()
+    pkeys.sort()
+    if all(map(_rows_match, gkeys, pkeys)):
+        return True
+    # The tolerance is not transitive, so sorted order can pair rows
+    # wrongly. Rows match only within one shape: the same non-numeric
+    # values at the same places. Each shape's rows are paired by a
+    # maximum matching.
+    shapes: dict[tuple, tuple[list, list]] = {}
+    for side, keys in enumerate((gkeys, pkeys)):
+        for k in keys:
+            shape = tuple(1 if v[0] == 1 else v for v in k)
+            shapes.setdefault(shape, ([], []))[side].append(k)
+    return all(len(g) == len(p) and _pairs_every_row(g, p) for g, p in shapes.values())
+
+
+def _pairs_every_row(gold: list[tuple], pred: list[tuple]) -> bool:
+    """Whether a matching under ``_rows_match`` pairs every row of one shape.
+
+    Augmenting paths (Kuhn's algorithm), with each gold row's candidates
+    the pred rows whose first number lies near its own.
+    """
+    first = next((i for i, v in enumerate(gold[0]) if v[0] == 1), None)
+    if first is None:  # no numbers: the rows of one shape are all equal
+        return True
+    pred = sorted(pred, key=lambda k: k[first][1])
+    at = [k[first][1] for k in pred]
+    near = 2 * NUMERIC_ABS_TOL  # wider than the tolerance, against rounding
+    candidates = [
+        [j for j in range(bisect_left(at, x - near), bisect_right(at, x + near))
+         if _rows_match(g, pred[j])]
+        for g in gold for x in (g[first][1],)
+    ]
+    owner = [-1] * len(pred)  # pred row -> the gold row it is paired with
+    for root in range(len(gold)):
+        seen = set()
+        path = [(root, iter(candidates[root]))]
+        taken: list[int] = []  # the pred row each level after the first was reached by
+        while path:
+            j = next((j for j in path[-1][1] if j not in seen), None)
+            if j is None:
+                path.pop()
+                if taken:
+                    taken.pop()
+                continue
+            seen.add(j)
+            taken.append(j)
+            if owner[j] < 0:  # an augmenting path: shift every pairing along it
+                for (i, _), t in zip(path, taken):
+                    owner[t] = i
+                break
+            path.append((owner[j], iter(candidates[owner[j]])))
+        else:
+            return False
+    return True
 
 
 # ----- per-query scoring -----

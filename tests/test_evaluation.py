@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import random
@@ -8,6 +9,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from unjoin import evaluation
 from unjoin.evaluation import (
     COMPARISON_SEMANTICS,
     NUMERIC_ABS_TOL,
@@ -322,6 +324,48 @@ def test_duplicates_are_multiset_sensitive():
     a = ok((1,), (1,), (2,))
     b = ok((1,), (2,), (2,))
     assert not compare_results(a, b, gold_has_order_by=False)
+
+
+def test_rows_within_tolerance_pair_as_a_multiset():
+    # Sorting by key pairs (1.0000004, 'a') with (1.0, 'b'); each gold row
+    # still has a pred row of its own within the tolerance.
+    gold = ok((1.0000004, "a"), (1.0, "b"))
+    pred = ok((1.0, "a"), (1.0000004, "b"))
+    assert compare_results(gold, pred, gold_has_order_by=False)
+    # Pairing equal rows first would leave -1e-6 against 1e-6.
+    assert compare_results(ok((0.0,), (-1e-6,)), ok((0.0,), (1e-6,)), False)
+    assert not compare_results(ok((0.0,), (-1e-6,)), ok((0.0,), (1e-6,)), True)
+
+
+def _brute_force_em(gold_rows, pred_rows, ordered):
+    gold = [tuple(map(evaluation._key, r)) for r in gold_rows]
+    pred = [tuple(map(evaluation._key, r)) for r in pred_rows]
+    if len(gold) != len(pred):
+        return False
+    orders = [pred] if ordered else itertools.permutations(pred)
+    return any(all(map(evaluation._rows_match, gold, p)) for p in orders)
+
+
+# Numbers a few tolerances apart, so rows match some neighbours and not others.
+_NEAR = st.builds(lambda k, j: round(k * 1e-6 + j * 4e-7, 12),
+                  st.integers(-3, 3), st.integers(-1, 1))
+_CELL = st.one_of(_NEAR, st.sampled_from(["a", "b", "a ", None]), st.integers(-1, 1))
+
+
+@settings(max_examples=400, deadline=None)
+@given(width=st.integers(1, 2), data=st.data())
+@example(width=2, data=None)
+def test_compare_results_agrees_with_brute_force(width, data):
+    if data is None:
+        gold, pred = [(1.0000004, "a"), (1.0, "b")], [(1.0, "a"), (1.0000004, "b")]
+    else:
+        rows = st.lists(st.tuples(*[_CELL] * width), max_size=6)
+        gold = data.draw(rows)
+        pred = data.draw(st.one_of(st.permutations(gold).map(
+            lambda p: [tuple(v + 4e-7 if type(v) is float else v for v in r) for r in p]), rows))
+    for ordered in (False, True):
+        assert compare_results(ok(*gold), ok(*pred), ordered) == (
+            _brute_force_em(gold, pred, ordered)), (gold, pred, ordered)
 
 
 def test_numeric_tolerance():
