@@ -127,9 +127,10 @@ def json_text(text: str) -> str:
 def exchange_key(prompt: str, cfg: LlmConfig) -> str:
     """The sha256 of the sorted JSON payload of (prompt, model, float temperature).
 
-    The payload is spelled out in ``json.dumps``'s sorted, compact-free
-    form, with the prompt's carried JSON text in place; its bytes equal
-    ``json.dumps({...}, sort_keys=True, ensure_ascii=False)``'s.
+    The payload is written field by field, in sorted key order with
+    ``json.dumps``'s default separators and the prompt's carried JSON
+    text in place, so its bytes equal ``json.dumps({...},
+    sort_keys=True, ensure_ascii=False)``'s.
     """
     payload = (
         f'{{"model": {json.dumps(cfg.model, ensure_ascii=False)}, '

@@ -127,7 +127,9 @@ class TemplateSet:
             escaped += (json_text(value), after.json)
         return JsonText("".join(texts), "".join(escaped))
 
-    def _split_template(self, template_id: str, examples_id: str):
+    def _split_template(
+        self, template_id: str, examples_id: str
+    ) -> tuple[list[JsonText], list[str]]:
         """The text around the slots, with the examples block filled in, and the slot names."""
         pieces = _SLOT_RE.split(self[template_id])
         examples = self[examples_id].rstrip("\n")
