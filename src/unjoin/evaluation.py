@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import sqlite3
 import threading
 import time
 import urllib.parse
-from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -222,54 +223,99 @@ def compare_results(gold: ExecOutcome, pred: ExecOutcome, gold_has_order_by: boo
         return True
     # The tolerance is not transitive, so sorted order can pair rows
     # wrongly. Rows match only within one shape: the same non-numeric
-    # values at the same places. Each shape's rows are paired by a
-    # maximum matching.
-    shapes: dict[tuple, tuple[list, list]] = {}
+    # values at the same places. Each shape's rows are paired on their own.
+    shapes: dict[tuple, tuple[Counter, Counter]] = {}
     for side, keys in enumerate((gkeys, pkeys)):
         for k in keys:
             shape = tuple(1 if v[0] == 1 else v for v in k)
-            shapes.setdefault(shape, ([], []))[side].append(k)
-    return all(len(g) == len(p) and _pairs_every_row(g, p) for g, p in shapes.values())
+            shapes.setdefault(shape, (Counter(), Counter()))[side][k] += 1
+    return all(_pairs_every_row(g, p) for g, p in shapes.values())
 
 
-def _pairs_every_row(gold: list[tuple], pred: list[tuple]) -> bool:
-    """Whether a matching under ``_rows_match`` pairs every row of one shape.
+_BUCKET = 2 * NUMERIC_ABS_TOL  # numbers within the tolerance fall in the same or next bucket
 
-    Augmenting paths (Kuhn's algorithm), with each gold row's candidates
-    the pred rows whose first number lies near its own.
+
+def _bucket(x: float) -> float:
+    return x // _BUCKET if math.isfinite(x) else x
+
+
+def _pairs_every_row(gold: Counter, pred: Counter) -> bool:
+    """Whether every row of one shape pairs with a pred row under ``_rows_match``.
+
+    Rows with one number pair in sorted order, which no other order
+    betters. Rows with more are paired by a maximum flow: each distinct
+    row is a node carrying its count, and flow from gold to pred nodes
+    grows along augmenting paths. A gold row's candidates are the
+    matching pred rows in its own and the next buckets of one numeric
+    column, the column where those buckets hold the fewest. So the cost
+    stays near linear in the rows unless many distinct rows crowd within
+    a few tolerances of each other on every number at once.
     """
-    first = next((i for i, v in enumerate(gold[0]) if v[0] == 1), None)
-    if first is None:  # no numbers: the rows of one shape are all equal
+    if gold.total() != pred.total():
+        return False
+    grows, prows = list(gold), list(pred)
+    numeric = [c for c, v in enumerate(grows[0]) if v[0] == 1]
+    if not numeric:  # the rows of one shape without numbers are all equal
         return True
-    pred = sorted(pred, key=lambda k: k[first][1])
-    at = [k[first][1] for k in pred]
-    near = 2 * NUMERIC_ABS_TOL  # wider than the tolerance, against rounding
-    candidates = [
-        [j for j in range(bisect_left(at, x - near), bisect_right(at, x + near))
-         if _rows_match(g, pred[j])]
-        for g in gold for x in (g[first][1],)
-    ]
-    owner = [-1] * len(pred)  # pred row -> the gold row it is paired with
-    for root in range(len(gold)):
-        seen = set()
-        path = [(root, iter(candidates[root]))]
-        taken: list[int] = []  # the pred row each level after the first was reached by
-        while path:
-            j = next((j for j in path[-1][1] if j not in seen), None)
-            if j is None:
-                path.pop()
-                if taken:
-                    taken.pop()
-                continue
-            seen.add(j)
-            taken.append(j)
-            if owner[j] < 0:  # an augmenting path: shift every pairing along it
-                for (i, _), t in zip(path, taken):
-                    owner[t] = i
-                break
-            path.append((owner[j], iter(candidates[owner[j]])))
-        else:
-            return False
+    if len(numeric) == 1:  # on one number, sorted order pairs rows as well as any order
+        return all(map(_rows_match, sorted(gold.elements()), sorted(pred.elements())))
+    buckets: list[dict] = [{} for _ in numeric]
+    for j, k in enumerate(prows):
+        for at, c in zip(buckets, numeric):
+            at.setdefault(_bucket(k[c][1]), []).append(j)
+
+    def candidates(g: tuple) -> list[int]:
+        near = min(
+            ([at.get(b + d, ()) for d in (-1, 0, 1)]
+             for at, c in zip(buckets, numeric) for b in (_bucket(g[c][1]),)),
+            key=lambda lists: sum(map(len, lists)),
+        )
+        return [j for js in near for j in js if _rows_match(g, prows[j])]
+
+    cand = [candidates(g) for g in grows]
+    supply = [gold[k] for k in grows]  # gold rows not yet paired, per node
+    room = [pred[k] for k in prows]  # pred rows not yet paired, per node
+    flow: list[dict[int, int]] = [{} for _ in prows]  # pred node -> {gold node: rows paired}
+
+    def steps(i: int, seen: set):
+        """(pred node, gold node) steps on from gold node ``i``; gold None where the pred has room."""
+        for j in cand[i]:
+            if room[j] and j not in seen:
+                yield j, None
+        for j in cand[i]:
+            if j not in seen:
+                seen.add(j)
+                yield from ((j, i2) for i2 in list(flow[j]))
+
+    for root in range(len(grows)):
+        while supply[root]:
+            seen_pred: set = set()
+            seen_gold = {root}
+            path = [(root, None, steps(root, seen_pred))]  # (gold node, pred node it was reached by, steps)
+            while path:
+                step = next(path[-1][2], None)
+                if step is None:
+                    path.pop()
+                    continue
+                j, i = step
+                if i is None:
+                    break
+                if i not in seen_gold:
+                    seen_gold.add(i)
+                    path.append((i, j, steps(i, seen_pred)))
+            else:
+                return False
+            # An augmenting path: push its bottleneck along it.
+            back = [(p, i) for i, p, _ in path[1:]]  # flow taken off pred p from gold i
+            amount = min(supply[root], room[j], *(flow[p][i] for p, i in back))
+            for p, i in back:
+                flow[p][i] -= amount
+                if not flow[p][i]:
+                    del flow[p][i]
+            for (i, _, _), p in zip(path, [p for p, _ in back] + [j]):
+                flow[p][i] = flow[p].get(i, 0) + amount
+            supply[root] -= amount
+            room[j] -= amount
     return True
 
 

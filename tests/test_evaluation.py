@@ -3,6 +3,7 @@ import json
 import os
 import random
 import sqlite3
+import time
 from contextlib import closing
 from dataclasses import replace
 
@@ -353,19 +354,58 @@ _CELL = st.one_of(_NEAR, st.sampled_from(["a", "b", "a ", None]), st.integers(-1
 
 
 @settings(max_examples=400, deadline=None)
-@given(width=st.integers(1, 2), data=st.data())
-@example(width=2, data=None)
+@given(width=st.integers(1, 3), data=st.data())
 def test_compare_results_agrees_with_brute_force(width, data):
-    if data is None:
-        gold, pred = [(1.0000004, "a"), (1.0, "b")], [(1.0, "a"), (1.0000004, "b")]
-    else:
-        rows = st.lists(st.tuples(*[_CELL] * width), max_size=6)
-        gold = data.draw(rows)
-        pred = data.draw(st.one_of(st.permutations(gold).map(
-            lambda p: [tuple(v + 4e-7 if type(v) is float else v for v in r) for r in p]), rows))
+    rows = st.lists(st.tuples(*[_CELL] * width), max_size=6)
+    gold = data.draw(rows)
+    pred = data.draw(st.one_of(st.permutations(gold).map(
+        lambda p: [tuple(v + 4e-7 if type(v) is float else v for v in r) for r in p]), rows))
     for ordered in (False, True):
         assert compare_results(ok(*gold), ok(*pred), ordered) == (
             _brute_force_em(gold, pred, ordered)), (gold, pred, ordered)
+
+
+@pytest.mark.parametrize("gold, pred", [
+    ([(1.0000004, "a"), (1.0, "b")], [(1.0, "a"), (1.0000004, "b")]),
+    # Two numbers: the first gold row takes the pred row the second needs,
+    # so the pairing must be moved along an augmenting path.
+    ([(0.0, 1e-6), (4e-7, -4e-7)], [(4e-7, 1e-6), (4e-7, 4e-7)]),
+    # A path that moves pairs off a pred row must take them off its count.
+    ([(4e-7, 4e-7), (6e-7, 6e-7), (6e-7, 1.4e-6), (0.0, -4e-7)],
+     [(-4e-7, 6e-7), (-4e-7, 0.0), (1.4e-6, -6e-7), (1.4e-6, -6e-7)]),
+    ([(-1e-6, -1e-6), (1e-6, 4e-7), (0.0, -6e-7), (0.0, 4e-7), (-1e-6, 0.0)],
+     [(4e-7, 4e-7), (6e-7, -1.4e-6), (-6e-7, -6e-7), (6e-7, -1.4e-6), (0.0, -1.4e-6)]),
+    # Repeated rows: a path moves no more pairs than it found on its way.
+    ([(-4e-7, -6e-7), (6e-7, 1.4e-6), (6e-7, 1.4e-6), (-4e-7, -6e-7)],
+     [(0.0, -4e-7), (0.0, -4e-7), (0.0, -4e-7), (-4e-7, 4e-7)]),
+])
+def test_compare_results_agrees_with_brute_force_on_pairings_sorting_misses(gold, pred):
+    for ordered in (False, True):
+        assert compare_results(ok(*gold), ok(*pred), ordered) == (
+            _brute_force_em(gold, pred, ordered)), (gold, pred, ordered)
+
+
+@pytest.mark.parametrize("gold, pred, want", [
+    # A constant first number: every pred row is near each gold row on it.
+    ([(1, i) for i in range(20_000)], [(1, i + 0.5) for i in range(20_000)], False),
+    ([(1, i) for i in range(20_000)], [(1, i + 4e-7) for i in range(20_000)], True),
+    ([(1, 1, i) for i in range(20_000)], [(1, 1, i + 0.5) for i in range(20_000)], False),
+    # Sorted order fails on each pair, as in the two-row case above.
+    ([r for i in range(10_000) for r in ((i + 4e-7, i, "a"), (i, i, "b"))],
+     [r for i in range(10_000) for r in ((i, i, "a"), (i + 4e-7, i, "b"))], True),
+    # Distinct numbers crowded within the tolerance, in two shapes that
+    # interleave differently on each side.
+    ([(i * 1e-10, "a") for i in range(2_000)] + [(i * 1e-10 + 5e-11, "b") for i in range(2_000)],
+     [(i * 1e-10 + 6e-11, "a") for i in range(2_000)] + [(i * 1e-10 + 5e-11, "b") for i in range(2_000)],
+     True),
+    # Float noise repeated on every row: one distinct row a side.
+    ([(0.1 + 0.2, 1.0, "a")] * 10_000 + [(0.0, 0.0, "b")] * 10_000,
+     [(0.3, 1.0, "a")] * 10_000 + [(-1e-7, 0.0, "b")] * 10_000, True),
+])
+def test_large_results_compare_in_bounded_time(gold, pred, want):
+    started = time.monotonic()
+    assert compare_results(ok(*gold), ok(*pred), False) is want
+    assert time.monotonic() - started < 5
 
 
 def test_numeric_tolerance():
