@@ -10,11 +10,9 @@ own characters, so the key's payload is assembled without escaping the
 schema blocks again for every item.
 
 Each exchange lives in its own JSON file under a content-addressed
-directory: corrupting one file can affect at most one key. A file as
-record mode writes it is read without decoding its prompt again; any
-other layout is read in full, under the same corruption rules. Replay
-mode never touches the network; a missing key is a hard error that
-names the key.
+directory: corrupting one file can affect at most one key. Replay mode
+never touches the network; a missing key is a hard error that names
+the key.
 """
 
 from __future__ import annotations
@@ -140,19 +138,6 @@ def exchange_key(prompt: str, cfg: LlmConfig) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def _exchange(raw: dict) -> LlmExchange:
-    """The exchange a decoded cache file holds; KeyError or TypeError if it holds none."""
-    values = {
-        f.name: raw[f.name] if f.default is MISSING else raw.get(f.name, f.default)
-        for f in _RECORD_FIELDS
-    }
-    for name, value in values.items():
-        if type(value) not in _FIELD_TYPES[name]:
-            want = " or ".join(t.__name__ for t in _FIELD_TYPES[name])
-            raise TypeError(f"{name!r} must be {want}, not {type(value).__name__}")
-    return LlmExchange(**values)
-
-
 class ExchangeCache:
     """One JSON file per exchange, sharded by the first two key hex chars."""
 
@@ -163,33 +148,26 @@ class ExchangeCache:
     def path_for(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
 
-    def get(self, key: str, prompt: str | None = None) -> LlmExchange | None:
+    def get(self, key: str) -> LlmExchange | None:
         """The stored exchange, or None when no file exists at the key's path.
 
         A file that cannot be opened or read as an exchange (a directory,
         unreadable bytes, bad JSON, missing fields or fields of the wrong
         type) raises ``CorruptCacheError``, which fails one item.
-
-        Given the prompt the key was made from, a file that starts with
-        the bytes ``put`` writes before the completion is read from there
-        on: a field the rest repeats wins, as in a full read. Any other
-        file, or one whose rest does not read as an exchange, is read in
-        full, which gives the same exchange or the same error.
         """
         path = self.path_for(key)
-        if prompt is not None:
-            try:
-                with open(path, "rb") as fh:
-                    hit = _read_after_prompt(fh.read(), key, prompt)
-            except FileNotFoundError:
-                return None
-            except OSError:
-                hit = None
-            if hit is not None:
-                return hit
         try:
             with open(path, encoding="utf-8") as fh:
-                return _exchange(json.load(fh))
+                raw = json.load(fh)
+            values = {
+                f.name: raw[f.name] if f.default is MISSING else raw.get(f.name, f.default)
+                for f in _RECORD_FIELDS
+            }
+            for name, value in values.items():
+                if type(value) not in _FIELD_TYPES[name]:
+                    want = " or ".join(t.__name__ for t in _FIELD_TYPES[name])
+                    raise TypeError(f"{name!r} must be {want}, not {type(value).__name__}")
+            return LlmExchange(**values)
         except FileNotFoundError:
             return None
         except (OSError, ValueError, KeyError, TypeError) as exc:
@@ -205,27 +183,6 @@ class ExchangeCache:
             tmp = path.with_suffix(".tmp")
             tmp.write_bytes(body)
             os.replace(tmp, path)
-
-
-def _read_after_prompt(data: bytes, key: str, prompt: str) -> LlmExchange | None:
-    """The exchange in ``data`` if ``put`` wrote its head for ``key`` and ``prompt``.
-
-    Only what follows ``"completion": `` is decoded. None when the head
-    differs or the rest does not read as an exchange.
-    """
-    try:
-        head = f'{{\n "key": {json.dumps(key, ensure_ascii=False)},\n "prompt": "'.encode()
-        body = json_text(prompt).encode("utf-8")
-        tail = b'",\n "completion": '
-        end = len(head) + len(body)
-        if not (data.startswith(head) and data.startswith(body, len(head))
-                and data.startswith(tail, end)):
-            return None
-        raw = {"key": key, "prompt": str(prompt)}
-        raw.update(json.loads('{"completion": ' + data[end + len(tail):].decode("utf-8")))
-        return _exchange(raw)
-    except (ValueError, KeyError, TypeError):
-        return None
 
 
 def default_transport(prompt: str, cfg: LlmConfig) -> tuple[str, int | None, int | None]:
@@ -287,7 +244,7 @@ class LlmClient:
             raise ValueError("record mode requires a cache directory")
         key = exchange_key(prompt, self.cfg)
         if cache_mode != "live":
-            hit = self.cache.get(key, prompt) if self.cache is not None else None
+            hit = self.cache.get(key) if self.cache is not None else None
             if hit is not None:
                 return hit.completion
             if cache_mode == "replay":
