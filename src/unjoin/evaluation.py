@@ -278,7 +278,7 @@ def _pairs_every_row(gold: Counter, pred: Counter) -> bool:
     flow: list[dict[int, int]] = [{} for _ in prows]  # pred node -> {gold node: rows paired}
 
     def steps(i: int, seen: set):
-        """(pred node, gold node) steps on from gold node ``i``; gold None where the pred has room."""
+        """Steps (pred node, gold node) on from gold node ``i``; gold None if the pred has room."""
         for j in cand[i]:
             if room[j] and j not in seen:
                 yield j, None
@@ -291,7 +291,8 @@ def _pairs_every_row(gold: Counter, pred: Counter) -> bool:
         while supply[root]:
             seen_pred: set = set()
             seen_gold = {root}
-            path = [(root, None, steps(root, seen_pred))]  # (gold node, pred node it was reached by, steps)
+            # (gold node, the pred node it was reached by, its steps)
+            path = [(root, None, steps(root, seen_pred))]
             while path:
                 step = next(path[-1][2], None)
                 if step is None:

@@ -10,9 +10,11 @@ own characters, so the key's payload is assembled without escaping the
 schema blocks again for every item.
 
 Each exchange lives in its own JSON file under a content-addressed
-directory: corrupting one file can affect at most one key. Replay mode
-never touches the network; a missing key is a hard error that names
-the key.
+directory: corrupting one file can affect at most one key. A file as
+record mode writes it is read without decoding its prompt again; any
+other layout is read in full, under the same corruption rules. Replay
+mode never touches the network; a missing key is a hard error that
+names the key.
 """
 
 from __future__ import annotations
@@ -138,6 +140,19 @@ def exchange_key(prompt: str, cfg: LlmConfig) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+def _exchange(raw: dict) -> LlmExchange:
+    """The exchange a decoded cache file holds; KeyError or TypeError if it holds none."""
+    values = {
+        f.name: raw[f.name] if f.default is MISSING else raw.get(f.name, f.default)
+        for f in _RECORD_FIELDS
+    }
+    for name, value in values.items():
+        if type(value) not in _FIELD_TYPES[name]:
+            want = " or ".join(t.__name__ for t in _FIELD_TYPES[name])
+            raise TypeError(f"{name!r} must be {want}, not {type(value).__name__}")
+    return LlmExchange(**values)
+
+
 class ExchangeCache:
     """One JSON file per exchange, sharded by the first two key hex chars."""
 
@@ -148,26 +163,33 @@ class ExchangeCache:
     def path_for(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
 
-    def get(self, key: str) -> LlmExchange | None:
+    def get(self, key: str, prompt: str | None = None) -> LlmExchange | None:
         """The stored exchange, or None when no file exists at the key's path.
 
         A file that cannot be opened or read as an exchange (a directory,
         unreadable bytes, bad JSON, missing fields or fields of the wrong
         type) raises ``CorruptCacheError``, which fails one item.
+
+        Given the prompt the key was made from, a file that starts with
+        the bytes ``put`` writes before the completion is read from there
+        on: a field the rest repeats wins, as in a full read. Any other
+        file, or one whose rest does not read as an exchange, is read in
+        full, which gives the same exchange or the same error.
         """
         path = self.path_for(key)
+        if prompt is not None:
+            try:
+                with open(path, "rb") as fh:
+                    hit = _read_after_prompt(fh.read(), key, prompt)
+            except FileNotFoundError:
+                return None
+            except OSError:
+                hit = None
+            if hit is not None:
+                return hit
         try:
             with open(path, encoding="utf-8") as fh:
-                raw = json.load(fh)
-            values = {
-                f.name: raw[f.name] if f.default is MISSING else raw.get(f.name, f.default)
-                for f in _RECORD_FIELDS
-            }
-            for name, value in values.items():
-                if type(value) not in _FIELD_TYPES[name]:
-                    want = " or ".join(t.__name__ for t in _FIELD_TYPES[name])
-                    raise TypeError(f"{name!r} must be {want}, not {type(value).__name__}")
-            return LlmExchange(**values)
+                return _exchange(json.load(fh))
         except FileNotFoundError:
             return None
         except (OSError, ValueError, KeyError, TypeError) as exc:
@@ -175,14 +197,46 @@ class ExchangeCache:
 
     def put(self, exchange: LlmExchange) -> None:
         path = self.path_for(exchange.key)
-        record = {f.name: getattr(exchange, f.name) for f in _RECORD_FIELDS}
+        rest = {f.name: getattr(exchange, f.name) for f in _RECORD_FIELDS[2:]}
+        text = json.dumps(rest, ensure_ascii=False, indent=1)
         # UTF-8 bytes, not text mode, so a file has one layout on every platform.
-        body = json.dumps(record, ensure_ascii=False, indent=1).encode("utf-8")
+        body = _head(exchange.key, exchange.prompt) + text[len(_REST_OPEN):].encode("utf-8")
         with self._lock:
             path.parent.mkdir(parents=True, exist_ok=True)
             tmp = path.with_suffix(".tmp")
             tmp.write_bytes(body)
             os.replace(tmp, path)
+
+
+# A file as ``put`` writes it is ``json.dumps(record, ensure_ascii=False,
+# indent=1)`` of the ``_RECORD_FIELDS``, in two parts: the head, which holds
+# the key and the prompt and ends as the rest's object opens, less its
+# brace; then the rest, the dump of the fields from the completion on, less
+# that opening.
+_REST_OPEN = '{\n "completion": '
+
+
+def _head(key: str, prompt: str) -> bytes:
+    """What ``put`` writes before the completion's value, as UTF-8."""
+    return (f'{{\n "key": {json.dumps(key, ensure_ascii=False)},\n '
+            f'"prompt": "{json_text(prompt)}",{_REST_OPEN[1:]}').encode("utf-8")
+
+
+def _read_after_prompt(data: bytes, key: str, prompt: str) -> LlmExchange | None:
+    """The exchange in ``data`` if ``put`` wrote its head for ``key`` and ``prompt``.
+
+    Only what follows the head is decoded. None when the head differs or
+    the rest does not read as an exchange.
+    """
+    try:
+        head = _head(key, prompt)
+        if not data.startswith(head):
+            return None
+        raw = {"key": key, "prompt": str(prompt)}
+        raw.update(json.loads(_REST_OPEN + data[len(head):].decode("utf-8")))
+        return _exchange(raw)
+    except (ValueError, KeyError, TypeError):
+        return None
 
 
 def default_transport(prompt: str, cfg: LlmConfig) -> tuple[str, int | None, int | None]:
@@ -244,7 +298,7 @@ class LlmClient:
             raise ValueError("record mode requires a cache directory")
         key = exchange_key(prompt, self.cfg)
         if cache_mode != "live":
-            hit = self.cache.get(key) if self.cache is not None else None
+            hit = self.cache.get(key, prompt) if self.cache is not None else None
             if hit is not None:
                 return hit.completion
             if cache_mode == "replay":

@@ -396,8 +396,8 @@ def test_compare_results_agrees_with_brute_force_on_pairings_sorting_misses(gold
     # Distinct numbers crowded within the tolerance, in two shapes that
     # interleave differently on each side.
     ([(i * 1e-10, "a") for i in range(2_000)] + [(i * 1e-10 + 5e-11, "b") for i in range(2_000)],
-     [(i * 1e-10 + 6e-11, "a") for i in range(2_000)] + [(i * 1e-10 + 5e-11, "b") for i in range(2_000)],
-     True),
+     [(i * 1e-10 + 6e-11, "a") for i in range(2_000)]
+     + [(i * 1e-10 + 5e-11, "b") for i in range(2_000)], True),
     # Float noise repeated on every row: one distinct row a side.
     ([(0.1 + 0.2, 1.0, "a")] * 10_000 + [(0.0, 0.0, "b")] * 10_000,
      [(0.3, 1.0, "a")] * 10_000 + [(-1e-7, 0.0, "b")] * 10_000, True),

@@ -13,6 +13,7 @@ from unjoin.llm import (
     CorruptCacheError,
     ExchangeCache,
     ExtractionError,
+    JsonText,
     LlmClient,
     LlmConfig,
     LlmError,
@@ -269,13 +270,20 @@ def test_cache_file_without_a_required_field_is_corrupt(tmp_path, missing):
     assert f"KeyError: '{missing}'" in str(info.value)
 
 
-# ----- reading a recorded file and its variants -----
+# ----- reading a file from after its prompt -----
 
-# A prompt JSON escapes in several ways.
+# A prompt JSON escapes in several ways, so a wrongly escaped head misses.
 READ_PROMPT = 'Table: t\n "q" \\ caf\u00e9 \x01 \U0001d11e'
 READ_EXCHANGE = LlmExchange(key=exchange_key(READ_PROMPT, CFG), prompt=READ_PROMPT,
                             completion="```sql\nSELECT 1\n```", latency_s=0.25,
                             prompt_tokens=12, completion_tokens=None)
+
+
+def _outcome(cache, key, prompt=None):
+    try:
+        return "read", cache.get(key, prompt)
+    except CorruptCacheError as exc:
+        return "corrupt", str(exc)
 
 
 def _recorded(tmp_path):
@@ -285,13 +293,26 @@ def _recorded(tmp_path):
     return cache, path, path.read_bytes()
 
 
-def test_every_truncation_of_a_recorded_file_is_corrupt(tmp_path):
+def test_prompted_read_of_a_recorded_file_equals_the_full_read(tmp_path):
+    cache, _, _ = _recorded(tmp_path)
+    for prompt in (READ_PROMPT, JsonText(READ_PROMPT)):
+        hit = cache.get(READ_EXCHANGE.key, prompt)
+        assert hit == READ_EXCHANGE == cache.get(READ_EXCHANGE.key)
+        assert type(hit.prompt) is str
+
+
+def test_prompted_read_skips_a_file_the_full_read_would_decode(tmp_path, monkeypatch):
+    cache, _, _ = _recorded(tmp_path)
+    monkeypatch.setattr(llm.json, "load", None)  # the full read would fail
+    assert cache.get(READ_EXCHANGE.key, READ_PROMPT) == READ_EXCHANGE
+
+
+def test_prompted_read_of_every_truncation_equals_the_full_read(tmp_path):
     cache, path, data = _recorded(tmp_path)
-    assert cache.get(READ_EXCHANGE.key) == READ_EXCHANGE
-    for end in range(len(data)):
+    for end in range(len(data) + 1):
         path.write_bytes(data[:end])
-        with pytest.raises(CorruptCacheError):
-            cache.get(READ_EXCHANGE.key)
+        assert _outcome(cache, READ_EXCHANGE.key, READ_PROMPT) == (
+            _outcome(cache, READ_EXCHANGE.key)), end
 
 
 def _after_completion(text, extra):
@@ -328,14 +349,20 @@ VARIANTS = [
 
 
 @pytest.mark.parametrize("make, reads", [v[1:] for v in VARIANTS], ids=[v[0] for v in VARIANTS])
-def test_full_read_of_a_variant(tmp_path, make, reads):
+def test_prompted_read_of_a_variant_equals_the_full_read(tmp_path, make, reads):
     cache, path, data = _recorded(tmp_path)
     path.write_bytes(make(data.decode("utf-8")))
-    if reads:
-        assert isinstance(cache.get(READ_EXCHANGE.key), LlmExchange)
-    else:
-        with pytest.raises(CorruptCacheError):
-            cache.get(READ_EXCHANGE.key)
+    full = _outcome(cache, READ_EXCHANGE.key)
+    assert _outcome(cache, READ_EXCHANGE.key, READ_PROMPT) == full
+    assert full[0] == ("read" if reads else "corrupt")
+
+
+def test_prompted_read_of_a_missing_or_unopenable_file(tmp_path):
+    cache = ExchangeCache(tmp_path)
+    assert cache.get(READ_EXCHANGE.key, READ_PROMPT) is None
+    path = cache.path_for(READ_EXCHANGE.key)
+    path.mkdir(parents=True)
+    assert _outcome(cache, READ_EXCHANGE.key, READ_PROMPT) == _outcome(cache, READ_EXCHANGE.key)
 
 
 def test_put_writes_utf8_bytes_with_lf_newlines(tmp_path):
