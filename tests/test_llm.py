@@ -334,6 +334,7 @@ VARIANTS = [
     ("trailing data", lambda t: (t + " {}").encode(), False),
     ("trailing space", lambda t: (t + "\n ").encode(), True),
     ("crlf", lambda t: t.replace("\n", "\r\n").encode(), True),
+    ("crlf with trailing data", lambda t: (t + " {}").replace("\n", "\r\n").encode(), False),
     ("bom", lambda t: b"\xef\xbb\xbf" + t.encode(), False),
     ("indent 2", lambda t: json.dumps(json.loads(t), ensure_ascii=False, indent=2).encode(), True),
     ("ascii escapes", lambda t: json.dumps(json.loads(t), indent=1).encode(), True),
@@ -355,6 +356,37 @@ def test_prompted_read_of_a_variant_equals_the_full_read(tmp_path, make, reads):
     full = _outcome(cache, READ_EXCHANGE.key)
     assert _outcome(cache, READ_EXCHANGE.key, READ_PROMPT) == full
     assert full[0] == ("read" if reads else "corrupt")
+
+
+# What a full read of each variant raises, the file's path masked: the
+# reason reaches a record's failure_reason. Text-mode newlines place a
+# decode error after a CRLF by its LF-only offset.
+VARIANT_ERRORS = {
+    "completion not text": "TypeError: 'completion' must be str, not int",
+    "latency not a number": "TypeError: 'latency_s' must be int or float, not str",
+    "token count not an int": "TypeError: 'prompt_tokens' must be int or NoneType, not float",
+    "prompt repeated as a number": "TypeError: 'prompt' must be str, not int",
+    "trailing data": "JSONDecodeError: Extra data: line 8 column 3 (char 237)",
+    "crlf with trailing data": "JSONDecodeError: Extra data: line 8 column 3 (char 237)",
+    "bom": "JSONDecodeError: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+           "line 1 column 1 (char 0)",
+    "bad utf-8 after": "UnicodeDecodeError: 'utf-8' codec can't decode byte 0xff "
+                       "in position 239: invalid start byte",
+    "raw control in completion": "JSONDecodeError: Invalid control character at: "
+                                 "line 4 column 31 (char 156)",
+    "not an object after": "JSONDecodeError: Expecting ',' delimiter: line 4 column 19 (char 144)",
+}
+
+
+@pytest.mark.parametrize("name, make", [v[:2] for v in VARIANTS if not v[2]],
+                         ids=[v[0] for v in VARIANTS if not v[2]])
+def test_corrupt_variant_errors_are_pinned(tmp_path, name, make):
+    cache, path, data = _recorded(tmp_path)
+    path.write_bytes(make(data.decode("utf-8")))
+    for prompt in (None, READ_PROMPT):
+        kind, message = _outcome(cache, READ_EXCHANGE.key, prompt)
+        assert (kind, message.replace(str(path), "<path>")) == (
+            "corrupt", f"corrupt cache file <path>: {VARIANT_ERRORS[name]}")
 
 
 def test_prompted_read_of_a_missing_or_unopenable_file(tmp_path):

@@ -1,8 +1,12 @@
 import hashlib
 import json
+import re
 import shutil
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from unjoin import prompting
 from unjoin.dataset import METHODS, filter_items, load_dataset
@@ -10,6 +14,7 @@ from unjoin.llm import JsonText
 from unjoin.prompting import (
     DEFAULT_TEMPLATE_DIR,
     METHOD_TEMPLATES,
+    SLOT_NAMES,
     TEMPLATE_FILES,
     TemplateError,
     TemplateSet,
@@ -291,3 +296,45 @@ def test_slot_values_bring_or_get_their_json_text(simp, retail_db):
                    build_baseline_prompt("cot", str(retail_db.original_block), question)):
         assert type(prompt) is JsonText
         assert prompt.json == json.dumps(str(prompt), ensure_ascii=False)[1:-1]
+
+
+# ----- render semantics -----
+
+_SLOT = re.compile("{(" + "|".join(SLOT_NAMES) + ")}")
+_VALUE_SLOTS = [s for s in SLOT_NAMES if s != "examples_block"]
+# Slot text, stray braces, each character JSON escapes, the newlines a
+# template file may hold, and characters it keeps as they are.
+_TEXT = st.lists(
+    st.sampled_from([f"{{{s}}}" for s in SLOT_NAMES] + [chr(c) for c in range(0x20)]
+                    + ["{", "}", "{{question}}", "{question", '"', "\\", "\u2028", "\r\n",
+                       "a", " ", "\u00e9", "\U0001d11e"]),
+    max_size=12,
+).map("".join)
+_VALUE = st.tuples(_TEXT, st.booleans()).map(lambda t: JsonText(t[0]) if t[1] else t[0])
+
+
+def _universal(text):
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+@settings(max_examples=100, deadline=None)
+@given(_TEXT, _TEXT, st.dictionaries(st.sampled_from(_VALUE_SLOTS), _VALUE)
+       | st.fixed_dictionaries({s: _VALUE for s in _VALUE_SLOTS}))
+@example('{question} "{question}"\\{ {examples_block}{schema_block',
+         "{question}\x00\u2028\n\r\n", {"question": '{schema_block}\\"\x1f'})
+def test_render_is_one_pass_substitution_with_its_json_text(template, examples, values):
+    with tempfile.TemporaryDirectory() as tmp:
+        Path(tmp, "sp.txt").write_bytes(template.encode("utf-8"))
+        Path(tmp, "examples_translation.txt").write_bytes(examples.encode("utf-8"))
+        templates = TemplateSet(METHOD_TEMPLATES["unjoin-sp"], tmp)
+    text = _universal(template)
+    filled = {**values, "examples_block": _universal(examples).rstrip("\n")}
+    missing = [s for s in dict.fromkeys(_SLOT.findall(text)) if s not in filled]
+    if missing:
+        with pytest.raises(TemplateError) as info:
+            templates.render("sp", "examples_translation", **values)
+        assert str(info.value) == f"template 'sp' missing slot values: {', '.join(missing)}"
+        return
+    prompt = templates.render("sp", "examples_translation", **values)
+    assert str(prompt) == _SLOT.sub(lambda m: filled[m.group(1)], text)
+    assert prompt.json == json.dumps(str(prompt), ensure_ascii=False)[1:-1]
