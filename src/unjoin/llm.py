@@ -6,15 +6,16 @@ float(temperature)}, sort_keys=True, ensure_ascii=False)``: the
 temperature is read as a float, so 0 and 0.0 give one key, and
 identical prompts dedupe across items and runs. A prompt built by
 ``prompting`` is a ``JsonText``, which carries the JSON text of its
-own characters, so the key's payload is assembled without escaping the
-schema blocks again for every item.
+own characters, so the key's payload, and the head of the file record
+mode writes, are assembled without escaping the schema blocks again for
+every item.
 
 Each exchange lives in its own JSON file under a content-addressed
-directory: corrupting one file can affect at most one key. A file as
-record mode writes it is read without decoding its prompt again; any
-other layout is read in full, under the same corruption rules. Replay
-mode never touches the network; a missing key is a hard error that
-names the key.
+directory: corrupting one file can affect at most one key. A lookup
+reads its file once; a file as record mode writes it is decoded from
+after the prompt, any other layout in full, under the same corruption
+rules. Replay mode never touches the network; a missing key is a hard
+error that names the key.
 """
 
 from __future__ import annotations
@@ -124,6 +125,11 @@ def json_text(text: str) -> str:
     return json.dumps(text, ensure_ascii=False)[1:-1]
 
 
+def universal_text(data: bytes) -> str:
+    """``data`` decoded as text-mode reading does: UTF-8, then CRLF and CR become LF."""
+    return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+
+
 def exchange_key(prompt: str, cfg: LlmConfig) -> str:
     """The sha256 of the sorted JSON payload of (prompt, model, float temperature).
 
@@ -166,30 +172,24 @@ class ExchangeCache:
     def get(self, key: str, prompt: str | None = None) -> LlmExchange | None:
         """The stored exchange, or None when no file exists at the key's path.
 
-        A file that cannot be opened or read as an exchange (a directory,
-        unreadable bytes, bad JSON, missing fields or fields of the wrong
-        type) raises ``CorruptCacheError``, which fails one item.
+        The file is read once. One that cannot be opened or read as an
+        exchange (a directory, unreadable bytes, bad JSON, missing fields
+        or fields of the wrong type) raises ``CorruptCacheError``, which
+        fails one item.
 
-        Given the prompt the key was made from, a file that starts with
-        the bytes ``put`` writes before the completion is read from there
-        on: a field the rest repeats wins, as in a full read. Any other
-        file, or one whose rest does not read as an exchange, is read in
-        full, which gives the same exchange or the same error.
+        Given the prompt the key was made from, bytes that start with what
+        ``put`` writes before the completion are decoded from there on: a
+        field the rest repeats wins, as in a full read. Other bytes, or a
+        rest that does not read as an exchange, are decoded in full as
+        text mode would, which gives the same exchange or the same error.
         """
         path = self.path_for(key)
-        if prompt is not None:
-            try:
-                with open(path, "rb") as fh:
-                    hit = _read_after_prompt(fh.read(), key, prompt)
-            except FileNotFoundError:
-                return None
-            except OSError:
-                hit = None
-            if hit is not None:
-                return hit
         try:
-            with open(path, encoding="utf-8") as fh:
-                return _exchange(json.load(fh))
+            with open(path, "rb") as fh:
+                data = fh.read()
+            if prompt is not None and (hit := _read_after_prompt(data, key, prompt)) is not None:
+                return hit
+            return _exchange(json.loads(universal_text(data)))
         except FileNotFoundError:
             return None
         except (OSError, ValueError, KeyError, TypeError) as exc:
@@ -232,9 +232,8 @@ def _read_after_prompt(data: bytes, key: str, prompt: str) -> LlmExchange | None
         head = _head(key, prompt)
         if not data.startswith(head):
             return None
-        raw = {"key": key, "prompt": str(prompt)}
-        raw.update(json.loads(_REST_OPEN + data[len(head):].decode("utf-8")))
-        return _exchange(raw)
+        rest = json.loads(_REST_OPEN + data[len(head):].decode("utf-8"))
+        return _exchange({"key": key, "prompt": str(prompt), **rest})
     except (ValueError, KeyError, TypeError):
         return None
 
@@ -317,7 +316,7 @@ class LlmClient:
                 text, ptok, ctok = self.transport(prompt, self.cfg)
                 return LlmExchange(
                     key=key,
-                    prompt=str(prompt),
+                    prompt=prompt,
                     completion=text,
                     latency_s=time.monotonic() - started,
                     prompt_tokens=ptok,

@@ -16,10 +16,11 @@ block. A run reads its set once; a ``build_*_prompt`` call given
 process. Schema text comes only from the schema objects' own blocks.
 
 A prompt is an ``llm.JsonText``: it carries its JSON text, which the
-exchange key hashes. That text is joined from the pieces' own: the set
-holds it for the text around the slots and for the examples blocks,
-the schema blocks hold theirs, and only the per-item values (question,
-intermediate query) are escaped for each prompt.
+exchange key hashes. JSON escaping leaves every ``{slot}`` in place, so
+the slot pass that renders a prompt, run over the template's JSON text,
+gives the prompt's: the set holds the JSON text of each template and
+examples block, the schema blocks hold theirs, and only the per-item
+values (question, intermediate query) are escaped for each prompt.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import re
 from collections.abc import Iterable
 from pathlib import Path
 
-from .llm import JsonText, json_text
+from .llm import JsonText, json_text, universal_text
 from .schema import DatabaseSchema, SimplifiedSchema, simplify_schema
 
 SLOT_NAMES = (
@@ -66,37 +67,34 @@ class TemplateSet:
     ``hashes`` maps every shipped template file present in the directory
     to the sha256 of its bytes. The templates named in ``template_ids``
     are decoded from those same bytes with universal newlines; a missing
-    one raises ``TemplateError``. Files the run does not use may be
-    absent.
+    one, or one that is not UTF-8, raises ``TemplateError``. Files the
+    run does not use may be absent.
     """
 
     def __init__(self, template_ids: Iterable[str], template_dir: str | Path | None = None):
         directory = Path(template_dir) if template_dir else DEFAULT_TEMPLATE_DIR
         self.hashes: dict[str, str] = {}
-        self._templates: dict[str, str] = {}
-        # (template id, examples id) -> the text around the slots, with the
-        # examples block filled in, and the slot names; split on first render.
-        self._split: dict[tuple[str, str], tuple[list[JsonText], list[str]]] = {}
+        self._templates: dict[str, JsonText] = {}
+        # examples id -> the block a render fills in, trailing newlines cut.
+        self._examples: dict[str, JsonText] = {}
         wanted = set(template_ids)
         for name in TEMPLATE_FILES:
+            template_id = name.removesuffix(".txt")
             try:
                 data = (directory / name).read_bytes()
+                if template_id in wanted:
+                    self._templates[template_id] = JsonText(universal_text(data))
             except FileNotFoundError:
                 continue
-            except OSError as exc:
+            except (OSError, UnicodeDecodeError) as exc:
                 raise TemplateError(f"cannot read template {name!r}: {exc}") from exc
             self.hashes[name] = hashlib.sha256(data).hexdigest()
-            template_id = name.removesuffix(".txt")
-            if template_id in wanted:
-                # Universal newlines, as text-mode reading gives.
-                text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
-                self._templates[template_id] = text
         missing = sorted(wanted - self._templates.keys())
         if missing:
             names = ", ".join(repr(m) for m in missing)
             raise TemplateError(f"cannot load template {names}: not found in {directory}")
 
-    def __getitem__(self, template_id: str) -> str:
+    def __getitem__(self, template_id: str) -> JsonText:
         try:
             return self._templates[template_id]
         except KeyError:
@@ -106,55 +104,30 @@ class TemplateSet:
         """Template ``template_id`` with ``examples_id`` as its examples block.
 
         Only the named slots are substituted, in one pass; a slot the
-        template uses without a value raises ``TemplateError``. The
-        prompt carries its JSON text; a value that is a ``JsonText``
-        brings its own, any other is escaped here.
+        template uses without a value raises ``TemplateError``. The same
+        pass over the template's JSON text, whose slots JSON escaping
+        leaves in place, gives the prompt's: a value that is a
+        ``JsonText`` brings its own, any other is escaped here.
         """
-        split = self._split.get((template_id, examples_id))
-        if split is None:
-            split = self._split[template_id, examples_id] = self._split_template(
-                template_id, examples_id)
-        fixed, slots = split
-        missing = [s for s in dict.fromkeys(slots) if s not in values]
-        if missing:
+        template = self[template_id]
+        examples = self._examples.get(examples_id)
+        if examples is None:
+            examples = self._examples[examples_id] = JsonText(self[examples_id].rstrip("\n"))
+        values["examples_block"] = examples
+        try:
+            text = _SLOT_RE.sub(lambda m: values[m[1]], template)
+        except KeyError:
+            missing = [s for s in dict.fromkeys(_SLOT_RE.findall(template)) if s not in values]
             raise TemplateError(
                 f"template {template_id!r} missing slot values: {', '.join(missing)}"
-            )
-        texts, escaped = [fixed[0]], [fixed[0].json]
-        for slot, after in zip(slots, fixed[1:]):
-            value = values[slot]
-            texts += (value, after)
-            escaped += (json_text(value), after.json)
-        return JsonText("".join(texts), "".join(escaped))
-
-    def _split_template(
-        self, template_id: str, examples_id: str
-    ) -> tuple[list[JsonText], list[str]]:
-        """The text around the slots, with the examples block filled in, and the slot names."""
-        pieces = _SLOT_RE.split(self[template_id])
-        examples = self[examples_id].rstrip("\n")
-        fixed, slots = [pieces[0]], []
-        for slot, after in zip(pieces[1::2], pieces[2::2]):
-            if slot == "examples_block":
-                fixed[-1] += examples + after
-            else:
-                slots.append(slot)
-                fixed.append(after)
-        return [JsonText(text) for text in fixed], slots
+            ) from None
+        return JsonText(text, _SLOT_RE.sub(lambda m: json_text(values[m[1]]), template.json))
 
 
 @functools.cache
 def _shipped() -> TemplateSet:
+    """One set of every shipped template, read once per process."""
     return TemplateSet({t for ids in METHOD_TEMPLATES.values() for t in ids})
-
-
-def _render(
-    template_id: str, examples_id: str, templates: TemplateSet | None, **values: str
-) -> str:
-    """``templates.render``; None renders from the shipped templates, read once per process."""
-    if templates is None:
-        templates = _shipped()
-    return templates.render(template_id, examples_id, **values)
 
 
 def build_sp_prompt(
@@ -166,8 +139,8 @@ def build_sp_prompt(
     """Joint two-step prompt: simplify-time generation plus translation."""
     if not simplified.entries or not question.strip():
         raise ValueError("simplified schema and question must be non-empty")
-    return _render(
-        "sp", "examples_translation", templates,
+    return (templates or _shipped()).render(
+        "sp", "examples_translation",
         schema_block=simplified.block,
         original_schema_block=db.original_block,
         question=question,
@@ -182,8 +155,8 @@ def build_mp_step1_prompt(
     """Step 1 of the multi-prompt variant: single-table query generation."""
     if not simplified.entries or not question.strip():
         raise ValueError("simplified schema and question must be non-empty")
-    return _render(
-        "mp_step1", "examples_generation", templates,
+    return (templates or _shipped()).render(
+        "mp_step1", "examples_generation",
         schema_block=simplified.block,
         question=question,
     )
@@ -199,8 +172,8 @@ def build_mp_step2_prompt(
     """Step 2 of the multi-prompt variant: translation to the original schema."""
     if not simplified_sql.strip():
         raise ValueError("simplified_sql must be non-empty")
-    return _render(
-        "mp_step2", "examples_translation", templates,
+    return (templates or _shipped()).render(
+        "mp_step2", "examples_translation",
         schema_block=simplified.block,
         simplified_query=simplified_sql,
         original_schema_block=db.original_block,
@@ -223,8 +196,8 @@ def build_baseline_prompt(
     if kind not in ("cot", "cot-ss"):
         raise TemplateError(f"unknown baseline kind {kind!r}; expected one of ['cot', 'cot-ss']")
     template_id, examples_id = METHOD_TEMPLATES[kind]
-    return _render(template_id, examples_id, templates,
-                   schema_block=schema_block, question=question)
+    return (templates or _shipped()).render(
+        template_id, examples_id, schema_block=schema_block, question=question)
 
 
 def baseline_schema_block(kind: str, db: DatabaseSchema) -> str:

@@ -223,6 +223,19 @@ def test_run_replay_without_cache_dir_fails(mini_spider_root, tmp_path, capsys):
     assert "cache" in err
 
 
+def test_run_with_a_template_that_is_not_utf8_names_the_file(
+        mini_spider_root, tmp_path, capsys):
+    templates = tmp_path / "templates"
+    templates.mkdir()
+    (templates / "cot.txt").write_bytes(b"Q: {\xff}")
+    (templates / "examples_baseline.txt").write_bytes(b"")
+    code, _, err = run_cli(capsys, "run", "--dataset", "spider", "--root", str(mini_spider_root),
+                           "--method", "cot", "--cache", "live", "--model", "m",
+                           "--template-dir", str(templates), "--out", str(tmp_path / "out"))
+    assert code == 1 and len(err.splitlines()) == 1
+    assert err.startswith("error: cannot read template 'cot.txt': ")
+
+
 def test_score_missing_file_fails(tmp_path, capsys):
     code, _, err = run_cli(capsys, "score", "--records", str(tmp_path / "nope.jsonl"))
     assert code == 1

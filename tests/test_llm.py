@@ -217,6 +217,26 @@ def test_record_writes_before_returning(tmp_path):
 
 
 
+def test_record_writes_a_prompt_from_its_carried_json_text(tmp_path, monkeypatch):
+    prompt = JsonText(READ_PROMPT, llm.json_text(READ_PROMPT))
+    dumps = json.dumps
+
+    def dumps_of_anything_but_the_prompt(obj, *args, **kwargs):
+        assert obj != READ_PROMPT, "the prompt was escaped again"
+        return dumps(obj, *args, **kwargs)
+
+    client = make_client(tmp_path, lambda p, c: (READ_EXCHANGE.completion, 12, None))
+    monkeypatch.setattr(llm.json, "dumps", dumps_of_anything_but_the_prompt)
+    assert client.complete(prompt, "record") == READ_EXCHANGE.completion
+    monkeypatch.undo()
+    written = client.cache.path_for(READ_EXCHANGE.key).read_bytes()
+    raw = json.loads(written)
+    assert raw["prompt"] == READ_PROMPT
+    assert written == json.dumps(raw, ensure_ascii=False, indent=1).encode("utf-8")
+    stored = client.cache.get(READ_EXCHANGE.key, prompt)
+    assert type(stored.prompt) is str and stored.prompt == READ_PROMPT
+
+
 def test_cache_file_layout_is_pinned(tmp_path):
     cache = ExchangeCache(tmp_path)
     cache.put(LlmExchange(key="ab12", prompt="p\u00e9", completion="c", latency_s=0.5,
@@ -301,10 +321,18 @@ def test_prompted_read_of_a_recorded_file_equals_the_full_read(tmp_path):
         assert type(hit.prompt) is str
 
 
-def test_prompted_read_skips_a_file_the_full_read_would_decode(tmp_path, monkeypatch):
+def test_prompted_read_decodes_no_prompt_of_a_recorded_file(tmp_path, monkeypatch):
     cache, _, _ = _recorded(tmp_path)
-    monkeypatch.setattr(llm.json, "load", None)  # the full read would fail
+    loads = json.loads
+
+    def loads_without_the_prompt(text, *args, **kwargs):
+        assert llm.json_text(READ_PROMPT) not in text, "the prompt was decoded"
+        return loads(text, *args, **kwargs)
+
+    monkeypatch.setattr(llm.json, "loads", loads_without_the_prompt)
     assert cache.get(READ_EXCHANGE.key, READ_PROMPT) == READ_EXCHANGE
+    with pytest.raises(AssertionError, match="the prompt was decoded"):
+        cache.get(READ_EXCHANGE.key)
 
 
 def test_prompted_read_of_every_truncation_equals_the_full_read(tmp_path):
@@ -387,6 +415,24 @@ def test_corrupt_variant_errors_are_pinned(tmp_path, name, make):
         kind, message = _outcome(cache, READ_EXCHANGE.key, prompt)
         assert (kind, message.replace(str(path), "<path>")) == (
             "corrupt", f"corrupt cache file <path>: {VARIANT_ERRORS[name]}")
+
+
+@pytest.mark.parametrize("make", [v[1] for v in VARIANTS if v[0] in ("as recorded", "indent 2")],
+                         ids=["as recorded", "indent 2"])
+def test_each_lookup_opens_the_file_once(tmp_path, monkeypatch, make):
+    cache, path, data = _recorded(tmp_path)
+    path.write_bytes(make(data.decode("utf-8")))
+    opened = []
+
+    def counting_open(*args, **kwargs):
+        opened.append(args[0])
+        return open(*args, **kwargs)
+
+    monkeypatch.setattr(llm, "open", counting_open, raising=False)
+    for prompt in (None, READ_PROMPT):
+        opened.clear()
+        assert cache.get(READ_EXCHANGE.key, prompt) == READ_EXCHANGE
+        assert opened == [path]
 
 
 def test_prompted_read_of_a_missing_or_unopenable_file(tmp_path):

@@ -219,6 +219,15 @@ def test_template_set_missing_or_unreadable_file(tmp_path):
         TemplateSet([], tmp_path)
 
 
+def test_template_that_is_not_utf8_names_its_file(tmp_path):
+    (tmp_path / "cot.txt").write_bytes(b"Q: {\xff}")
+    (tmp_path / "examples_baseline.txt").write_bytes(b"")
+    with pytest.raises(TemplateError) as info:
+        TemplateSet(METHOD_TEMPLATES["cot"], tmp_path)
+    assert str(info.value) == ("cannot read template 'cot.txt': 'utf-8' codec can't decode "
+                               "byte 0xff in position 4: invalid start byte")
+
+
 # ----- pinned prompt bytes -----
 
 # sha256 of every prompt each method sends over the SPIDER fixture and the
