@@ -321,7 +321,7 @@ def test_prompted_read_of_a_recorded_file_equals_the_full_read(tmp_path):
         assert type(hit.prompt) is str
 
 
-def test_prompted_read_decodes_no_prompt_of_a_recorded_file(tmp_path, monkeypatch):
+def test_prompted_read_skips_a_file_the_full_read_would_decode(tmp_path, monkeypatch):
     cache, _, _ = _recorded(tmp_path)
     loads = json.loads
 
@@ -348,73 +348,58 @@ def _after_completion(text, extra):
     return (text[:-2] + extra + "\n}").encode()
 
 
-# (name, the recorded file's text -> a variant's bytes, whether a full read reads it)
+# (name, the recorded file's text -> a variant's bytes, what a full read
+# raises after the file's path, or None when it reads an exchange). The
+# reason reaches a record's failure_reason, so it is pinned: text-mode
+# newlines place a decode error after a CRLF by its LF-only offset.
 VARIANTS = [
-    ("as recorded", str.encode, True),
-    ("completion not text",
-     lambda t: t.replace('"```sql\\nSELECT 1\\n```"', "5").encode(), False),
-    ("latency not a number", lambda t: t.replace("0.25", '"0.25"').encode(), False),
-    ("token count not an int", lambda t: t.replace("12", "12.5").encode(), False),
-    ("prompt repeated after", lambda t: _after_completion(t, ',\n "prompt": "other"'), True),
-    ("key repeated after", lambda t: _after_completion(t, ',\n "key": "k2"'), True),
-    ("prompt repeated as a number", lambda t: _after_completion(t, ',\n "prompt": 1'), False),
-    ("extra field", lambda t: _after_completion(t, ',\n "extra": [1]'), True),
-    ("trailing data", lambda t: (t + " {}").encode(), False),
-    ("trailing space", lambda t: (t + "\n ").encode(), True),
-    ("crlf", lambda t: t.replace("\n", "\r\n").encode(), True),
-    ("crlf with trailing data", lambda t: (t + " {}").replace("\n", "\r\n").encode(), False),
-    ("bom", lambda t: b"\xef\xbb\xbf" + t.encode(), False),
-    ("indent 2", lambda t: json.dumps(json.loads(t), ensure_ascii=False, indent=2).encode(), True),
-    ("ascii escapes", lambda t: json.dumps(json.loads(t), indent=1).encode(), True),
+    ("as recorded", str.encode, None),
+    ("completion not text", lambda t: t.replace('"```sql\\nSELECT 1\\n```"', "5").encode(),
+     "TypeError: 'completion' must be str, not int"),
+    ("latency not a number", lambda t: t.replace("0.25", '"0.25"').encode(),
+     "TypeError: 'latency_s' must be int or float, not str"),
+    ("token count not an int", lambda t: t.replace("12", "12.5").encode(),
+     "TypeError: 'prompt_tokens' must be int or NoneType, not float"),
+    ("prompt repeated after", lambda t: _after_completion(t, ',\n "prompt": "other"'), None),
+    ("key repeated after", lambda t: _after_completion(t, ',\n "key": "k2"'), None),
+    ("prompt repeated as a number", lambda t: _after_completion(t, ',\n "prompt": 1'),
+     "TypeError: 'prompt' must be str, not int"),
+    ("extra field", lambda t: _after_completion(t, ',\n "extra": [1]'), None),
+    ("trailing data", lambda t: (t + " {}").encode(),
+     "JSONDecodeError: Extra data: line 8 column 3 (char 237)"),
+    ("trailing space", lambda t: (t + "\n ").encode(), None),
+    ("crlf", lambda t: t.replace("\n", "\r\n").encode(), None),
+    ("crlf with trailing data", lambda t: (t + " {}").replace("\n", "\r\n").encode(),
+     "JSONDecodeError: Extra data: line 8 column 3 (char 237)"),
+    ("bom", lambda t: b"\xef\xbb\xbf" + t.encode(),
+     "JSONDecodeError: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+    ("indent 2", lambda t: json.dumps(json.loads(t), ensure_ascii=False, indent=2).encode(), None),
+    ("ascii escapes", lambda t: json.dumps(json.loads(t), indent=1).encode(), None),
     ("reordered", lambda t: json.dumps(dict(reversed(json.loads(t).items())),
-                                       ensure_ascii=False, indent=1).encode(), True),
+                                       ensure_ascii=False, indent=1).encode(), None),
     ("other prompt", lambda t: json.dumps({**json.loads(t), "prompt": "other"},
-                                          ensure_ascii=False, indent=1).encode(), True),
-    ("bad utf-8 after", lambda t: t.encode()[:-1] + b"\xff}", False),
-    ("raw control in completion", lambda t: t.replace("SELECT 1", "SELECT\r1").encode(), False),
+                                          ensure_ascii=False, indent=1).encode(), None),
+    ("bad utf-8 after", lambda t: t.encode()[:-1] + b"\xff}",
+     "UnicodeDecodeError: 'utf-8' codec can't decode byte 0xff in position 239: "
+     "invalid start byte"),
+    ("raw control in completion", lambda t: t.replace("SELECT 1", "SELECT\r1").encode(),
+     "JSONDecodeError: Invalid control character at: line 4 column 31 (char 156)"),
     ("not an object after",
-     lambda t: t.split('"completion": ')[0].encode() + b'"completion": "c"]', False),
+     lambda t: t.split('"completion": ')[0].encode() + b'"completion": "c"]',
+     "JSONDecodeError: Expecting ',' delimiter: line 4 column 19 (char 144)"),
 ]
 
 
-@pytest.mark.parametrize("make, reads", [v[1:] for v in VARIANTS], ids=[v[0] for v in VARIANTS])
-def test_prompted_read_of_a_variant_equals_the_full_read(tmp_path, make, reads):
+@pytest.mark.parametrize("make, error", [v[1:] for v in VARIANTS], ids=[v[0] for v in VARIANTS])
+def test_prompted_read_of_a_variant_equals_the_full_read(tmp_path, make, error):
     cache, path, data = _recorded(tmp_path)
     path.write_bytes(make(data.decode("utf-8")))
     full = _outcome(cache, READ_EXCHANGE.key)
     assert _outcome(cache, READ_EXCHANGE.key, READ_PROMPT) == full
-    assert full[0] == ("read" if reads else "corrupt")
-
-
-# What a full read of each variant raises, the file's path masked: the
-# reason reaches a record's failure_reason. Text-mode newlines place a
-# decode error after a CRLF by its LF-only offset.
-VARIANT_ERRORS = {
-    "completion not text": "TypeError: 'completion' must be str, not int",
-    "latency not a number": "TypeError: 'latency_s' must be int or float, not str",
-    "token count not an int": "TypeError: 'prompt_tokens' must be int or NoneType, not float",
-    "prompt repeated as a number": "TypeError: 'prompt' must be str, not int",
-    "trailing data": "JSONDecodeError: Extra data: line 8 column 3 (char 237)",
-    "crlf with trailing data": "JSONDecodeError: Extra data: line 8 column 3 (char 237)",
-    "bom": "JSONDecodeError: Unexpected UTF-8 BOM (decode using utf-8-sig): "
-           "line 1 column 1 (char 0)",
-    "bad utf-8 after": "UnicodeDecodeError: 'utf-8' codec can't decode byte 0xff "
-                       "in position 239: invalid start byte",
-    "raw control in completion": "JSONDecodeError: Invalid control character at: "
-                                 "line 4 column 31 (char 156)",
-    "not an object after": "JSONDecodeError: Expecting ',' delimiter: line 4 column 19 (char 144)",
-}
-
-
-@pytest.mark.parametrize("name, make", [v[:2] for v in VARIANTS if not v[2]],
-                         ids=[v[0] for v in VARIANTS if not v[2]])
-def test_corrupt_variant_errors_are_pinned(tmp_path, name, make):
-    cache, path, data = _recorded(tmp_path)
-    path.write_bytes(make(data.decode("utf-8")))
-    for prompt in (None, READ_PROMPT):
-        kind, message = _outcome(cache, READ_EXCHANGE.key, prompt)
-        assert (kind, message.replace(str(path), "<path>")) == (
-            "corrupt", f"corrupt cache file <path>: {VARIANT_ERRORS[name]}")
+    if error is None:
+        assert full[0] == "read"
+    else:
+        assert full == ("corrupt", f"corrupt cache file {path}: {error}")
 
 
 @pytest.mark.parametrize("make", [v[1] for v in VARIANTS if v[0] in ("as recorded", "indent 2")],
