@@ -125,7 +125,7 @@ def cmd_filter(args) -> int:
         out.parent.mkdir(parents=True, exist_ok=True)
         with open(out, "w", encoding="utf-8") as fh:
             for item in kept:
-                fh.write(json.dumps(dataclasses.asdict(item), sort_keys=True) + "\n")
+                fh.write(json.dumps(item.to_dict(), sort_keys=True) + "\n")
     databases = {item.db_id for item in kept}
     print(f"{len(kept)} items, {len(databases)} databases")
     if dropped:

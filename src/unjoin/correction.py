@@ -46,6 +46,25 @@ Navarro, JEA 2005) and the token as the text, a few big-integer
 operations per token character. Every distance is exact, so the choice
 is the one an exhaustive search makes.
 
+The lanes of a list have one width, a whole number of bytes with at
+least one bit to spare above the longest name. Lane k holds the k-th
+name in its low bits, first character lowest; the bits above a name
+are padding, and ``full`` holds the name bits only. After a pass, a
+lane's distance is the token's length plus its count of +1 deltas
+(``pv``) minus its count of -1 deltas (``mv``). Padding bits may hold
+anything by then (``mv`` is never masked), so both vectors are masked
+with ``full`` before they are counted: padding never reaches a count,
+and an empty name reads as the token's length. Counting is word-wide
+too: the masked bits as bytes, each byte turned into its bit count, and
+one multiplication that adds up each lane's bytes. The distances come
+out as one integer, a field of at least 32 bits per lane with a guard
+bit at its top. Each lane's threshold sits under its guard bit in
+``ceilings``, so ``(ceilings - distances) & guards`` keeps the guard
+bits of the lanes within their thresholds, and no lane borrows from its
+neighbour. Only those lanes are read back one at a time, for the
+tie-break. A list is not searched when the token is longer than each of
+its names by more than the name's threshold.
+
 Every candidate list is one ``PackedNames``: the lower-case names a
 search compares, the names a repair writes, and the table whose columns
 it holds, if any. The lists are built once per schema object and held
@@ -87,23 +106,39 @@ class CorrectionReport:
     unresolved: tuple[str, ...] = ()
 
 
+def _threshold(length: int) -> int:
+    """The largest distance at which a name of ``length`` characters is eligible."""
+    return max(2, math.ceil(0.4 * length))
+
+
+# The number of set bits in each byte value.
+_BIT_COUNTS = bytes(bin(value).count("1") for value in range(256))
+
+
 class PackedNames:
     """A candidate list, packed side by side as the lanes of one pattern.
 
     Lane k holds ``names[k]``, a lower-case name, one bit per character,
     the first character in the lane's lowest bit; ``canonical[k]`` is
     the name a repair writes for it. ``owner`` is the lower-case table
-    whose columns the list holds, None for any other list. Lanes follow
-    each other from the top bit down, each below a split bit of its own
-    that no name's character occupies. The layout is fixed by the names'
-    lengths alone, so any character may appear in a name. ``mask(ch)``
-    has the bits of the positions that hold ``ch``; each is built on
-    first use and held. Threads racing on one character each build the
-    same value, and either is kept.
+    whose columns the list holds, None for any other list. Lane k takes
+    bits [k * width, (k + 1) * width), where ``width`` is the smallest
+    whole number of bytes with a bit above the longest name; the bits
+    above a name are padding. The layout is fixed by the names' lengths
+    alone, so any character may appear in a name. ``mask(ch)`` has the
+    bits of the positions that hold ``ch``; each is built on first use
+    and held. Threads racing on one character each build the same value,
+    and either is kept.
+
+    ``reach`` is the longest token that some name is within threshold
+    of, -1 for an empty list. ``lane(values, k)`` reads lane k of a
+    word-parallel result such as ``levenshtein``'s, a field of
+    ``_stride`` bits per lane.
     """
 
-    __slots__ = ("names", "canonical", "owner", "_text", "_width", "_full", "_lows",
-                 "_spans", "_masks")
+    __slots__ = ("names", "canonical", "owner", "reach", "_text", "_full", "_lows",
+                 "_masks", "_bytes", "_spread", "_stride", "_adder", "_shift", "_one",
+                 "_ceilings", "_guards")
 
     def __init__(self, lanes: Iterable[tuple[str, str]], owner: str | None = None):
         """``lanes`` holds one (lower, canonical) pair per name, in search order."""
@@ -111,22 +146,38 @@ class PackedNames:
         self.names = tuple(lower for lower, _ in lanes)
         self.canonical = tuple(name for _, name in lanes)
         self.owner = owner
-        # Each lane as ``format(bits, "0{width}b")`` prints it, top bit
-        # first: a split bit, then the name's characters, last one first.
-        # A mask bit at a split bit never reaches a lane, so the split
-        # character may be any character, one in a name included.
-        self._text = "".join(" " + name[::-1] for name in self.names)
-        self._width = len(self._text)
-        self._full = int("".join("0" + "1" * len(name) for name in self.names) or "0", 2)
-        self._lows = self._full & ~(self._full << 1)  # each lane's lowest bit
-        # Each lane's slice of the printed bits.
-        spans = []
-        start = 1
-        for name in self.names:
-            spans.append((start, start + len(name)))
-            start += len(name) + 1
-        self._spans = spans
+        lengths = list(map(len, self.names))
+        limits = {length: _threshold(length) for length in set(lengths)}
+        self.reach = max((length + limit for length, limit in limits.items()), default=-1)
+        lane_bytes = max(lengths, default=0) // 8 + 1
+        width = 8 * lane_bytes
+        # A byte count takes ``spread`` bytes in the sums: room for a sum
+        # of a lane's byte counts, which is below ``width``, and at least
+        # 32 bits a lane, so a distance below 2**31 stays under the guard.
+        spread = 1
+        while 256**spread <= width or spread * width < 32:
+            spread += 1
+        stride = spread * width
+        self._bytes, self._spread, self._stride = lane_bytes, spread, stride
+        # Built from hex digits, one run of digits per lane, lane 0 last.
+        order = lengths[::-1]
+        digits = width // 4
+        names_hex = {length: f"{(1 << length) - 1:0{digits}x}" for length in limits}
+        self._full = int("".join(map(names_hex.__getitem__, order)) or "0", 16)
+        self._lows = self._full & ~(self._full << 1)  # each name's lowest bit
+        # Printed top bit first: lane 0's text last, each lane's reversed.
+        self._text = "".join([name.ljust(width) for name in self.names])[::-1]
         self._masks: dict[str, int] = {}
+        guard = 1 << (stride - 1)
+        digits = stride // 4
+        ceilings_hex = {length: f"{guard | limit:0{digits}x}" for length, limit in limits.items()}
+        self._ceilings = int("".join(map(ceilings_hex.__getitem__, order)) or "0", 16)
+        self._one = int(("1".rjust(digits, "0")) * len(lengths) or "0", 16)
+        self._guards = self._one * guard
+        # Times ``_adder``, each lane's top byte field gets the sum of its
+        # lane's byte counts; ``_shift`` brings it to the field's bottom.
+        self._adder = int("1".rjust(2 * spread, "0") * lane_bytes, 16)
+        self._shift = 8 * spread * (lane_bytes - 1)
 
     def mask(self, ch: str) -> int:
         bits = self._masks.get(ch)
@@ -135,23 +186,40 @@ class PackedNames:
             bits = self._masks[ch] = int(ones, 2)
         return bits
 
+    def lane(self, values: int, k: int) -> int:
+        """Lane k's field of ``values``, a word-parallel result."""
+        return (values >> (k * self._stride)) & ((1 << self._stride) - 1)
 
-def levenshtein(token: str, packed: PackedNames) -> list[int]:
-    """Edit distance from ``token`` to each of ``packed.names``, in order.
+    def _sums(self, bits: int) -> int:
+        """The number of set bits in each lane of ``bits``, one field per lane."""
+        counts = bits.to_bytes(self._bytes * len(self.names), "little").translate(_BIT_COUNTS)
+        if self._spread > 1:
+            wide = bytearray(self._spread * len(counts))
+            wide[:: self._spread] = counts
+            counts = wide
+        total = (int.from_bytes(counts, "little") * self._adder) >> self._shift
+        return total & (self._one * (256**self._spread - 1))
+
+
+def levenshtein(token: str, packed: PackedNames) -> int:
+    """Edit distance from ``token`` to each of ``packed.names``, lane k's
+    distance in ``packed.lane(result, k)``; exact for any token shorter
+    than 2**31 characters.
 
     One pass of Myers' bit-vector algorithm (Myers, JACM 1999, in the
     global form Hyyrö 2001 gives) over the characters of ``token``,
     with every name a lane of one pattern (Hyyrö, Fredriksson and
     Navarro, JEA 2005). Bit i of a lane in ``pv``/``mv`` says
     whether D[i+1][j] - D[i][j] is +1/-1 in the current column j of
-    ``token``. The split bit above each lane is zero in ``pv``, so it
-    stops the addition's carry, and it takes the shift out of the lane's
-    top; ``lows`` sets each lane's row 0 delta, D[0][j] - D[0][j-1] = +1.
-    What a split bit holds otherwise never reaches a lane. After the
-    pass, D[m][n] = n + (+1 deltas) - (-1 deltas) in each lane.
+    ``token``. The padding bit above each name is zero in ``pv``, so it
+    stops the addition's carry, and it takes the shift out of the name's
+    top; ``lows`` sets each name's row 0 delta, D[0][j] - D[0][j-1] = +1.
+    What a padding bit holds otherwise never reaches a name's bits.
+    After the pass, D[m][n] = n + (+1 deltas) - (-1 deltas) in each
+    lane, with both counts taken over the name's bits only.
     """
     if not packed.names:
-        return []
+        return 0
     full, lows, mask = packed._full, packed._lows, packed.mask
     pv, mv = full, 0
     for ch in token:
@@ -163,15 +231,7 @@ def levenshtein(token: str, packed: PackedNames) -> list[int]:
         ph = (ph << 1) | lows
         pv = ((mh << 1) | ((xv | ph) ^ full)) & full
         mv = ph & xv
-    width = f"0{packed._width}b"
-    plus = format(pv, width).count
-    minus = format(mv, width).count
-    n = len(token)
-    return [n + plus("1", a, b) - minus("1", a, b) for a, b in packed._spans]
-
-
-def _threshold(candidate: str) -> int:
-    return max(2, math.ceil(0.4 * len(candidate)))
+    return len(token) * packed._one + packed._sums(pv) - packed._sums(mv & full)
 
 
 def _best(
@@ -185,15 +245,19 @@ def _best(
     """
     best = None
     for packed in lists:
+        if len(token_lower) > packed.reach:
+            continue  # beyond every name's threshold
         unowned = packed.owner not in referenced
-        for lower, canonical, dist in zip(
-            packed.names, packed.canonical, levenshtein(token_lower, packed)
-        ):
-            if dist > _threshold(lower):
-                continue
-            key = (dist, unowned, lower)
+        distances = levenshtein(token_lower, packed)
+        # A lane keeps its guard bit exactly when its distance is at most its threshold.
+        eligible = (packed._ceilings - distances) & packed._guards
+        while eligible:
+            low = eligible & -eligible
+            eligible ^= low
+            k = low.bit_length() // packed._stride - 1
+            key = (packed.lane(distances, k), unowned, packed.names[k])
             if best is None or key < best[0]:
-                best = (key, canonical)
+                best = (key, packed.canonical[k])
     if best is None:
         return None
     return best[1], best[0][0]

@@ -10,21 +10,22 @@ least two tables of the item's database; an item without a known
 database, gold SQL or a question, with unparseable gold, or whose gold
 names a table its database lacks, is dropped with a logged reason.
 Each distinct gold text is parsed and resolved once per filtering
-call; each item's tables are checked against its own database.
+call; each item's tables are checked against its own database. The
+score made there rides on each kept item whose database it was resolved
+against, so scoring that item's gold needs no second parse.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
+from .evaluation import Score, score_sql
 from .llm import CACHE_MODES, LlmConfig
 from .prompting import METHOD_TEMPLATES
 from .schema import DatabaseSchema, load_catalogue, load_descriptions
-from .sqlast import parse
-from .sqlref import resolve_refs
 
 log = logging.getLogger(__name__)
 
@@ -38,12 +39,26 @@ class DatasetError(RuntimeError):
 
 @dataclass(frozen=True)
 class EvalItem:
+    """One question with its gold SQL.
+
+    ``gold_score`` is the gold's score from ``filter_items``, set only
+    there, on a kept item whose database the score was resolved against.
+    An item is not built from it: it stays out of ``repr``, equality and
+    ``to_dict``, and a ``dataclasses.replace`` copy lacks it, so the
+    copy's gold is scored from its text.
+    """
+
     item_id: str
     db_id: str
     question: str
     gold_sql: str
     evidence: str = ""
     gold_table_count: int | None = None
+    gold_score: Score | None = field(default=None, init=False, repr=False, compare=False)
+
+    def to_dict(self) -> dict:
+        """The fields the item is built from, as ``unjoin filter --out`` writes them."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.init}
 
     @property
     def prompt_question(self) -> str:
@@ -144,16 +159,19 @@ def filter_items(
     Kept items carry their gold table count for later bucketing. Every
     table the gold names must be one of its own database's (reference
     extraction credits any FROM name, as scoring a prediction needs).
-    Each distinct gold text is parsed and resolved once per call, at the
-    first item that reaches that step, and its table set (or parse
+    Each distinct gold text is scored once per call (``score_sql``), at
+    the first item that reaches that step, and its table set (or parse
     error) serves every later item that carries it: a statement's table
     set comes from its own names, not from the schema it is resolved
     against. Each item's tables are still checked against its own
-    database.
+    database. A kept item whose database is the one the score was
+    resolved against carries the score as ``gold_score``; the columns a
+    bare name resolves to depend on the schema, so another item's gold is
+    scored again when it is evaluated.
     """
     kept: list[EvalItem] = []
     dropped: list[tuple[EvalItem, str]] = []
-    table_sets: dict[str, frozenset[str] | str] = {}
+    scores: dict[str, Score | str] = {}
     for item in items:
         gold = item.gold_sql
         db = catalogue.get(item.db_id)
@@ -169,29 +187,32 @@ def filter_items(
             dropped.append((item, "missing question"))
             log.warning("dropping %s: missing question", item.item_id)
             continue
-        tables = table_sets.get(gold)
-        if tables is None:
+        score = scores.get(gold)
+        if score is None:
             try:
-                tables = resolve_refs(parse(gold), db).tables
+                score = score_sql(gold, db)
             except ValueError as exc:
-                tables = str(exc)
-            table_sets[gold] = tables
-        if isinstance(tables, str):
-            dropped.append((item, f"unparseable gold SQL: {tables}"))
-            log.warning("dropping %s: unparseable gold SQL: %s", item.item_id, tables)
+                score = str(exc)
+            scores[gold] = score
+        if isinstance(score, str):
+            dropped.append((item, f"unparseable gold SQL: {score}"))
+            log.warning("dropping %s: unparseable gold SQL: %s", item.item_id, score)
             continue
-        lacking = sorted(tables - db.table_names.keys())
+        lacking = [table for table in score.tables if table not in db.table_names]
         if lacking:
             reason = f"gold names tables its database lacks: {', '.join(lacking)}"
             dropped.append((item, reason))
             log.warning("dropping %s: %s", item.item_id, reason)
             continue
-        count = len(tables)
+        count = len(score.tables)
         if count < 2:
             dropped.append((item, "single-table query"))
             continue
-        kept.append(EvalItem(item.item_id, item.db_id, item.question, gold,
-                             item.evidence, count))
+        kept_item = EvalItem(item.item_id, item.db_id, item.question, gold, item.evidence, count)
+        if score.schema is db:
+            # Frozen, and no init field: only the filter attaches a score.
+            object.__setattr__(kept_item, "gold_score", score)
+        kept.append(kept_item)
     return kept, dropped
 
 

@@ -10,8 +10,9 @@ report is self-describing.
 
 Schema-linking quality is measured per query: precision and recall of
 the predicted table and column sets against the gold sets, macro
-averaged. Bucketing by gold table count yields the plot-ready series
-for accuracy versus join width.
+averaged. Both sets, and whether the gold orders its rows, come from
+``score_sql``, one parse per statement. Bucketing by gold table count
+yields the plot-ready series for accuracy versus join width.
 """
 
 from __future__ import annotations
@@ -24,10 +25,14 @@ import threading
 import time
 import urllib.parse
 from collections import Counter
+from collections.abc import Collection
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import NamedTuple
 
-from .sqlast import SelectBlock, SelectStatement
+from .schema import DatabaseSchema
+from .sqlast import SelectBlock, SelectStatement, parse
+from .sqlref import resolve_refs
 
 OK = "ok"
 RUNTIME_ERROR = "runtime_error"
@@ -94,7 +99,8 @@ class HeldConnections:
         """The calling thread's connection to ``path``; a replaced or rewritten file is reopened."""
         try:
             st = path.stat()
-        except FileNotFoundError:
+        except (FileNotFoundError, NotADirectoryError):
+            # A path under a regular file is as missing as one under no file.
             raise FileNotFoundError(f"database file not found: {path}") from None
         key = (str(path), st.st_dev, st.st_ino, st.st_mtime_ns, st.st_size)
         held = self._by_thread.get(threading.get_ident())
@@ -176,6 +182,28 @@ def has_top_level_order_by(stmt: SelectStatement) -> bool:
     A parenthesized compound operand, a CTE body and a subquery do not count.
     """
     return any(isinstance(b, SelectBlock) and b.ordered for b in stmt.blocks)
+
+
+class Score(NamedTuple):
+    """What scoring reads of one statement, from one parse."""
+
+    tables: tuple[str, ...]  # sorted, lower case
+    columns: tuple[str, ...]  # sorted "table.column", lower case
+    ordered: bool  # whether the statement orders its rows
+    schema: DatabaseSchema | None  # what the names were resolved against
+
+
+def score_sql(sql: str, db: DatabaseSchema) -> Score:
+    """Parse ``sql`` once and resolve its references against ``db``.
+
+    The one scoring of a statement, for filtering, gold and prediction
+    alike. Raises ``SqlParseError``, a ``ValueError``, for text the
+    parser rejects.
+    """
+    stmt = parse(sql)
+    refs = resolve_refs(stmt, db)
+    return Score(tuple(sorted(refs.tables)), tuple(sorted(refs.columns)),
+                 has_top_level_order_by(stmt), db)
 
 
 # ----- result comparison -----
@@ -323,8 +351,9 @@ def _pairs_every_row(gold: Counter, pred: Counter) -> bool:
 # ----- per-query scoring -----
 
 
-def precision_recall(pred: frozenset, gold: frozenset) -> tuple[float, float]:
-    inter = len(pred & gold)
+def precision_recall(pred: Collection, gold: Collection) -> tuple[float, float]:
+    """Precision and recall of ``pred`` against ``gold``, each without repeats."""
+    inter = len(frozenset(pred).intersection(gold))
     if pred:
         precision = inter / len(pred)
     else:

@@ -43,10 +43,11 @@ from .evaluation import (
     EvalRecord,
     ExecOutcome,
     HeldConnections,
+    Score,
     compare_results,
     execute,
-    has_top_level_order_by,
     precision_recall,
+    score_sql,
 )
 from .llm import (
     ExtractionError,
@@ -66,8 +67,6 @@ from .prompting import (
     build_sp_prompt,
 )
 from .schema import DatabaseSchema, SchemaError, TableDef, simplify_schema
-from .sqlast import parse
-from .sqlref import RefSet, resolve_refs
 
 
 @dataclass(frozen=True)
@@ -297,18 +296,17 @@ def assemble_pool(
 # ----- full-run evaluation -----
 
 
-_NO_REFS = RefSet(frozenset(), frozenset())
+_NO_SCORE = Score((), (), False, None)
 
 
-def _scored(sql: str | None, db: DatabaseSchema) -> tuple[RefSet, bool]:
-    """``sql``'s references and whether it orders its rows; none for text that does not parse."""
+def _scored(sql: str | None, db: DatabaseSchema) -> Score:
+    """``sql``'s score against ``db``; no references for text that does not parse."""
     if not sql:
-        return _NO_REFS, False
+        return _NO_SCORE
     try:
-        stmt = parse(sql)
-        return resolve_refs(stmt, db), has_top_level_order_by(stmt)
+        return score_sql(sql, db)
     except ValueError:
-        return _NO_REFS, False
+        return _NO_SCORE
 
 
 def evaluate_item(
@@ -322,13 +320,17 @@ def evaluate_item(
 ) -> EvalRecord:
     """Execute gold and prediction, extract references, score one item.
 
-    Gold and prediction are each parsed once: the references and whether
-    the gold orders its rows come from that parse. Text the parser
-    rejects has no references; such a gold's rows compare as a multiset.
+    The gold's references, and whether it orders its rows, come from
+    one parse: the score ``filter_items`` made and the item carries
+    (``gold_score``) when it was resolved against ``home_db``, otherwise
+    a parse made here. The prediction is always parsed here, once, and
+    resolved against ``pred_db``. Text the parser rejects has no
+    references; such a gold's rows compare as a multiset.
 
-    Without its database file, whether absent from the start or gone
-    before the prediction ran, the item's gold outcome is a runtime error
-    "database file missing" and its prediction is not executed.
+    Without its database file, whether absent from the start, gone
+    before the prediction ran, or under a path that is no directory, the
+    item's gold outcome is a runtime error "database file missing" and
+    its prediction is not executed.
     """
     missing = ExecOutcome(status=RUNTIME_ERROR, error="database file missing")
     gold_exec, pred_exec = missing, None
@@ -339,12 +341,14 @@ def evaluate_item(
                 pred_exec = execute(prediction.final_sql, db_file, exec_timeout_s, held)
         except FileNotFoundError:
             gold_exec, pred_exec = missing, None
-    gold_refs, gold_ordered = _scored(item.gold_sql, home_db)
-    pred_refs, _ = _scored(prediction.final_sql, pred_db)
+    gold = item.gold_score
+    if gold is None or gold.schema is not home_db:
+        gold = _scored(item.gold_sql, home_db)
+    pred = _scored(prediction.final_sql, pred_db)
     qe = pred_exec is not None and pred_exec.status == OK
-    em = qe and compare_results(gold_exec, pred_exec, gold_ordered)
-    t_prec, t_rec = precision_recall(pred_refs.tables, gold_refs.tables)
-    c_prec, c_rec = precision_recall(pred_refs.columns, gold_refs.columns)
+    em = qe and compare_results(gold_exec, pred_exec, gold.ordered)
+    t_prec, t_rec = precision_recall(pred.tables, gold.tables)
+    c_prec, c_rec = precision_recall(pred.columns, gold.columns)
     return EvalRecord(
         item_id=item.item_id,
         method=prediction.method,
@@ -356,17 +360,17 @@ def evaluate_item(
         pred_exec=pred_exec,
         qe=qe,
         em=em,
-        gold_tables=tuple(sorted(gold_refs.tables)),
-        gold_columns=tuple(sorted(gold_refs.columns)),
-        pred_tables=tuple(sorted(pred_refs.tables)),
-        pred_columns=tuple(sorted(pred_refs.columns)),
+        gold_tables=gold.tables,
+        gold_columns=gold.columns,
+        pred_tables=pred.tables,
+        pred_columns=pred.columns,
         table_precision=t_prec,
         table_recall=t_rec,
         column_precision=c_prec,
         column_recall=c_rec,
         gold_table_count=item.gold_table_count
         if item.gold_table_count is not None
-        else len(gold_refs.tables),
+        else len(gold.tables),
     )
 
 

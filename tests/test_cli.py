@@ -87,6 +87,9 @@ def test_filter_out_writes_jsonl(mini_spider_root, tmp_path, capsys):
     rows = [json.loads(line) for line in out_file.read_text().splitlines()]
     assert len(rows) == 25
     assert all(row["gold_table_count"] >= 2 for row in rows)
+    # The score an item carries from filtering is the run's, not the item's.
+    assert all(set(row) == {"item_id", "db_id", "question", "gold_sql", "evidence",
+                            "gold_table_count"} for row in rows)
 
 
 # ----- run / score / diff -----
@@ -136,6 +139,33 @@ def test_run_replay_twice_is_byte_identical(oracle_run_args, tmp_path, capsys):
     assert blobs[0] == blobs[1]
     summaries = [(d / "summary.json").read_bytes() for d in dirs]
     assert summaries[0] == summaries[1]
+
+
+def test_run_with_a_database_path_under_a_regular_file_costs_only_its_items(
+        mini_spider_root, oracle_cache_dir, tmp_path, capsys):
+    root = tmp_path / "root"
+    shutil.copytree(mini_spider_root, root)
+    shutil.rmtree(root / "database" / "retail")
+    (root / "database" / "retail").write_text("a file where a folder belongs\n")
+    config = {"dataset": "spider", "root": str(root), "method": "unjoin-mp",
+              "model": ORACLE_MODEL, "cache_mode": "replay",
+              "cache_dir": str(oracle_cache_dir), "workers": 2}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    out_dir = tmp_path / "run"
+    code, _, err = run_cli(capsys, "run", "--config", str(tmp_path / "config.json"),
+                           "--out", str(out_dir))
+    assert code == 0, err
+    lines = (out_dir / "records.jsonl").read_text().splitlines()
+    records = [json.loads(line) for line in lines[1:]]  # after the _meta line
+    retail = [r for r in records if r["db_id"] == "retail"]
+    assert retail and len(retail) < len(records)
+    for record in records:
+        if record["db_id"] == "retail":
+            assert record["gold_exec"] == {"status": "runtime_error",
+                                           "error": "database file missing"}
+            assert record["pred_exec"] is None and not record["qe"]
+        else:
+            assert record["qe"] and record["em"]
 
 
 @pytest.mark.parametrize("limit", ["0", "-1"])

@@ -149,7 +149,7 @@ def _check_edits(sql, fixed, report):
         out = out[:sub.position] + sub.replacement + out[end:]
         searched, name = (re.sub(r"[`\[\]\"\s]", "", text).lower()
                           for text in (sub.original, sub.replacement))
-        assert [sub.distance] == levenshtein(searched, _packed([name]))
+        assert [sub.distance] == _distances(searched, [name])
         assert sub.distance > 0
     assert out == fixed
 
@@ -567,21 +567,44 @@ def _packed(names):
     return PackedNames((name, name) for name in names)
 
 
+def _distances(token, names):
+    """``levenshtein``'s distance from ``token`` to each of ``names``, read lane by lane."""
+    packed = _packed(names)
+    found = levenshtein(token, packed)
+    return [packed.lane(found, k) for k in range(len(names))]
+
+
 def test_levenshtein_known_values():
-    assert levenshtein("kitten", _packed(["sitting", "kitten", "", "sitten", "kitten"])) == [
-        3, 0, 6, 1, 0]
-    assert levenshtein("", _packed(["abc", ""])) == [3, 0]
-    assert levenshtein("abc", _packed(["abc"])) == [0]
-    assert levenshtein("abc", _packed([])) == []
+    assert _distances("kitten", ["sitting", "kitten", "", "sitten", "kitten"]) == [3, 0, 6, 1, 0]
+    assert _distances("", ["abc", ""]) == [3, 0]
+    assert _distances("abc", ["abc"]) == [0]
+    assert _distances("abc", []) == []
 
 
 # A small alphabet repeats characters. Two of them are not ASCII; the
 # rest are characters a packed layout might take for a lane separator
 # or read back as a bit ("\n", "\0", " ", "0", "1"). Long strings (past
-# 64 characters) take a lane past one machine word.
+# 64 characters) take a lane past one machine word. A lane is a whole
+# number of bytes with a bit above its list's longest name, so a name of
+# 8k - 1 characters fills its lane when it is the longest.
 _CHARS = "ab_zé日\n\0 01"
 _short = st.text(alphabet=_CHARS, max_size=8)
 _strings = _short | st.text(alphabet=_CHARS, min_size=65, max_size=80)
+
+
+def _filling(*sizes):
+    """Names of one of ``sizes``, each 8k - 1 characters."""
+    return st.sampled_from(sizes).flatmap(
+        lambda size: st.text(alphabet=_CHARS, min_size=size, max_size=size))
+
+
+_lane_filling = _filling(7, 15, 23, 63, 71)
+
+
+def _longer_than_twice(draw, names):
+    """A token over twice as long as the longest of ``names``."""
+    size = 2 * max(map(len, names), default=0) + 1
+    return draw(st.text(alphabet=_CHARS, min_size=size, max_size=size + 8))
 
 
 @st.composite
@@ -604,15 +627,21 @@ def near(draw, word):
 @st.composite
 def distance_cases(draw):
     """(token, names): 0, 1, a few or hundreds of names, each either
-    independent of the token or a few edits away from it, duplicates and
-    empty names included. With hundreds of names the token and names are
-    short, so the recursive oracle stays fast."""
+    independent of the token or a few edits away from it, duplicates,
+    empty names and names that fill their lane included. Sometimes the
+    token is over twice the longest name. With hundreds of names the
+    token and names are short, so the recursive oracle stays fast."""
     size = draw(st.sampled_from((0, 1, 3, 8, 300)))
-    pool = _short if size > 8 else _strings
+    if size > 8:
+        pool = _short | st.just("") | _filling(7)
+    else:
+        pool = _strings | st.just("") | _lane_filling
     token = draw(pool)
     names = draw(st.lists(pool | near(token), min_size=size, max_size=size))
     if names and draw(st.booleans()):
         names.append(draw(st.sampled_from(names)))
+    if draw(st.booleans()):
+        token = _longer_than_twice(draw, names)
     return token, names
 
 
@@ -622,10 +651,16 @@ def distance_cases(draw):
 @example(("ab", [""]))
 @example(("a\nb", ["a\nb", "a\0b", "a b", "a", "", "a\nb"]))
 @example(("a" * 70, ["a" * 65, "b" * 70, "a" * 140, " " * 3]))
+@example(("abc", ["", "", ""]))
+@example(("a" * 7, ["a" * 7]))
+@example(("ab" * 8, ["b" * 15, "", "a" * 15]))
+@example(("a" * 130, ["a" * 63, "ab"]))
+@example(("a" * 300, ["a" * 256, "a"]))
+@example(("ab" * 150, ["b", "", "ab"]))
 def test_levenshtein_matches_recursive_oracle(case):
     token, names = case
     want = [slow_levenshtein(token, name) for name in names]
-    assert levenshtein(token, _packed(names)) == want
+    assert _distances(token, names) == want
     assert [banded_levenshtein(token, name) for name in names] == want
 
 
@@ -638,17 +673,33 @@ def test_levenshtein_matches_recursive_oracle(case):
 # owner is the table of the list the entry falls in, None or a name that
 # the query may reference. Runs of one owner make the lists, in order.
 _OWNERS = (None, "a", "b")
-candidate_entries = st.lists(
-    st.text(alphabet=_CHARS, max_size=7) | st.text(alphabet=_CHARS, min_size=60, max_size=100),
-    min_size=1, max_size=5,
-).flatmap(
-    lambda pool: st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(_OWNERS)), max_size=60)
-)
+_short_names = st.just("") | st.text(alphabet=_CHARS, max_size=7) | _filling(7, 15)
+_names = _short_names | _lane_filling | st.text(alphabet=_CHARS, min_size=60, max_size=100)
+
+
+@st.composite
+def search_cases(draw):
+    """(token, entries), with one-lane lists, empty names and names that
+    fill their lane among the entries. The token is drawn on its own, or
+    over twice the longest name; then the names are short, so the
+    exhaustive search stays fast."""
+    long_token = draw(st.booleans())
+    pool = draw(st.lists(_short_names if long_token else _names, min_size=1, max_size=5))
+    entries = draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(_OWNERS)),
+                            max_size=60))
+    token = _longer_than_twice(draw, pool) if long_token else draw(_strings)
+    return token, entries
 
 
 @settings(deadline=None)
-@given(_strings, candidate_entries, st.sets(st.sampled_from(_OWNERS[1:])))
-def test_best_matches_exhaustive_search(token, entries, referenced):
+@given(search_cases(), st.sets(st.sampled_from(_OWNERS[1:])))
+@example(("", [("", None)]), set())
+@example(("ab", [("", "a"), ("ab", "b"), ("", "a")]), {"a"})
+@example(("a" * 7, [("a" * 7, None), ("a" * 7, None)]), set())
+@example(("a" * 15, [("a" * 7, "a"), ("a" * 15, "b"), ("a" * 15, "a")]), {"b"})
+@example(("abzz", [("ab", None)]), set())  # the longest token a name is within threshold of
+def test_best_matches_exhaustive_search(case, referenced):
+    token, entries = case
     lanes = [(lower, f"{lower.upper()}#{i}", owner) for i, (lower, owner) in enumerate(entries)]
     lists = [PackedNames([(lower, canonical) for lower, canonical, _ in run], owner)
              for owner, run in itertools.groupby(lanes, key=lambda lane: lane[2])]

@@ -1,13 +1,16 @@
+import importlib
 import json
 import logging
+import random
 import sys
 import weakref
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-import unjoin.dataset
+import unjoin.evaluation
 from unjoin.dataset import (
     DatasetError,
     EvalItem,
@@ -16,6 +19,7 @@ from unjoin.dataset import (
     load_dataset,
     load_retrieval_lists,
 )
+from unjoin.evaluation import score_sql
 from unjoin.schema import load_catalogue
 from unjoin.sqlast import parse
 from unjoin.sqlref import resolve_refs
@@ -208,7 +212,7 @@ def test_shared_gold_is_resolved_once_and_checked_against_each_items_own_schema(
         schemas.append(db.db_id)
         return resolve_refs(stmt, db)
 
-    monkeypatch.setattr(unjoin.dataset, "resolve_refs", recording)
+    monkeypatch.setattr(unjoin.evaluation, "resolve_refs", recording)
     assert_matches_per_item_filter(items, catalogue, caplog)
     assert schemas == ["retail"]
     kept, dropped = filter_items(items, catalogue)
@@ -281,11 +285,35 @@ def test_filter_holds_no_parse_past_its_resolution(monkeypatch):
         live.append("".join(sorted(k for k, ref in statements.items() if ref() is not None)))
         return resolve_refs(stmt, db)
 
-    monkeypatch.setattr(unjoin.dataset, "parse", parsing)
-    monkeypatch.setattr(unjoin.dataset, "resolve_refs", resolving)
+    monkeypatch.setattr(unjoin.evaluation, "parse", parsing)
+    monkeypatch.setattr(unjoin.evaluation, "resolve_refs", resolving)
     filter_items(items, two_schemas())
     # One resolution per distinct text, and each earlier parse is gone by the next.
     assert live == ["a", "b", "c"]
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+@pytest.mark.parametrize("workload", ["spider_narrow", "bird_wide_noisy", "record_slow_endpoint"])
+def test_carried_scores_equal_recomputed_ones_on_generated_workloads(
+        workload, tmp_path, monkeypatch):
+    # The dataset root the benchmark generator writes for the workload at seed 1.
+    monkeypatch.syspath_prepend(str(BENCH))
+    generate = importlib.import_module("generate")
+    spec = generate.WORKLOADS[workload]
+    rng = random.Random(f"{workload}:1")
+    if spec["shape"] == "spider":
+        generate.build_spider(rng, spec["size"], tmp_path)
+    else:
+        generate.build_bird(rng, spec["size"], spec["items_per_db"], spec["typo_share"],
+                            spec["slice_items"], tmp_path)
+    bundle = load_dataset(tmp_path, spec["shape"])
+    kept, _ = filter_items(bundle.items, bundle.catalogue)
+    carried = [item for item in kept if item.gold_score is not None]
+    assert carried
+    for item in carried:
+        assert item.gold_score == score_sql(item.gold_sql, bundle.catalogue[item.db_id])
 
 
 # ----- malformed dev entries -----

@@ -53,7 +53,7 @@ from unjoin.prompting import (
     build_mp_step2_prompt,
 )
 from unjoin.schema import ColumnDef, DatabaseSchema, TableDef, simplify_schema
-
+from unjoin.sqlast import parse
 from unjoin.tokens import IDENT, tokenize
 
 from conftest import BIRD_CASES, ORACLE_MODEL, seed_oracle_cache, spider_oracle_plan
@@ -541,12 +541,79 @@ def test_evaluate_item_parses_the_gold_once(retail_db, retail_sqlite, monkeypatc
     assert rec.gold_columns == ("customer.name",)
 
 
+# ----- the gold score filter_items carries -----
+
+
+def _two_ways_to_read_x():
+    """Two schemas of tables t1 and t2 joined on id: x is t1's in one, t2's in the other."""
+    def schema(db_id, x_in_t1):
+        t1 = ("id", "x") if x_in_t1 else ("id",)
+        t2 = ("id", "y") if x_in_t1 else ("id", "x")
+        return DatabaseSchema(db_id, (TableDef("t1", tuple(map(ColumnDef, t1))),
+                                      TableDef("t2", tuple(map(ColumnDef, t2)))))
+    return {"one": schema("one", True), "two": schema("two", False)}
+
+
+BARE_X = "SELECT x FROM t1 JOIN t2 ON t1.id = t2.id"
+FILTERED_PRED = PredictedQuery(method="cot", final_sql="SELECT y FROM t2")
+
+
+def test_one_gold_text_in_two_databases_scores_against_each_schema():
+    catalogue = _two_ways_to_read_x()
+    items = [EvalItem("one:0", "one", "q", BARE_X), EvalItem("two:1", "two", "q", BARE_X)]
+    kept, dropped = filter_items(items, catalogue)
+    assert not dropped
+    # The text was scored at the first item; only items of that schema carry it.
+    assert kept[0].gold_score.schema is catalogue["one"] and kept[1].gold_score is None
+    # A copy may hold other gold text, so it carries no score.
+    assert dataclasses.replace(kept[0], gold_sql="SELECT 1").gold_score is None
+    columns = [evaluate_item(item, FILTERED_PRED, catalogue[item.db_id], catalogue[item.db_id],
+                             None, 10.0).gold_columns for item in kept]
+    assert columns == [("t1.id", "t1.x", "t2.id"), ("t1.id", "t2.id", "t2.x")]
+
+
+def test_items_evaluated_against_another_catalogue_are_scored_as_now():
+    filtered_with = _two_ways_to_read_x()
+    (item,), _ = filter_items([EvalItem("one:0", "one", "q", BARE_X)], filtered_with)
+    assert item.gold_score.columns == ("t1.id", "t1.x", "t2.id")
+    # The same db_id, loaded again, and once with x moved to t2.
+    for other in (_two_ways_to_read_x()["one"],
+                  DatabaseSchema("one", _two_ways_to_read_x()["two"].tables)):
+        carried = evaluate_item(item, FILTERED_PRED, other, other, None, 10.0)
+        fresh = evaluate_item(EvalItem("one:0", "one", "q", BARE_X, gold_table_count=2),
+                              FILTERED_PRED, other, other, None, 10.0)
+        assert carried == fresh
+    assert carried.gold_columns == ("t1.id", "t2.id", "t2.x")
+
+
+def test_replayed_run_parses_only_each_prediction(mini_spider_root, oracle_cache_dir,
+                                                  monkeypatch):
+    bundle = load_dataset(mini_spider_root, "spider")
+    kept, _ = filter_items(bundle.items, bundle.catalogue)
+    parsed = []
+
+    def counting(sql):
+        parsed.append(sql)
+        return parse(sql)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("unjoin") and getattr(module, "parse", None) is parse:
+            monkeypatch.setattr(module, "parse", counting)
+    config = RunConfig(dataset="spider", root=str(mini_spider_root), method="unjoin-mp",
+                       model=ORACLE_MODEL, cache_mode="replay",
+                       cache_dir=str(oracle_cache_dir), workers=1)
+    client = LlmClient(config.llm_config(), ExchangeCache(oracle_cache_dir))
+    records, _ = run_evaluation(bundle, kept, config, client)
+    assert all(rec.qe and rec.em for rec in records)
+    assert parsed == [rec.prediction["final_sql"] for rec in records]
+
+
 # A USING list the text ends inside: the parser rejects it, and so does SQLite.
 UNCLOSED_USING = "SELECT name FROM customer JOIN city USING (city_id"
 
 
 def test_prediction_whose_using_list_does_not_close_has_no_refs(retail_db, retail_sqlite):
-    assert pipeline._scored(UNCLOSED_USING, retail_db) == (pipeline._NO_REFS, False)
+    assert pipeline._scored(UNCLOSED_USING, retail_db) == pipeline._NO_SCORE
     pred = PredictedQuery(method="cot", final_sql=UNCLOSED_USING)
     rec = evaluate_item(ITEM, pred, retail_db, retail_db, retail_sqlite, 10.0)
     assert rec.pred_exec.status == "runtime_error"
